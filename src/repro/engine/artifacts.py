@@ -410,8 +410,7 @@ def _enc_step(step: object, w: _ArrayWriter) -> dict:
             "r": step.r, "s": step.s, "stride": step.stride, "padding": step.padding,
             "shards": [
                 {"program": _enc_table_program(spec.program, w),
-                 "row_lo": int(spec.row_lo), "row_hi": int(spec.row_hi),
-                 "zero_rows": w.add(spec.zero_rows)}
+                 "row_lo": int(spec.row_lo), "row_hi": int(spec.row_hi)}
                 for spec in step.shards
             ],
             "entries": int(step.entries),
@@ -449,8 +448,7 @@ def _dec_step(node: dict, r: _ArrayReader) -> object:
             shards=tuple(
                 ShardSpec(
                     program=_dec_table_program(spec["program"], r),
-                    row_lo=int(spec["row_lo"]), row_hi=int(spec["row_hi"]),
-                    zero_rows=r.get(spec["zero_rows"]))
+                    row_lo=int(spec["row_lo"]), row_hi=int(spec["row_hi"]))
                 for spec in node["shards"]
             ),
             entries=int(node["entries"]),
@@ -479,7 +477,7 @@ def _enc_network_program(p: NetworkProgram, w: _ArrayWriter) -> dict:
         "plan": {
             "slot_elems": [int(plan.slot_elems[0]), int(plan.slot_elems[1])],
             "cols_elems": int(plan.cols_elems), "pad_elems": int(plan.pad_elems),
-            "gather_elems": int(plan.gather_elems), "seg_elems": int(plan.seg_elems),
+            "gather_elems": int(plan.gather_elems), "term_elems": int(plan.term_elems),
             "per_image_cost": int(plan.per_image_cost),
             "max_shards": int(plan.max_shards),
         },
@@ -498,7 +496,7 @@ def _dec_network_program(node: dict, r: _ArrayReader) -> NetworkProgram:
         plan=BufferPlan(
             slot_elems=(lo, hi), cols_elems=int(plan["cols_elems"]),
             pad_elems=int(plan["pad_elems"]), gather_elems=int(plan["gather_elems"]),
-            seg_elems=int(plan["seg_elems"]),
+            term_elems=int(plan["term_elems"]),
             per_image_cost=int(plan["per_image_cost"]),
             max_shards=int(plan["max_shards"]),
         ),

@@ -1,49 +1,134 @@
-"""Segment-scan executor for compiled table programs.
+"""The segment-scan kernel: every UCNN level from one prefix sum.
 
-One :func:`execute_program` call evaluates a :class:`TableProgram` over
-every window at once with three vectorized primitives per level:
+:func:`scan` is the engine's only segment scan.  Both executors call
+it: :func:`execute_program` (one program over a window matrix, the
+per-layer path) and :func:`repro.engine.fusion.execute_network` (one
+call per filter-group shard).  Given a C-contiguous, window-major
+``(n, N)`` int64 window matrix it runs five vectorized primitives,
+whatever the program's group size G:
 
-1. **gather** — ``windows[:, program.gather]`` materializes the
-   traversal-ordered activation stream for all windows in one indexed
-   copy;
-2. **segment sum** — ``np.add.reduceat`` over ``seg_starts`` folds the
-   stream into per-segment sums (the accumulator Á/Â of the walk);
-3. **weight + filter fold** — an elementwise multiply by the weight
-   schedule followed by a second ``reduceat`` over ``filter_starts``
-   yields each filter's dot product.
+1. **gather** — ``np.take`` copies the traversal-ordered activation
+   stream of every window into a contiguous ``(n, entries)`` buffer;
+2. **scan** — one in-place ``np.cumsum`` along the entry axis turns it
+   into prefix sums, ``P[i]`` = sum of the first ``i`` entries;
+3. **boundary take** — a second ``np.take`` reads ``P`` at every
+   boundary where some level's weight changes;
+4. **multiply** — each read is scaled by its telescoped coefficient;
+5. **fold** — one ``np.add.reduceat`` sums each filter's terms.
 
-All arithmetic is int64, so results are bit-identical to the per-entry
-walk and the dense matmul (both compute the same value mod 2**64).
+Steps 3-5 read the program's :class:`ScanTerms`, derived once by
+:func:`telescope` and cached on the program.
+For a filter whose run covers segments ``a..b-1`` with start offsets
+``p_s`` and weights ``w_s``, the segment sums telescope:
 
-Windows are processed in chunks bounding the gathered matrix to roughly
-:data:`CHUNK_BUDGET_ELEMS` elements, so arbitrarily large batches (a
-whole layer's slide positions, or many images' worth) run in constant
-memory.
+    out = sum_s w_s * (P[p_{s+1}] - P[p_s])
+        = -w_a * P[p_a] + sum_{a<s<b} (w_{s-1} - w_s) * P[p_s] + w_{b-1} * P[p_b]
 
-The executor also has a **sparse-activation gather mode**
-(``sparse=True`` / ``sparse="auto"``): gather entries whose source
-activation is zero in *every* window of a chunk are dropped from the
-stream before the segment scan.  A zero contributes exactly zero to an
-int64 segment sum, so compression never changes a single output bit —
-it only skips the gathers and adds the datapath would have wasted on
-dead activations (ReuseSense-style activation reuse layered on UCNN's
-weight reuse).  Segments whose entries are all dropped are zeroed
-explicitly after the scan (``np.add.reduceat`` would otherwise leak the
-neighbouring segment's first element into them).
+so every level reads the same scan, with one multiply per boundary where
+its weight changes.  All arithmetic is int64 and the identity holds mod
+2**64, so outputs are bit-identical to the per-entry walk and the dense
+matmul even when the running prefix wraps.
+
+Windows are processed in chunks bounding the scanned matrix to roughly
+:data:`SCAN_CHUNK_ELEMS` elements, so arbitrarily large batches (a whole
+layer's slide positions, or many images' worth) run in constant memory.
+
+**Sparse-activation gather mode** (``sparse=True`` / ``sparse="auto"``):
+gather entries whose source activation is zero in *every* window of a
+chunk are dropped before the scan.  A dropped entry adds nothing to any
+prefix, so a boundary at full-stream position ``p`` reads the compressed
+prefix at ``kept(p)``, the number of kept entries before ``p`` — one
+remap of the term columns, never a change to a single output bit.
+Terms that land on position 0 read ``P[0] = 0`` and are dropped, and a
+filter left with no terms writes 0.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.engine.program import SegmentPass, TableProgram
+from repro.engine.program import TableProgram
 
-#: Target size (int64 elements) of one chunk's gathered matrix (~64 MiB).
+#: Memory budget (int64 elements, ~64 MiB) of one image slice's working
+#: set: sizes the fused executor's slices and the per-layer im2col blocks
+#: of ``ConvLayer.forward_batch``.
 CHUNK_BUDGET_ELEMS = 8_000_000
+
+#: :func:`execute_program` chunks windows so each chunk's scanned matrix
+#: stays near this many elements (~8 MiB): the scan and the boundary
+#: take then re-read it from cache, and the buffers are small enough for
+#: the allocator to reuse between chunks instead of faulting in fresh
+#: pages.  On a 16-image LeNet batch (2-core Xeon VM) the per-layer path
+#: ran ~1.2 s at the full budget and ~0.8 s at this size.
+SCAN_CHUNK_ELEMS = 1_000_000
 
 #: ``sparse="auto"`` engages compression only when at least this
 #: fraction of a chunk's gather entries reads a dead activation.
 SPARSE_MIN_DEAD_FRACTION = 0.25
+
+
+@dataclass(frozen=True)
+class ScanTerms:
+    """A program's segment sums, telescoped onto prefix-sum boundaries.
+
+    Each term reads the prefix sum ``P`` at one boundary and scales it
+    by its coefficient (the identity in the module docstring); the terms
+    of one run add up to its filter's output.  Terms at position 0
+    (``P[0] = 0``) and terms with a zero coefficient are dropped.
+
+    Attributes:
+        cols: column of the scanned buffer each term reads (``P[p]``
+            sits in column ``p - 1``), ascending within each run.
+        coefs: int64 coefficient of each term.
+        run_starts: first term of each run — strictly ascending, since
+            runs left with no terms are dropped.
+        rows: output row written by each run.
+        idle_rows: output rows no term reaches (all-zero filters and
+            groups with no entries); the executor writes them as 0.
+    """
+
+    cols: np.ndarray
+    coefs: np.ndarray
+    run_starts: np.ndarray
+    rows: np.ndarray
+    idle_rows: np.ndarray
+
+
+def telescope(program: TableProgram) -> ScanTerms:
+    """Derive a program's :class:`ScanTerms` from its segment passes."""
+    empty = np.zeros(0, dtype=np.int64)
+    positions, coefs, runs, rows = [empty], [empty], [empty], []
+    for p in program.passes:
+        if not p.filter_ids.size:
+            continue
+        first = int(p.filter_starts[0])  # earlier segments belong to no run
+        ends = np.append(p.filter_starts[1:], p.num_segments)
+        w = p.weights[first:]
+        before = np.zeros_like(w)  # weight of the preceding segment in the run
+        before[1:] = w[:-1]
+        before[p.filter_starts - first] = 0
+        run = np.repeat(np.arange(p.filter_ids.size), ends - p.filter_starts) + len(rows)
+        bounds = np.append(p.seg_starts, program.num_entries)
+        positions += [p.seg_starts[first:], bounds[ends]]
+        coefs += [before - w, p.weights[ends - 1]]
+        runs += [run, np.arange(p.filter_ids.size) + len(rows)]
+        rows += p.filter_ids.tolist()
+    position, coef, run = (np.concatenate(a) for a in (positions, coefs, runs))
+    keep = (position != 0) & (coef != 0)
+    position, coef, run = position[keep], coef[keep], run[keep]
+    order = np.lexsort((position, run))
+    counts = np.bincount(run, minlength=len(rows))
+    live = counts > 0
+    rows = np.asarray(rows, dtype=np.int64)
+    return ScanTerms(
+        cols=position[order] - 1,
+        coefs=coef[order],
+        run_starts=np.cumsum(counts[live]) - counts[live],
+        rows=rows[live],
+        idle_rows=np.setdiff1d(np.arange(program.num_filters), rows[live]),
+    )
 
 
 def _validated_windows(windows: np.ndarray, filter_size: int) -> np.ndarray:
@@ -59,61 +144,70 @@ def _validated_windows(windows: np.ndarray, filter_size: int) -> np.ndarray:
     return windows.astype(np.int64, copy=False)
 
 
-def compressed_segments(
-    seg_starts: np.ndarray, prefix: np.ndarray, total: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Remap a pass's segment partition onto a compressed gather stream.
+def _matrix(buf: np.ndarray | None, n: int, width: int) -> np.ndarray:
+    """An ``(n, width)`` int64 matrix, carved from ``buf`` when given."""
+    if buf is None:
+        return np.empty((n, width), dtype=np.int64)
+    return buf[: n * width].reshape(n, width)
+
+
+def scan(
+    program: TableProgram,
+    windows: np.ndarray,
+    out: np.ndarray,
+    keep: np.ndarray | None = None,
+    gather_buf: np.ndarray | None = None,
+    terms_buf: np.ndarray | None = None,
+) -> None:
+    """Evaluate ``program`` over a window matrix into ``out``.
 
     Args:
-        seg_starts: the pass's segment start offsets into the *full*
-            gather stream (int64, strictly ascending).
-        prefix: ``(E + 1,)`` int64 prefix sums of the keep mask over the
-            full stream — ``prefix[i]`` is how many of the first ``i``
-            entries survive compression.
-        total: entries in the compressed stream (``prefix[-1]``); must
-            be >= 1 (the caller handles the all-dropped stream).
-
-    Returns:
-        ``(starts, empty)`` — int64 start offsets into the compressed
-        stream, and the boolean mask of segments whose entries were all
-        dropped (their reduceat output must be zeroed: with equal
-        consecutive indices reduceat returns the element at the index,
-        which belongs to the *next* segment).
-
-    Starts may equal ``total``: a run of all-dropped segments at the
-    tail of the stream maps there, and clamping it lower would steal
-    the last entry from the preceding live segment (reduceat ends
-    segment ``i`` at ``starts[i + 1]``).  Callers must therefore pad
-    the compressed stream with one zero sentinel row at index
-    ``total`` before reducing with these offsets.
+        program: the compiled :class:`TableProgram`.
+        windows: C-contiguous, window-major ``(n, N)`` int64 matrix.
+            Its width must equal ``program.filter_size``; gather indices
+            were bounds-checked when the program was built, so the takes
+            run in ``clip`` mode.
+        out: ``(num_filters, n)`` int64 view; every row is written.
+        keep: optional boolean mask over the program's gather entries;
+            ``False`` entries read an activation that is zero in every
+            window and are left out of the scan.
+        gather_buf, terms_buf: optional flat int64 scratch buffers of at
+            least ``n * num_entries`` and ``n * len(terms.cols)``
+            elements (allocated per call when omitted).
     """
-    raw = prefix[seg_starts]
-    ends = np.empty_like(raw)
-    ends[:-1] = raw[1:]
-    ends[-1] = total
-    return raw, raw == ends
-
-
-def _run_pass(
-    gathered: np.ndarray,
-    p: SegmentPass,
-    out: np.ndarray,
-    lo: int,
-    hi: int,
-    prefix: np.ndarray | None,
-    total: int,
-) -> None:
-    """Execute one segment pass over a gathered chunk into ``out``."""
-    if prefix is None:
-        seg = np.add.reduceat(gathered, p.seg_starts, axis=1)
-    else:
-        starts, empty = compressed_segments(p.seg_starts, prefix, total)
-        seg = np.add.reduceat(gathered, starts, axis=1)
-        if empty.any():
-            seg[:, empty] = 0
-    np.multiply(seg, p.weights, out=seg)
-    per_filter = np.add.reduceat(seg, p.filter_starts, axis=1)
-    out[p.filter_ids, lo:hi] = per_filter.T
+    terms = program.terms
+    gather, cols, coefs = program.gather, terms.cols, terms.coefs
+    run_starts, rows, idle = terms.run_starts, terms.rows, terms.idle_rows
+    entries = program.num_entries
+    if keep is not None:
+        kept = int(np.count_nonzero(keep))
+        if kept == 0:
+            out[...] = 0
+            return
+        if kept < entries:
+            kept_before = np.zeros(entries + 1, dtype=np.int64)
+            np.cumsum(keep, out=kept_before[1:])
+            mapped = kept_before[cols + 1]  # P[p] of the full stream sits at P[mapped]
+            live = mapped > 0
+            runs = np.repeat(np.arange(rows.size), np.diff(run_starts, append=cols.size))
+            counts = np.bincount(runs[live], minlength=rows.size)
+            idle = np.concatenate([idle, rows[counts == 0]])
+            rows = rows[counts > 0]
+            counts = counts[counts > 0]
+            run_starts = np.cumsum(counts) - counts
+            gather, cols, coefs, entries = gather[keep], mapped[live] - 1, coefs[live], kept
+    if idle.size:
+        out[idle] = 0
+    if not cols.size:
+        return
+    n = windows.shape[0]
+    prefix_sums = _matrix(gather_buf, n, entries)
+    np.take(windows, gather, axis=1, out=prefix_sums, mode="clip")
+    np.cumsum(prefix_sums, axis=1, out=prefix_sums)
+    picked = _matrix(terms_buf, n, cols.size)
+    np.take(prefix_sums, cols, axis=1, out=picked, mode="clip")
+    np.multiply(picked, coefs, out=picked)
+    out[rows] = np.add.reduceat(picked, run_starts, axis=1).T
 
 
 def execute_program(
@@ -127,15 +221,16 @@ def execute_program(
     Args:
         program: the compiled :class:`TableProgram`.
         windows: ``(n, N)`` integer matrix of flattened input tiles.
-        chunk: windows per chunk (default: sized so the gathered matrix
-            stays near :data:`CHUNK_BUDGET_ELEMS` elements).
+        chunk: windows per chunk (default: sized so the scanned matrix
+            and the boundary-take matrix each stay near
+            :data:`SCAN_CHUNK_ELEMS` elements).
         sparse: the sparse-activation gather mode.  ``False`` (default)
             always gathers the full stream; ``True`` drops gather
             entries whose source activation is zero across the whole
             chunk; ``"auto"`` measures each chunk and compresses only
             when at least :data:`SPARSE_MIN_DEAD_FRACTION` of the
             entries are dead.  Every mode is bit-identical — zeros
-            contribute nothing to int64 segment sums.
+            contribute nothing to int64 prefix sums.
 
     Returns:
         ``(K, n)`` int64 dot products, bit-identical to walking each
@@ -154,30 +249,14 @@ def execute_program(
     if entries == 0 or n == 0:
         return out
     if chunk is None:
-        chunk = max(1, CHUNK_BUDGET_ELEMS // entries)
+        chunk = max(1, SCAN_CHUNK_ELEMS // max(entries, program.terms.cols.size))
     for lo in range(0, n, chunk):
-        block = windows[lo : lo + chunk]
-        hi = lo + block.shape[0]
-        prefix = None
-        total = entries
-        gather = program.gather
+        block = np.ascontiguousarray(windows[lo : lo + chunk])
+        keep = None
         if sparse is not False:
             keep = block.any(axis=0)[program.gather]
             dead = entries - int(np.count_nonzero(keep))
-            if dead == entries:
-                continue  # every activation is zero: outputs stay 0
-            if dead and (sparse is True or dead >= entries * SPARSE_MIN_DEAD_FRACTION):
-                prefix = np.zeros(entries + 1, dtype=np.int64)
-                np.cumsum(keep, out=prefix[1:])
-                total = int(prefix[-1])
-                gather = program.gather[keep]
-        if prefix is None:
-            gathered = block[:, gather]
-        else:
-            # One zero sentinel column at index ``total``: segment
-            # offsets from compressed_segments may point there.
-            gathered = np.zeros((block.shape[0], total + 1), dtype=np.int64)
-            gathered[:, :total] = block[:, gather]
-        for p in program.passes:
-            _run_pass(gathered, p, out, lo, hi, prefix, total)
+            if sparse == "auto" and dead < entries * SPARSE_MIN_DEAD_FRACTION:
+                keep = None
+        scan(program, block, out[:, lo : lo + block.shape[0]], keep)
     return out

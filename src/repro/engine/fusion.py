@@ -6,16 +6,22 @@ one artifact that the fused executor (:func:`execute_network`) walks
 without returning to per-layer Python dispatch:
 
 * every convolutional layer becomes a :class:`ConvStep` holding the
-  layer's compiled segment-scan programs, pre-sharded across filter
-  groups so a thread pool can fan each layer's scan out (NumPy releases
-  the GIL inside ``take``/``reduceat``, so shards genuinely overlap);
+  layer's compiled table programs, pre-sharded across filter groups so
+  a thread pool can fan each layer's work out.  Each shard is one call
+  of the engine's only segment-scan kernel,
+  :func:`repro.engine.executor.scan`: one gather, one prefix-sum scan,
+  one boundary take, one multiply and one ``reduceat`` fold, whatever
+  the group size (NumPy releases the GIL inside each of them, so shards
+  genuinely overlap);
 * intermediate activations live in two ping-pong buffers sized by an
   :class:`BufferPlan` at compile time — no per-layer allocation, and no
   per-layer ``(N, C, H, W) <-> (C, N, H, W)`` transposes: the fused
   pipeline keeps activations in channel-major ``(C, n, H, W)`` layout
   end to end and converts exactly once on entry and once on exit;
-* the im2col unfold is batched — one strided copy per (r, s) tap for
-  the whole image slice, instead of one Python-level unfold per image;
+* the im2col unfold is batched — one strided copy for the whole image
+  slice straight into the window-major ``(n * windows, C*R*S)`` column
+  matrix the kernel reads, instead of one Python-level unfold per image;
+* pooling is ``size x size`` strided taps over the whole slice;
 * a **sparse-activation gather mode** (``sparse="auto"``, the default)
   drops gather entries whose source activation is zero across the
   slice — ReuseSense-style activation reuse layered on UCNN's weight
@@ -41,10 +47,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
 from repro.engine import executor as _executor
-from repro.engine.executor import compressed_segments
+from repro.engine.executor import scan
 from repro.engine.program import (
     TableProgram,
     _cached,
@@ -85,16 +92,14 @@ class ShardSpec:
             ``gather`` holds absolute window indices, so every shard
             reads the same column matrix).
         row_lo: first output row (int) this shard owns.
-        row_hi: one past the last output row this shard owns.
-        zero_rows: int64 global output rows belonging to filter groups
-            with zero table entries — no pass ever writes them, so the
-            executor zeroes them explicitly (output buffers are reused).
+        row_hi: one past the last output row this shard owns.  The
+            kernel writes every row in between, zeroing the rows of
+            all-zero filters (output buffers are reused).
     """
 
     program: TableProgram
     row_lo: int
     row_hi: int
-    zero_rows: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +225,9 @@ class BufferPlan:
             step with ``padding > 0``.
         gather_elems: largest single-shard gathered stream
             (``entries * windows``) — allocated once per worker thread.
-        seg_elems: largest single-pass segment matrix
-            (``segments * windows``) — allocated once per worker thread.
+        term_elems: largest single-shard boundary-take matrix
+            (``TableProgram.max_terms * windows``) — allocated once per
+            worker thread.
         per_image_cost: slicing unit — the largest per-image footprint
             across conv steps; slices are sized so this stays near
             :data:`repro.engine.executor.CHUNK_BUDGET_ELEMS`.
@@ -232,7 +238,7 @@ class BufferPlan:
     cols_elems: int
     pad_elems: int
     gather_elems: int
-    seg_elems: int
+    term_elems: int
     per_image_cost: int
     max_shards: int
 
@@ -331,27 +337,15 @@ def _shard_groups(groups, shards: int) -> tuple[ShardSpec, ...]:
     row_offsets = np.zeros(num_groups + 1, dtype=np.int64)
     np.cumsum([t.num_filters for t in groups], out=row_offsets[1:])
     bounds = np.linspace(0, num_groups, n_shards + 1).astype(int)
-    specs = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if a == b:
-            continue
-        chunk = groups[a:b]
-        row_lo = int(row_offsets[a])
-        zero_rows = [
-            row
-            for gi, tables in enumerate(chunk, start=a)
-            if tables.num_entries == 0
-            for row in range(int(row_offsets[gi]) - row_lo, int(row_offsets[gi + 1]) - row_lo)
-        ]
-        specs.append(
-            ShardSpec(
-                program=compile_layer(chunk),
-                row_lo=row_lo,
-                row_hi=int(row_offsets[b]),
-                zero_rows=np.asarray(zero_rows, dtype=np.int64) + row_lo,
-            )
+    return tuple(
+        ShardSpec(
+            program=compile_layer(groups[a:b]),
+            row_lo=int(row_offsets[a]),
+            row_hi=int(row_offsets[b]),
         )
-    return tuple(specs)
+        for a, b in zip(bounds[:-1], bounds[1:])
+        if a != b
+    )
 
 
 def _lower_layers(
@@ -448,7 +442,7 @@ def _lower_layers(
 def _plan_buffers(input_elems: int, steps: tuple) -> BufferPlan:
     """Size every reused buffer of the fused executor (per-image units)."""
     slot_elems = [input_elems, 0]
-    cols = pad = gather = seg = per_image = max_shards = 0
+    cols = pad = gather = terms = per_image = max_shards = 0
     for i, step in enumerate(steps):
         out_elems = int(np.prod(step.out_shape))
         slot = (i + 1) % 2
@@ -461,9 +455,11 @@ def _plan_buffers(input_elems: int, steps: tuple) -> BufferPlan:
                 pad = max(pad, c * (h + 2 * step.padding) * (w + 2 * step.padding))
             for spec in step.shards:
                 gather = max(gather, spec.program.num_entries * windows)
-                for p in spec.program.passes:
-                    seg = max(seg, p.num_segments * windows)
-            per_image = max(per_image, step.entries * windows, step.filter_size * windows)
+                terms = max(terms, spec.program.max_terms * windows)
+            layer_terms = sum(spec.program.max_terms for spec in step.shards)
+            per_image = max(
+                per_image, max(step.entries, layer_terms, step.filter_size) * windows
+            )
             max_shards = max(max_shards, len(step.shards))
     per_image = max(per_image, *slot_elems)
     return BufferPlan(
@@ -471,7 +467,7 @@ def _plan_buffers(input_elems: int, steps: tuple) -> BufferPlan:
         cols_elems=cols,
         pad_elems=pad,
         gather_elems=gather,
-        seg_elems=seg,
+        term_elems=terms,
         per_image_cost=per_image,
         max_shards=max_shards,
     )
@@ -581,7 +577,7 @@ class _Scratch:
         self.cols = np.empty(plan.cols_elems * slice_n, dtype=np.int64)
         self.pad = np.empty(plan.pad_elems * slice_n, dtype=np.int64)
         self.gather = [np.empty(plan.gather_elems * slice_n, dtype=np.int64) for _ in range(workers)]
-        self.seg = [np.empty(plan.seg_elems * slice_n, dtype=np.int64) for _ in range(workers)]
+        self.terms = [np.empty(plan.term_elems * slice_n, dtype=np.int64) for _ in range(workers)]
 
     def slot_view(self, slot: int, shape: tuple[int, int, int], ns: int) -> np.ndarray:
         """A ``(C, ns, H, W)`` view of one ping-pong activation buffer."""
@@ -590,11 +586,12 @@ class _Scratch:
 
 
 def _unfold(step: ConvStep, cur: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """Batched im2col in channel-major layout: ``(C*R*S, ns*windows)``.
+    """Batched im2col, window-major: a C-contiguous ``(ns*windows, C*R*S)``.
 
-    One strided copy per (r, s) tap for the whole slice, against the
-    per-image Python unfold of the per-layer path.  Row ordering matches
-    :func:`repro.nn.reference.im2col` exactly (``c*R*S + rr*S + ss``).
+    One strided copy for the whole slice.  Windows run in ``(n, y, x)``
+    order, matching the output rows' columns, and each window is
+    flattened exactly like :func:`repro.nn.reference.im2col`'s columns
+    (``c*R*S + rr*S + ss`` holds ``I[c, y*stride + ss, x*stride + rr]``).
     """
     c, h, w = step.in_shape
     ns = cur.shape[1]
@@ -608,67 +605,16 @@ def _unfold(step: ConvStep, cur: np.ndarray, scratch: _Scratch) -> np.ndarray:
     else:
         padded = cur
     oh, ow = step.out_shape[1], step.out_shape[2]
-    cols = scratch.cols[: step.filter_size * ns * oh * ow].reshape(c, step.r, step.s, ns, oh, ow)
-    for rr in range(step.r):
-        for ss in range(step.s):
-            cols[:, rr, ss] = padded[
-                :, :, ss : ss + oh * step.stride : step.stride, rr : rr + ow * step.stride : step.stride
-            ]
-    return cols.reshape(step.filter_size, ns * oh * ow)
-
-
-def _run_shard(
-    spec: ShardSpec,
-    cols: np.ndarray,
-    out2d: np.ndarray,
-    live: np.ndarray | None,
-    gather_buf: np.ndarray,
-    seg_buf: np.ndarray,
-) -> None:
-    """Execute one shard's segment scan over the shared column matrix."""
-    width = cols.shape[1]
-    if spec.zero_rows.size:
-        out2d[spec.zero_rows] = 0
-    program = spec.program
-    entries = program.num_entries
-    if entries == 0:
-        return  # all groups empty: zero_rows covered every row
-    gather = program.gather
-    prefix = None
-    total = entries
-    if live is not None:
-        keep = live[gather]
-        kept = int(np.count_nonzero(keep))
-        if kept == 0:
-            out2d[spec.row_lo : spec.row_hi] = 0
-            return
-        if kept < entries:
-            prefix = np.zeros(entries + 1, dtype=np.int64)
-            np.cumsum(keep, out=prefix[1:])
-            total = kept
-            gather = gather[keep]
-    if prefix is None:
-        gathered = gather_buf[: total * width].reshape(total, width)
-        np.take(cols, gather, axis=0, out=gathered)
-    else:
-        # One zero sentinel row at index ``total``: segment offsets
-        # from compressed_segments may point there.  Fits the scratch
-        # buffer because compression only runs when kept < entries.
-        gathered = gather_buf[: (total + 1) * width].reshape(total + 1, width)
-        np.take(cols, gather, axis=0, out=gathered[:total])
-        gathered[total] = 0
-    for p in program.passes:
-        if prefix is None:
-            starts, empty = p.seg_starts, None
-        else:
-            starts, empty = compressed_segments(p.seg_starts, prefix, total)
-        seg = seg_buf[: starts.size * width].reshape(starts.size, width)
-        np.add.reduceat(gathered, starts, axis=0, out=seg)
-        if empty is not None and empty.any():
-            seg[empty] = 0
-        seg *= p.weights[:, None]
-        per_filter = np.add.reduceat(seg, p.filter_starts, axis=0)
-        out2d[spec.row_lo + p.filter_ids] = per_filter
+    sc, sn, sy, sx = padded.strides
+    taps = as_strided(
+        padded,
+        shape=(ns, oh, ow, c, step.r, step.s),
+        strides=(sn, sy * step.stride, sx * step.stride, sc, sx, sy),
+        writeable=False,
+    )
+    cols = scratch.cols[: ns * oh * ow * step.filter_size].reshape(taps.shape)
+    cols[...] = taps
+    return cols.reshape(ns * oh * ow, step.filter_size)
 
 
 def _apply_conv(
@@ -685,11 +631,11 @@ def _apply_conv(
     cols = _unfold(step, cur, scratch)
     live = None
     if sparse is True:
-        live = cols.any(axis=1)
+        live = cols.any(axis=0)
     elif sparse == "auto":
         zero_frac = 1.0 - np.count_nonzero(cur) / cur.size
         if zero_frac >= SPARSE_AUTO_MIN_ZERO_FRACTION:
-            live = cols.any(axis=1)
+            live = cols.any(axis=0)
     if live is not None and live.all():
         live = None
     out2d = out.reshape(step.out_shape[0], ns * step.windows)
@@ -705,27 +651,48 @@ def _apply_conv(
 
 
 def _run_shard_list(shards, cols, out2d, live, scratch: _Scratch, slot: int) -> None:
-    """Run a worker's shard share sequentially on its own scratch pair."""
+    """Scan a worker's shard share sequentially on its own scratch pair."""
     for spec in shards:
-        _run_shard(spec, cols, out2d, live, scratch.gather[slot], scratch.seg[slot])
+        program = spec.program
+        scan(
+            program,
+            cols,
+            out2d[spec.row_lo : spec.row_hi],
+            keep=None if live is None else live[program.gather],
+            gather_buf=scratch.gather[slot],
+            terms_buf=scratch.terms[slot],
+        )
 
 
 def _apply_pool(step: PoolStep, cur: np.ndarray, out: np.ndarray) -> None:
-    """Ceil-mode pooling over a ``(C, ns, H, W)`` slice, reference-exact."""
+    """Ceil-mode pooling over a ``(C, ns, H, W)`` slice, reference-exact.
+
+    One strided tap per ``(dy, dx)`` of the window, each clipped to the
+    outputs whose window still covers that input row and column, so the
+    edge windows of ceil mode see only their in-bounds inputs; average
+    pooling floor-divides by each output's clipped window size.
+    """
     h, w = step.in_shape[1], step.in_shape[2]
     oh, ow = step.out_shape[1], step.out_shape[2]
-    for y in range(oh):
-        ylo = y * step.stride
-        yhi = min(h, ylo + step.size)
-        for x in range(ow):
-            xlo = x * step.stride
-            xhi = min(w, xlo + step.size)
-            window = cur[:, :, ylo:yhi, xlo:xhi]
-            if step.kind == "max":
-                np.max(window, axis=(2, 3), out=out[:, :, y, x])
+    st = step.stride
+    if (oh - 1) * st >= h or (ow - 1) * st >= w:
+        raise ValueError(f"pool {step.name!r}: a window starts past the input edge")
+    for dy in range(min(step.size, h)):
+        ny = min(oh, -(-(h - dy) // st))
+        for dx in range(min(step.size, w)):
+            nx = min(ow, -(-(w - dx) // st))
+            tap = cur[:, :, dy : dy + (ny - 1) * st + 1 : st, dx : dx + (nx - 1) * st + 1 : st]
+            dst = out[:, :, :ny, :nx]
+            if dy == dx == 0:
+                dst[...] = tap
+            elif step.kind == "max":
+                np.maximum(dst, tap, out=dst)
             else:
-                count = (yhi - ylo) * (xhi - xlo)
-                np.floor_divide(window.sum(axis=(2, 3)), count, out=out[:, :, y, x])
+                np.add(dst, tap, out=dst)
+    if step.kind != "max":
+        rows = np.minimum(h - np.arange(oh) * st, step.size)
+        cols = np.minimum(w - np.arange(ow) * st, step.size)
+        np.floor_divide(out, np.outer(rows, cols), out=out)
 
 
 def _flatten_into(cur: np.ndarray, out2d: np.ndarray) -> None:

@@ -31,8 +31,13 @@ needs just:
 
 Groups that do not reach a level (the ragged last group when ``K % G``)
 are covered by *dead segments* — weight-zero segments spanning their
-slice — so one ``np.add.reduceat`` partition per level stays valid across
-the whole concatenated stream.
+slice — so each level's partition covers the whole concatenated stream.
+
+The executor never sums those partitions one by one: on first
+execution a program derives its telescoped scan terms (cached on the
+object, never serialized), which rewrite every level's segment sums as
+weighted reads of one prefix sum over the gathered stream (see
+:mod:`repro.engine.executor`).
 
 Compilation is pure bookkeeping: it never re-orders the tables and it
 must not change their event accounting — :attr:`TableProgram.stats`
@@ -51,12 +56,17 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.activation_groups import canonical_weight_order
 from repro.core.hierarchical import FilterGroupTables, TableStats, build_filter_group_tables
 from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
+
+if TYPE_CHECKING:
+    from repro.engine.executor import ScanTerms
 
 
 @dataclass(frozen=True)
@@ -117,10 +127,56 @@ class TableProgram:
     skip_entries: int
     key: str | None = None
 
+    def __post_init__(self):
+        """Bounds-check every index array once, so execution need not."""
+        entries = self.num_entries
+        if self.gather.size and not (
+            0 <= self.gather.min() and self.gather.max() < self.filter_size
+        ):
+            raise ValueError(f"gather indices fall outside [0, {self.filter_size})")
+        for p in self.passes:
+            starts = p.seg_starts
+            if p.weights.shape != starts.shape or p.mac_mask.shape != starts.shape:
+                raise ValueError(f"pass {p.level}: weights do not match its segments")
+            if starts.size and not (
+                starts[0] == 0 and starts[-1] < entries and np.all(starts[1:] > starts[:-1])
+            ):
+                raise ValueError(
+                    f"pass {p.level}: seg_starts must rise strictly from 0 within [0, {entries})"
+                )
+            fs = p.filter_starts
+            if fs.shape != p.filter_ids.shape:
+                raise ValueError(f"pass {p.level}: filter_starts and filter_ids differ in size")
+            if fs.size and not (
+                0 <= fs[0] and fs[-1] < starts.size and np.all(fs[1:] > fs[:-1])
+                and 0 <= p.filter_ids.min() and p.filter_ids.max() < self.num_filters
+            ):
+                raise ValueError(f"pass {p.level}: filter_starts or filter_ids out of range")
+
     @property
     def num_entries(self) -> int:
         """Total gathered entries per window (sum of group table sizes)."""
         return int(self.gather.size)
+
+    @cached_property
+    def terms(self) -> ScanTerms:
+        """The kernel's telescoped :class:`~repro.engine.executor.ScanTerms`.
+
+        Derived on first execution and kept on the object (never
+        serialized); racing first callers compute identical arrays.
+        """
+        from repro.engine.executor import telescope
+
+        return telescope(self)
+
+    @property
+    def max_terms(self) -> int:
+        """Upper bound on the number of :attr:`terms`, without deriving them.
+
+        One term per segment start plus one per run end; buffer plans
+        size the per-window term matrix with it at compile time.
+        """
+        return int(sum(p.num_segments + p.filter_ids.size for p in self.passes))
 
     def run(self, windows: np.ndarray, chunk: int | None = None) -> np.ndarray:
         """Execute over ``(n, N)`` integer windows; returns ``(K, n)``."""

@@ -155,14 +155,15 @@ class ConvLayer(Layer):
         out = np.empty((n, sh.k, out_h, out_w), dtype=np.int64)
         for lo in range(0, n, step):
             block = inputs[lo : lo + step]
-            cols = np.concatenate(
+            # Window-major and C-contiguous, the layout the kernel scans.
+            windows = np.concatenate(
                 [
-                    reference.im2col(x.astype(np.int64), sh.r, sh.s, sh.stride, sh.padding)
+                    reference.im2col(x.astype(np.int64), sh.r, sh.s, sh.stride, sh.padding).T
                     for x in block
                 ],
-                axis=1,
+                axis=0,
             )
-            res = executor.execute_program(program, cols.T)  # (K, len(block) * positions)
+            res = executor.execute_program(program, windows)  # (K, len(block) * positions)
             out[lo : lo + block.shape[0]] = res.reshape(
                 sh.k, block.shape[0], out_h, out_w
             ).transpose(1, 0, 2, 3)

@@ -12,9 +12,11 @@ reference file, and ``--check`` refuses to compare when they no longer
 match — a changed scale needs an intentional ``--update``.
 
 Specs marked ``smoke`` form the CI pull-request subset
-(``repro regress --check --smoke``): the cheapest experiments plus the
-engine digest, enough to catch structural and numeric drift on every
-push while nightly regenerates the lot.
+(``repro regress --check --smoke``): the cheapest experiments plus both
+engine consumers — fig14 runs table programs through the per-layer
+executor, the engine digest runs the fused one — enough to catch
+structural and numeric drift on every push while nightly regenerates
+the lot.
 """
 
 from __future__ import annotations
@@ -71,7 +73,10 @@ REGRESS_SPECS: tuple[RegressSpec, ...] = (
           networks=("lenet",), density=0.9),
     _spec("fig13", "repro.experiments.fig13_model_size",
           network="lenet", densities=(0.1, 0.5, 0.9)),
-    _spec("fig14", "repro.experiments.fig14_jump_tables",
+    # fig14 is the only figure that executes table programs
+    # (crosscheck_tables), so the smoke subset checks the per-layer
+    # kernel path next to the engine digest's fused one.
+    _spec("fig14", "repro.experiments.fig14_jump_tables", smoke=True,
           network="lenet", group_sizes=(1, 2), density=0.9),
     _spec("tab02", "repro.experiments.tab02_configs", smoke=True),
     _spec("tab03", "repro.experiments.tab03_area"),

@@ -106,6 +106,27 @@ class TestRejection:
         with pytest.raises(A.ArtifactError, match="schema_version"):
             A.deserialize_program(forged)
 
+    def test_out_of_range_gather_index_rejected(self):
+        """A signed blob whose gather points past the window fails at decode.
+
+        The kernel's takes run unchecked, so the program's constructor is
+        what keeps such an index from ever reaching execution.
+        """
+        program = _layer(seed=4).program
+        blob = bytearray(A.serialize_program(program))
+        hlen = struct.unpack(">I", blob[8:12])[0]
+        node = json.loads(blob[12:12 + hlen])["meta"]["gather"]
+        offset, __ = node["__nd__"]
+        dtype = np.dtype(node["dtype"])
+        start = 12 + hlen + offset
+        gather = np.frombuffer(blob, dtype=dtype, count=program.num_entries, offset=start).copy()
+        gather[0] = program.filter_size  # one past the last window column
+        blob[start:start + gather.nbytes] = gather.tobytes()
+        import hashlib
+        blob[-32:] = hashlib.sha256(bytes(blob[:-32])).digest()
+        with pytest.raises(A.ArtifactError, match="gather indices"):
+            A.deserialize_program(bytes(blob))
+
     def test_stale_fingerprint_rejected(self):
         layer = _layer(seed=3)
         blob = A.serialize_program(layer, fingerprint="0123456789abcdef")

@@ -216,12 +216,12 @@ class TestExecution:
         live one.
 
         When every entry after some segment is dropped by the sparse
-        gather, that segment's compressed end coincides with the stream
-        length; clamping it *below* the stream length (to satisfy
-        reduceat bounds) makes the preceding live segment end one entry
-        early.  This exact shape — stride 2, no padding, 95%-zero
-        activations — produced a shard program with a dead tail and a
-        silently wrong output before the sentinel-row fix.
+        gather, that segment's end maps onto the end of the compressed
+        stream, and the last live segment must still read the full
+        prefix there.  This exact shape — stride 2, no padding, 95%-zero
+        activations — produces a shard program with a dead tail; an
+        earlier executor that clamped the mapped end one entry short
+        returned a silently wrong output on it.
         """
         rng = np.random.default_rng(16)
         c, size, k = int(rng.integers(1, 5)), int(rng.integers(5, 8)), int(rng.integers(1, 6))
@@ -237,22 +237,6 @@ class TestExecution:
         program = compile_network(net)
         for sparse in (True, "auto"):
             assert np.array_equal(execute_network(program, x, sparse=sparse), ref)
-
-    def test_compressed_segments_dead_tail_offsets(self):
-        """Offsets for dead-tail segments stay at the stream length."""
-        from repro.engine.executor import compressed_segments
-
-        # Full stream of 6 entries, segments [0,2) [2,5) [5,5) [5,6);
-        # keep mask drops entry 4 and everything from 5 on.
-        seg_starts = np.array([0, 2, 5, 5], dtype=np.int64)
-        keep = np.array([1, 1, 1, 1, 0, 0], dtype=np.int64)
-        prefix = np.zeros(7, dtype=np.int64)
-        np.cumsum(keep, out=prefix[1:])
-        starts, empty = compressed_segments(seg_starts, prefix, int(prefix[-1]))
-        # Segment [2,5) must end at 4 (the compressed stream length),
-        # not 3 — reduceat ends segment i at starts[i + 1].
-        assert starts.tolist() == [0, 2, 4, 4]
-        assert empty.tolist() == [False, False, True, True]
 
     def test_all_zero_batch(self, rng):
         net = small_network(rng)

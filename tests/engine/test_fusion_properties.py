@@ -55,7 +55,9 @@ def _network_case(draw):
     if draw(st.booleans()):
         layers.append(ReluLayer("r1"))
     if draw(st.booleans()) and shape.h >= 2 and shape.w >= 2:
-        pool = draw(st.sampled_from([MaxPoolLayer, AvgPoolLayer]))(2, 2, "p1")
+        # Overlapping (3, 2) and (3, 1) windows clip at ceil-mode edges.
+        size_stride = draw(st.sampled_from([(2, 2), (3, 2), (3, 1)]))
+        pool = draw(st.sampled_from([MaxPoolLayer, AvgPoolLayer]))(*size_stride, "p1")
         layers.append(pool)
         shape = pool.output_shape(shape)
     if draw(st.booleans()) and shape.h >= 3 and shape.w >= 3:

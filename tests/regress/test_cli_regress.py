@@ -29,7 +29,7 @@ class TestSelection:
 
     def test_resolve_smoke_subset(self):
         specs = resolve_ids(smoke=True)
-        assert {s.experiment for s in specs} == {"tab02", "engine-digest"}
+        assert {s.experiment for s in specs} == {"fig14", "tab02", "engine-digest"}
 
     def test_resolve_only_keeps_registry_order(self):
         specs = resolve_ids(only="fig11,fig03")
