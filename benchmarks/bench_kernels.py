@@ -48,13 +48,6 @@ SHAPE = (
 #: The smoke gate: compiled engine vs per-entry walk on the bench shape.
 ENGINE_MIN_SPEEDUP = 20.0
 
-#: The fusion gate: whole-network fused executor vs the per-layer engine
-#: path on the standard 4-layer batch workload.  The fused win is
-#: amortized dispatch — one buffer plan and one batched unfold instead of
-#: per-layer (and per-image) Python allocation — so it holds on a single
-#: core; threads only widen it.
-FUSED_MIN_SPEEDUP = 1.5
-
 
 @pytest.fixture(scope="module")
 def layer_weights():
@@ -97,7 +90,7 @@ def test_bench_factorized_conv_forward(benchmark, layer_weights):
     small = layer_weights[:8, :16]
     conv = FactorizedConv(small, group_size=2, padding=1)
     inputs = RNG.integers(-8, 9, size=(16, 10, 10))
-    out = benchmark(conv.forward_fast, inputs)
+    out = benchmark(conv.forward, inputs)
     assert out.shape[0] == 8
 
 
@@ -147,7 +140,7 @@ def test_bench_per_entry_walk(benchmark, bench_conv, bench_inputs):
 
 
 def _bench_network_workload():
-    """The standard 4-layer batch workload of the fusion gate.
+    """The standard 4-layer batch workload of the fused-network benchmarks.
 
     conv-relu-pool, conv-relu-pool, conv-relu, flatten-fc with INQ-like
     synthetic weights — deep enough that per-layer dispatch overhead is
@@ -194,19 +187,25 @@ def bench_network():
     return _bench_network_workload()
 
 
+@pytest.fixture(scope="module")
+def bench_network_reference(bench_network):
+    """Stacked per-image ``Network.forward``: the engine-free oracle."""
+    network, images = bench_network
+    return np.stack([network.forward(img) for img in images])
+
+
 def test_bench_network_per_layer(benchmark, bench_network):
     network, images = bench_network
-    network.forward_batch(images)  # warm the per-layer program cache
+    network.forward_batch(images)  # warm the compiled layers and their shards
     out = benchmark(network.forward_batch, images)
     assert out.shape[0] == images.shape[0]
 
 
-def test_bench_network_fused(benchmark, bench_network):
+def test_bench_network_fused(benchmark, bench_network, bench_network_reference):
     network, images = bench_network
     program = compile_network(network)  # warm the network program cache
-    reference = network.forward_batch(images)
     out = benchmark(execute_network, program, images)
-    assert np.array_equal(out, reference)
+    assert np.array_equal(out, bench_network_reference)
 
 
 def test_bench_network_dense(benchmark, bench_network):
@@ -219,27 +218,25 @@ def test_bench_network_dense(benchmark, bench_network):
     assert out.shape[0] == images.shape[0]
 
 
-def test_fused_network_speedup_gate(bench_network):
-    """Regression floor: fused >= 1.5x the per-layer engine, same batch.
+def test_fused_network_speedup_ratio(bench_network, bench_network_reference):
+    """Whole-network program vs the same executor run a layer at a time.
 
-    Bit-identity between the two paths is asserted on the same batch the
-    clocks run on — the gate guards the speed *and* the contract.
+    Asserts bit-identity of both sides against the dense oracle on the
+    batch the clocks run on and prints the ratio.  It sets no floor: both
+    sides run the same executor and shard programs, so the ratio only
+    measures per-layer dispatch.  Fused speed is gated by the nightly
+    trend gate on ``test_bench_network_fused``.
     """
     network, images = bench_network
     program = compile_network(network)
-    fused = execute_network(program, images)
-    per_layer = network.forward_batch(images)
-    assert np.array_equal(fused, per_layer), "fused/per-layer parity failure"
+    assert np.array_equal(execute_network(program, images), bench_network_reference)
+    assert np.array_equal(network.forward_batch(images), bench_network_reference)
     t_per_layer = best_of(lambda: network.forward_batch(images))
     t_fused = best_of(lambda: execute_network(program, images))
     speedup = t_per_layer / t_fused
     print(
-        f"\nfused speedup gate [{network.name}]: per-layer {t_per_layer * 1e3:.1f} ms "
+        f"\nfused speedup ratio [{network.name}]: per-layer {t_per_layer * 1e3:.1f} ms "
         f"vs fused {t_fused * 1e3:.1f} ms over {images.shape[0]} images -> {speedup:.2f}x"
-    )
-    assert speedup >= FUSED_MIN_SPEEDUP, (
-        f"fused executor only {speedup:.2f}x over the per-layer engine path "
-        f"(floor {FUSED_MIN_SPEEDUP}x on {network.name})"
     )
 
 

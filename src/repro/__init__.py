@@ -51,7 +51,7 @@ Quickstart::
 """
 
 from repro.core.activation_groups import ActivationGroup, build_activation_groups
-from repro.core.factorized import FactorizedConv, FactorizedDotProduct
+from repro.core.factorized import FactorizedConv
 from repro.core.hierarchical import FilterGroupTables, build_filter_group_tables
 from repro.core.indirection import FactorizedFilter, factorize_filter
 from repro.core.model_size import bits_per_weight, model_size_bits
@@ -63,7 +63,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ActivationGroup",
     "FactorizedConv",
-    "FactorizedDotProduct",
     "FactorizedFilter",
     "FilterGroupTables",
     "Network",

@@ -9,9 +9,9 @@
 * :mod:`repro.core.hierarchical` — activation-group reuse across ``G``
   filters via hierarchically sorted shared tables, skip-entry accounting
   and max-group-size chunking (Sections III-B, IV-C);
-* :mod:`repro.core.factorized` — functional execution: factorized dot
-  products and full convolutions that are bit-exact against the dense
-  reference while counting arithmetic/memory events;
+* :mod:`repro.core.factorized` — functional execution: full
+  convolutions through the compiled engine that are bit-exact against
+  the dense reference while counting arithmetic/memory events;
 * :mod:`repro.core.jump_encoding` — jump (RLE-style) compression of the
   input indirection table (Section IV-C "Additional table compression");
 * :mod:`repro.core.model_size` — model-size accounting for Figure 13/14;
@@ -28,7 +28,7 @@ from repro.core.activation_groups import (
     build_activation_groups,
     canonical_weight_order,
 )
-from repro.core.factorized import FactorizedConv, FactorizedDotProduct
+from repro.core.factorized import FactorizedConv
 from repro.core.hierarchical import FilterGroupTables, build_filter_group_tables
 from repro.core.indirection import FactorizedFilter, factorize_filter
 from repro.core.jump_encoding import JumpTable, encode_jumps, grouped_jump_stats
@@ -39,7 +39,6 @@ from repro.core.serialization import pack_layer, pack_tables, unpack_tables
 __all__ = [
     "ActivationGroup",
     "FactorizedConv",
-    "FactorizedDotProduct",
     "FactorizedFilter",
     "FilterGroupTables",
     "JumpTable",

@@ -1,15 +1,16 @@
-"""Functional factorized execution: dot products and full convolutions.
+"""Functional factorized execution of a full convolution.
 
-:class:`FactorizedDotProduct` wraps a group of filters' shared tables and
-evaluates them against input windows.  :class:`FactorizedConv` runs an
-entire convolutional layer through the factorized path — grouping the K
-filters into ``ceil(K/G)`` table groups, im2col-ing the input, and
-executing the layer's compiled table program (:mod:`repro.engine`) over
-every output position at once — producing outputs that are bit-exact
-against :func:`repro.nn.reference.conv2d_im2col` while reporting the
-arithmetic savings UCNN realizes.  The per-entry table walk survives as
+:class:`FactorizedConv` runs an entire convolutional layer through the
+factorized path — grouping the K filters into ``ceil(K/G)`` table
+groups, im2col-ing the input, and executing the layer's compiled table
+program (:mod:`repro.engine`) over every output position at once —
+producing outputs that are bit-exact against
+:func:`repro.nn.reference.conv2d_im2col` while reporting the arithmetic
+savings UCNN realizes.  The per-entry table walk survives as
 :meth:`FactorizedConv.forward_per_entry`, the semantic ground truth the
-engine is tested against.
+engine is tested against.  Dot products of one filter group run through
+``table_program_for(tables).run(windows)`` (or walk
+:meth:`~repro.core.hierarchical.FilterGroupTables.execute` per window).
 
 This is the *algorithmic* layer of the reproduction: no hardware timing,
 just the math and the operation counts.  Cycle/energy accounting lives in
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.hierarchical import FilterGroupTables, TableStats, build_filter_group_tables
+from repro.core.hierarchical import FilterGroupTables
 from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
 from repro.engine import TableProgram, compiled_layer_for, execute_program
 from repro.nn.reference import im2col
@@ -65,44 +66,6 @@ class OpCounts:
             dense_multiplies=self.dense_multiplies + other.dense_multiplies,
             dense_adds=self.dense_adds + other.dense_adds,
         )
-
-
-class FactorizedDotProduct:
-    """Factorized evaluation of one group of G filters.
-
-    Args:
-        filters: ``(G, N)`` flattened integer filters.
-        canonical: optional canonical weight order (defaults to the
-            filters' own canonical order).
-        max_group_size: innermost chunk limit.
-    """
-
-    def __init__(
-        self,
-        filters: np.ndarray,
-        canonical: np.ndarray | None = None,
-        max_group_size: int = DEFAULT_MAX_GROUP_SIZE,
-    ):
-        self.tables: FilterGroupTables = build_filter_group_tables(
-            filters, canonical=canonical, max_group_size=max_group_size
-        )
-
-    @property
-    def num_filters(self) -> int:
-        """G — filters evaluated per traversal."""
-        return self.tables.num_filters
-
-    def compute(self, window: np.ndarray) -> np.ndarray:
-        """Per-entry table walk for one window; returns ``(G,)`` outputs."""
-        return self.tables.execute(window)
-
-    def compute_many(self, windows: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; returns ``(G, n)`` outputs."""
-        return self.tables.execute_vectorized(windows)
-
-    def stats(self) -> TableStats:
-        """Event counts for one traversal."""
-        return self.tables.stats()
 
 
 class FactorizedConv:
@@ -204,14 +167,6 @@ class FactorizedConv:
         cols, out_h, out_w = self._columns(inputs)
         out = execute_program(self.program, cols.T)
         return out.reshape(self.num_filters, out_h, out_w)
-
-    def forward_fast(self, inputs: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`forward` (kept for API compatibility).
-
-        Historically the vectorized variant; both paths now run the
-        compiled engine program.
-        """
-        return self.forward(inputs)
 
     def forward_per_entry(self, inputs: np.ndarray) -> np.ndarray:
         """Per-entry table walk (ground truth; orders of magnitude slower).

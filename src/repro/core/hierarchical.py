@@ -181,40 +181,6 @@ class FilterGroupTables:
                 chunk = 0
         return psums
 
-    def execute_vectorized(self, windows: np.ndarray) -> np.ndarray:
-        """Evaluate many windows at once via the compiled segment scan.
-
-        Runs the factorized math itself — the table is lowered (once,
-        memoized by content) into a :class:`repro.engine.TableProgram`
-        and executed as vectorized gathers + segment sums, bit-identical
-        to walking :meth:`execute` per window.  For the dense shortcut
-        that bypasses the tables entirely, see :meth:`dense_check`.
-
-        Args:
-            windows: ``(n, N)`` integer matrix of flattened input tiles.
-
-        Returns:
-            ``(G, n)`` dot products.
-
-        Raises:
-            ValueError: on shape mismatch or non-integer windows.
-        """
-        from repro.engine import table_program_for
-
-        return table_program_for(self).run(np.asarray(windows))
-
-    def dense_check(self, windows: np.ndarray) -> np.ndarray:
-        """Dense matmul over the same windows (testing/validation aid).
-
-        This is *not* a factorized execution — it never touches the
-        tables.  Factorization is value-preserving, so it produces the
-        same ``(G, n)`` results; use it as an independent reference.
-        """
-        windows = np.asarray(windows, dtype=np.int64)
-        if windows.ndim != 2 or windows.shape[1] != self.filter_size:
-            raise ValueError(f"windows must be (n, {self.filter_size})")
-        return self.filters.astype(np.int64) @ windows.T
-
     # ------------------------------------------------------------------
     # Event accounting
     # ------------------------------------------------------------------
@@ -314,11 +280,6 @@ class FilterGroupTables:
         sizes = self.innermost_group_sizes()
         chunks = -(-sizes // self.max_group_size)
         return int(np.sum(chunks - 1))
-
-    def dot_products_dense(self, window: np.ndarray) -> np.ndarray:
-        """Dense reference for :meth:`execute` (testing aid)."""
-        window = np.asarray(window, dtype=np.int64).reshape(-1)
-        return self.filters.astype(np.int64) @ window
 
 
 def _compute_skip_needs(

@@ -137,27 +137,6 @@ class FactorizedFilter:
                 chunk_count = 0
         return psum
 
-    def execute_vectorized(self, windows: np.ndarray) -> np.ndarray:
-        """Evaluate many windows at once (spatial vectorization analogue).
-
-        Args:
-            windows: ``(num_windows, filter_size)`` integer matrix.
-
-        Returns:
-            ``(num_windows,)`` dot products.
-        """
-        windows = np.asarray(windows, dtype=np.int64)
-        if windows.ndim != 2 or windows.shape[1] != self.filter_size:
-            raise ValueError(f"windows must be (n, {self.filter_size})")
-        gathered = windows[:, self.iit]  # (n, entries) in group order
-        boundaries = np.flatnonzero(self.wit)
-        # Sum each group via cumulative-sum differences at boundaries.
-        csum = np.cumsum(gathered, axis=1, dtype=np.int64)
-        ends = csum[:, boundaries]
-        starts = np.concatenate([np.zeros((windows.shape[0], 1), dtype=np.int64), ends[:, :-1]], axis=1)
-        sums = ends - starts
-        return sums @ self.weight_buffer.astype(np.int64)
-
 
 def factorize_filter(
     filter_flat: np.ndarray,

@@ -5,16 +5,20 @@ The engine makes the factorized path the *fast* path, at two scales:
 * **Per layer** — an offline compiler (:mod:`repro.engine.program`)
   lowers each :class:`~repro.core.hierarchical.FilterGroupTables` into a
   flat table program — gather indices, per-level segment boundaries,
-  weight/MAC schedules — and a segment-scan executor
-  (:mod:`repro.engine.executor`) evaluates the program over all windows
-  and all filter groups of a layer at once, bit-exact against both the
-  per-entry walk and the dense im2col reference.
+  weight/MAC schedules — and the segment-scan kernel
+  (:mod:`repro.engine.executor`) evaluates the program over a window
+  matrix covering all windows and all filter groups of a layer at once,
+  bit-exact against both the per-entry walk and the dense im2col
+  reference.
 
 * **Per network** — :mod:`repro.engine.fusion` stitches every layer's
-  program into one :class:`NetworkProgram` with a preallocated
+  shard programs into one :class:`NetworkProgram` with a preallocated
   activation-buffer plan, a thread pool fanning each layer's segment
-  scan across filter-group shards, and a sparse-activation gather mode
-  — bit-exact against the per-layer path.
+  scan across filter-group shards, and a sparse-activation gather mode.
+  It is the only image-batch driver: ``ConvLayer.forward_batch`` runs
+  its layer as a one-step program on the same shard programs, so the
+  whole network and the network run a layer at a time are bit-exact
+  against each other.
 
 Typical use::
 

@@ -67,11 +67,11 @@ from repro.engine.fusion import (
     NetworkProgram,
     PoolStep,
     ReluStep,
-    ShardSpec,
 )
 from repro.engine.program import (
     CompiledLayer,
     SegmentPass,
+    ShardSpec,
     TableProgram,
     cached_programs,
     seed_program_cache,

@@ -1,9 +1,9 @@
 """The segment-scan kernel: every UCNN level from one prefix sum.
 
-:func:`scan` is the engine's only segment scan.  Both executors call
-it: :func:`execute_program` (one program over a window matrix, the
-per-layer path) and :func:`repro.engine.fusion.execute_network` (one
-call per filter-group shard).  Given a C-contiguous, window-major
+:func:`scan` is the engine's only segment scan.  Both drivers call it:
+:func:`execute_program` (one program over a window matrix) and
+:func:`repro.engine.fusion.execute_network` (an image batch, one call
+per filter-group shard).  Given a C-contiguous, window-major
 ``(n, N)`` int64 window matrix it runs five vectorized primitives,
 whatever the program's group size G:
 
@@ -29,18 +29,18 @@ its weight changes.  All arithmetic is int64 and the identity holds mod
 2**64, so outputs are bit-identical to the per-entry walk and the dense
 matmul even when the running prefix wraps.
 
-Windows are processed in chunks bounding the scanned matrix to roughly
-:data:`SCAN_CHUNK_ELEMS` elements, so arbitrarily large batches (a whole
-layer's slide positions, or many images' worth) run in constant memory.
+:func:`execute_program` processes windows in chunks bounding the
+scanned matrix to roughly :data:`SCAN_CHUNK_ELEMS` elements, so a
+window matrix of any size runs in constant working memory.
 
-**Sparse-activation gather mode** (``sparse=True`` / ``sparse="auto"``):
-gather entries whose source activation is zero in *every* window of a
-chunk are dropped before the scan.  A dropped entry adds nothing to any
-prefix, so a boundary at full-stream position ``p`` reads the compressed
-prefix at ``kept(p)``, the number of kept entries before ``p`` — one
-remap of the term columns, never a change to a single output bit.
-Terms that land on position 0 read ``P[0] = 0`` and are dropped, and a
-filter left with no terms writes 0.
+**Dropping dead entries** (``scan(keep=)``, the fused executor's
+sparse-activation gather): gather entries whose source activation is
+zero in *every* window are left out of the scan.  A dropped entry adds
+nothing to any prefix, so a boundary at full-stream position ``p``
+reads the compressed prefix at ``kept(p)``, the number of kept entries
+before ``p`` — one remap of the term columns, never a change to a
+single output bit.  Terms that land on position 0 read ``P[0] = 0`` and
+are dropped, and a filter left with no terms writes 0.
 """
 
 from __future__ import annotations
@@ -51,22 +51,12 @@ import numpy as np
 
 from repro.engine.program import TableProgram
 
-#: Memory budget (int64 elements, ~64 MiB) of one image slice's working
-#: set: sizes the fused executor's slices and the per-layer im2col blocks
-#: of ``ConvLayer.forward_batch``.
-CHUNK_BUDGET_ELEMS = 8_000_000
-
 #: :func:`execute_program` chunks windows so each chunk's scanned matrix
-#: stays near this many elements (~8 MiB): the scan and the boundary
-#: take then re-read it from cache, and the buffers are small enough for
-#: the allocator to reuse between chunks instead of faulting in fresh
-#: pages.  On a 16-image LeNet batch (2-core Xeon VM) the per-layer path
-#: ran ~1.2 s at the full budget and ~0.8 s at this size.
+#: and boundary-take matrix stay near this many int64 elements (~8 MiB):
+#: the scan and the boundary take then re-read the chunk from cache, and
+#: the per-chunk buffers are small enough for the allocator to reuse
+#: between chunks instead of faulting in fresh pages.
 SCAN_CHUNK_ELEMS = 1_000_000
-
-#: ``sparse="auto"`` engages compression only when at least this
-#: fraction of a chunk's gather entries reads a dead activation.
-SPARSE_MIN_DEAD_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -210,53 +200,29 @@ def scan(
     out[rows] = np.add.reduceat(picked, run_starts, axis=1).T
 
 
-def execute_program(
-    program: TableProgram,
-    windows: np.ndarray,
-    chunk: int | None = None,
-    sparse: bool | str = False,
-) -> np.ndarray:
-    """Evaluate a compiled program over a batch of windows.
+def execute_program(program: TableProgram, windows: np.ndarray) -> np.ndarray:
+    """Evaluate a compiled program over a window matrix.
 
     Args:
         program: the compiled :class:`TableProgram`.
-        windows: ``(n, N)`` integer matrix of flattened input tiles.
-        chunk: windows per chunk (default: sized so the scanned matrix
-            and the boundary-take matrix each stay near
-            :data:`SCAN_CHUNK_ELEMS` elements).
-        sparse: the sparse-activation gather mode.  ``False`` (default)
-            always gathers the full stream; ``True`` drops gather
-            entries whose source activation is zero across the whole
-            chunk; ``"auto"`` measures each chunk and compresses only
-            when at least :data:`SPARSE_MIN_DEAD_FRACTION` of the
-            entries are dead.  Every mode is bit-identical — zeros
-            contribute nothing to int64 prefix sums.
+        windows: ``(n, N)`` integer matrix of flattened input tiles,
+            scanned in chunks of about :data:`SCAN_CHUNK_ELEMS` elements.
 
     Returns:
         ``(K, n)`` int64 dot products, bit-identical to walking each
         group's tables per window.
 
     Raises:
-        ValueError: on shape mismatch, non-integer windows, or an
-            unrecognized ``sparse`` mode.
+        ValueError: on shape mismatch or non-integer windows.
     """
-    if sparse not in (False, True, "auto"):
-        raise ValueError(f"sparse must be False, True, or 'auto', got {sparse!r}")
     windows = _validated_windows(windows, program.filter_size)
     n = windows.shape[0]
     out = np.zeros((program.num_filters, n), dtype=np.int64)
     entries = program.num_entries
     if entries == 0 or n == 0:
         return out
-    if chunk is None:
-        chunk = max(1, SCAN_CHUNK_ELEMS // max(entries, program.terms.cols.size))
+    chunk = max(1, SCAN_CHUNK_ELEMS // max(entries, program.terms.cols.size))
     for lo in range(0, n, chunk):
         block = np.ascontiguousarray(windows[lo : lo + chunk])
-        keep = None
-        if sparse is not False:
-            keep = block.any(axis=0)[program.gather]
-            dead = entries - int(np.count_nonzero(keep))
-            if sparse == "auto" and dead < entries * SPARSE_MIN_DEAD_FRACTION:
-                keep = None
-        scan(program, block, out[:, lo : lo + block.shape[0]], keep)
+        scan(program, block, out[:, lo : lo + block.shape[0]])
     return out

@@ -6,9 +6,10 @@ one artifact that the fused executor (:func:`execute_network`) walks
 without returning to per-layer Python dispatch:
 
 * every convolutional layer becomes a :class:`ConvStep` holding the
-  layer's compiled table programs, pre-sharded across filter groups so
-  a thread pool can fan each layer's work out.  Each shard is one call
-  of the engine's only segment-scan kernel,
+  layer's filter-group shard programs — split once per compiled layer
+  (``CompiledLayer.shards``) and shared by every network built from
+  it — so a thread pool can fan each layer's work out.  Each shard is
+  one call of the engine's only segment-scan kernel,
   :func:`repro.engine.executor.scan`: one gather, one prefix-sum scan,
   one boundary take, one multiply and one ``reduceat`` fold, whatever
   the group size (NumPy releases the GIL inside each of them, so shards
@@ -27,8 +28,11 @@ without returning to per-layer Python dispatch:
   slice — ReuseSense-style activation reuse layered on UCNN's weight
   reuse, bit-exact because zeros contribute nothing to int64 sums.
 
-All arithmetic is int64: the fused output is bit-identical to
-``Network.forward_batch(fused=False)`` and to stacking
+This executor is the only image-batch driver of the kernel:
+``ConvLayer.forward_batch`` runs a signed-integer, ungrouped layer as a
+one-step :class:`NetworkProgram` on the same shard programs, so
+``Network.forward_batch`` runs the same programs a layer at a time.
+All arithmetic is int64: the output is bit-identical to stacking
 ``Network.forward`` per image, for every thread count and sparse mode
 (the property suite in ``tests/engine/test_fusion_properties.py`` pins
 this).
@@ -37,7 +41,8 @@ Programs are memoized in the process-wide program cache under a
 ``net:...`` key (schema in ``docs/api.md``) covering every layer's
 weights and every lowering parameter, so repeated batches — and serve
 workers answering ``network_forward`` — never re-lower a network they
-have seen.
+have seen.  One-step layer programs stay out of that cache: they are
+assembled per call around the compiled layer's memoized shards.
 """
 
 from __future__ import annotations
@@ -50,20 +55,19 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
-from repro.engine import executor as _executor
 from repro.engine.executor import scan
 from repro.engine.program import (
-    TableProgram,
+    DEFAULT_NETWORK_SHARDS,
+    ShardSpec,
     _cached,
-    compile_layer,
     compiled_layer_for,
     weights_fingerprint,
 )
 
-#: Filter-group shards each conv layer is split into at compile time.
-#: Shards execute independently (disjoint output rows), so this bounds
-#: the thread fan-out of one layer's segment scan.
-DEFAULT_NETWORK_SHARDS = 8
+#: Memory budget (int64 elements, ~64 MiB) of one image slice's working
+#: set: :meth:`BufferPlan.images_per_slice` sizes slices so the largest
+#: per-image footprint of any step, times the slice, stays near it.
+CHUNK_BUDGET_ELEMS = 8_000_000
 
 #: ``sparse="auto"`` probes a layer's activation slice for dead gather
 #: rows only when at least this fraction of its activations is zero.
@@ -81,25 +85,6 @@ _FLOAT_INPUTS_MSG = (
     "FactorizedConv requires integer inputs (got dtype {dtype}); "
     "quantize activations explicitly instead of relying on truncation"
 )
-
-
-@dataclass(frozen=True, eq=False)
-class ShardSpec:
-    """One filter-group shard of a conv layer's fused program.
-
-    Attributes:
-        program: the shard's compiled :class:`TableProgram` (its
-            ``gather`` holds absolute window indices, so every shard
-            reads the same column matrix).
-        row_lo: first output row (int) this shard owns.
-        row_hi: one past the last output row this shard owns.  The
-            kernel writes every row in between, zeroing the rows of
-            all-zero filters (output buffers are reused).
-    """
-
-    program: TableProgram
-    row_lo: int
-    row_hi: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +215,7 @@ class BufferPlan:
             worker thread.
         per_image_cost: slicing unit — the largest per-image footprint
             across conv steps; slices are sized so this stays near
-            :data:`repro.engine.executor.CHUNK_BUDGET_ELEMS`.
+            :data:`CHUNK_BUDGET_ELEMS`.
         max_shards: most shards in any conv step (bounds useful threads).
     """
 
@@ -242,17 +227,9 @@ class BufferPlan:
     per_image_cost: int
     max_shards: int
 
-    def images_per_slice(self, budget: int | None = None) -> int:
-        """Images per execution slice under the given element budget.
-
-        ``budget`` defaults to the live value of
-        :data:`repro.engine.executor.CHUNK_BUDGET_ELEMS`, so tests (and
-        operators) that shrink the chunk budget affect the fused slicer
-        exactly like the per-layer one.
-        """
-        if budget is None:
-            budget = _executor.CHUNK_BUDGET_ELEMS
-        return max(1, budget // max(1, self.per_image_cost))
+    def images_per_slice(self) -> int:
+        """Images per execution slice under :data:`CHUNK_BUDGET_ELEMS`."""
+        return max(1, CHUNK_BUDGET_ELEMS // max(1, self.per_image_cost))
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,30 +307,11 @@ def _check_weights(layer_name: str, weights: np.ndarray) -> np.ndarray:
     return weights.astype(np.int64, copy=False)
 
 
-def _shard_groups(groups, shards: int) -> tuple[ShardSpec, ...]:
-    """Split a layer's filter groups into contiguous, balanced shards."""
-    num_groups = len(groups)
-    n_shards = max(1, min(shards, num_groups))
-    row_offsets = np.zeros(num_groups + 1, dtype=np.int64)
-    np.cumsum([t.num_filters for t in groups], out=row_offsets[1:])
-    bounds = np.linspace(0, num_groups, n_shards + 1).astype(int)
-    return tuple(
-        ShardSpec(
-            program=compile_layer(groups[a:b]),
-            row_lo=int(row_offsets[a]),
-            row_hi=int(row_offsets[b]),
-        )
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if a != b
-    )
-
-
 def _lower_layers(
     network,
     group_size: int | None,
     max_group_size: int,
     layer_canonical: bool,
-    shards: int,
     compile_steps: bool = True,
 ) -> tuple[tuple, list[str]]:
     """Lower every layer into a step; returns (steps, key descriptors).
@@ -403,7 +361,7 @@ def _lower_layers(
                         s=sh.s,
                         stride=sh.stride,
                         padding=sh.padding,
-                        shards=_shard_groups(compiled.groups, shards),
+                        shards=compiled.shards,
                         entries=compiled.program.num_entries,
                     )
                 )
@@ -478,7 +436,6 @@ def network_program_key(
     group_size: int | None = None,
     max_group_size: int = DEFAULT_MAX_GROUP_SIZE,
     layer_canonical: bool = True,
-    shards: int = DEFAULT_NETWORK_SHARDS,
 ) -> str:
     """Program-cache key of a fused network (``net:...`` schema).
 
@@ -487,7 +444,7 @@ def network_program_key(
     parameter, so the key rotates on any weight or parameter change.
     """
     __, descriptors = _lower_layers(
-        network, group_size, max_group_size, layer_canonical, shards, compile_steps=False
+        network, group_size, max_group_size, layer_canonical, compile_steps=False
     )
     digest = hashlib.sha256()
     digest.update(repr(network.input_shape.as_tuple()).encode())
@@ -496,7 +453,7 @@ def network_program_key(
         digest.update(b"\x00")
     g = group_size if group_size is not None else "*"
     return (
-        f"net:g{g}:m{max_group_size}:c{int(layer_canonical)}:s{shards}:"
+        f"net:g{g}:m{max_group_size}:c{int(layer_canonical)}:s{DEFAULT_NETWORK_SHARDS}:"
         f"{digest.hexdigest()}"
     )
 
@@ -506,25 +463,24 @@ def compile_network(
     group_size: int | None = None,
     max_group_size: int = DEFAULT_MAX_GROUP_SIZE,
     layer_canonical: bool = True,
-    shards: int = DEFAULT_NETWORK_SHARDS,
 ) -> NetworkProgram:
     """Lower a whole :class:`~repro.nn.network.Network`, memoized.
 
     Args:
         network: the network; every conv/FC layer must have (signed)
             integer weights attached.  Ungrouped conv layers lower into
-            sharded segment-scan programs; grouped convs and unknown
-            layer types become fallback steps running the layer's own
-            batched forward.
+            their compiled layer's shared shard programs (at most
+            :data:`DEFAULT_NETWORK_SHARDS`, the thread fan-out ceiling);
+            grouped convs and unknown layer types become fallback steps
+            running the layer's own batched forward.
         group_size: UCNN G for every conv layer; ``None`` (default)
             uses each layer's ``engine_group_size`` — the same choice
-            the per-layer ``forward_batch`` path makes, which is what
-            keeps the two paths bit-identical *and* program-cache warm.
+            ``ConvLayer.forward_batch`` makes, so a layer's one-step
+            program and every network containing it share one compiled
+            layer and its shards.
         max_group_size: innermost chunk limit (Section IV-B).
         layer_canonical: key each conv layer's groups to the layer-wide
             canonical weight order.
-        shards: filter-group shards per conv layer (the thread fan-out
-            ceiling; :data:`DEFAULT_NETWORK_SHARDS`).
 
     Returns:
         the memoized :class:`NetworkProgram`; repeated calls with
@@ -541,22 +497,36 @@ def compile_network(
             weights.
         RuntimeError: if a conv/FC layer has no weights attached.
     """
-    key = network_program_key(network, group_size, max_group_size, layer_canonical, shards)
+    key = network_program_key(network, group_size, max_group_size, layer_canonical)
+    return _cached(
+        key,
+        lambda: _assemble(network, group_size, max_group_size, layer_canonical, key),
+    )
 
-    def build() -> NetworkProgram:
-        """Lower every layer and assemble the program (cache-miss path)."""
-        steps, __ = _lower_layers(network, group_size, max_group_size, layer_canonical, shards)
-        input_elems = network.input_shape.size
-        return NetworkProgram(
-            name=network.name,
-            input_shape=network.input_shape.as_tuple(),
-            output_shape=network.output_shape.as_tuple(),
-            steps=steps,
-            plan=_plan_buffers(input_elems, steps),
-            key=key,
-        )
 
-    return _cached(key, build)
+def _assemble(
+    network,
+    group_size: int | None = None,
+    max_group_size: int = DEFAULT_MAX_GROUP_SIZE,
+    layer_canonical: bool = True,
+    key: str | None = None,
+) -> NetworkProgram:
+    """Lower every layer and plan the buffers, outside the program cache.
+
+    :func:`compile_network` memoizes this.  ``ConvLayer.forward_batch``
+    calls it directly for its one-step program: that program compiles
+    nothing of its own (its shards are the memoized compiled layer's),
+    so it takes no program-cache slot and no artifact-store write.
+    """
+    steps, __ = _lower_layers(network, group_size, max_group_size, layer_canonical)
+    return NetworkProgram(
+        name=network.name,
+        input_shape=network.input_shape.as_tuple(),
+        output_shape=network.output_shape.as_tuple(),
+        steps=steps,
+        plan=_plan_buffers(network.input_shape.size, steps),
+        key=key,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -725,7 +695,7 @@ def execute_network(
 
     Returns:
         ``(N, *program.output_shape)`` int64 outputs, bit-identical to
-        ``Network.forward_batch(fused=False)`` on the source network.
+        stacking ``Network.forward`` per image on the source network.
 
     Raises:
         ValueError: on shape mismatch, an empty batch, float inputs

@@ -68,6 +68,12 @@ from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
 if TYPE_CHECKING:
     from repro.engine.executor import ScanTerms
 
+#: Filter-group shards a compiled layer is split into for the fused
+#: executor (:attr:`CompiledLayer.shards`).  Shards execute independently
+#: (disjoint output rows), so this bounds the thread fan-out of one
+#: layer's segment scan; it is the ``s<shards>`` field of ``net:`` keys.
+DEFAULT_NETWORK_SHARDS = 8
+
 
 @dataclass(frozen=True)
 class SegmentPass:
@@ -178,11 +184,11 @@ class TableProgram:
         """
         return int(sum(p.num_segments + p.filter_ids.size for p in self.passes))
 
-    def run(self, windows: np.ndarray, chunk: int | None = None) -> np.ndarray:
+    def run(self, windows: np.ndarray) -> np.ndarray:
         """Execute over ``(n, N)`` integer windows; returns ``(K, n)``."""
         from repro.engine.executor import execute_program
 
-        return execute_program(self, windows, chunk=chunk)
+        return execute_program(self, windows)
 
     def run_window(self, window: np.ndarray) -> np.ndarray:
         """Execute over one flattened window; returns ``(K,)``."""
@@ -205,6 +211,25 @@ class TableProgram:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True, eq=False)
+class ShardSpec:
+    """One filter-group shard of a conv layer's fused program.
+
+    Attributes:
+        program: the shard's compiled :class:`TableProgram` (its
+            ``gather`` holds absolute window indices, so every shard
+            reads the same column matrix).
+        row_lo: first output row (int) this shard owns.
+        row_hi: one past the last output row this shard owns.  The
+            kernel writes every row in between, zeroing the rows of
+            all-zero filters (output buffers are reused).
+    """
+
+    program: TableProgram
+    row_lo: int
+    row_hi: int
+
+
 @dataclass(frozen=True)
 class CompiledLayer:
     """A layer lowered end to end: its tables plus their fused program.
@@ -221,6 +246,31 @@ class CompiledLayer:
     canonical: np.ndarray | None
     program: TableProgram
     key: str
+
+    @cached_property
+    def shards(self) -> tuple[ShardSpec, ...]:
+        """The groups split into the fused executor's shard programs.
+
+        At most :data:`DEFAULT_NETWORK_SHARDS` contiguous, balanced
+        shards, compiled on first use and kept on the object (never
+        serialized): every fused network lowered from this layer shares
+        these programs and their cached :attr:`TableProgram.terms`.
+        Racing first callers build identical shards; either may win.
+        """
+        groups = self.groups
+        row_offsets = np.zeros(len(groups) + 1, dtype=np.int64)
+        np.cumsum([t.num_filters for t in groups], out=row_offsets[1:])
+        n_shards = max(1, min(DEFAULT_NETWORK_SHARDS, len(groups)))
+        bounds = np.linspace(0, len(groups), n_shards + 1).astype(int)
+        return tuple(
+            ShardSpec(
+                program=compile_layer(groups[a:b]),
+                row_lo=int(row_offsets[a]),
+                row_hi=int(row_offsets[b]),
+            )
+            for a, b in zip(bounds[:-1], bounds[1:])
+            if a != b
+        )
 
 
 def _segment_starts(boundary_idx: np.ndarray) -> np.ndarray:

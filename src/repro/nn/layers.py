@@ -116,13 +116,14 @@ class ConvLayer(Layer):
     def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
         """Batched forward through the compiled engine when possible.
 
-        Integer, ungrouped layers im2col every image and run the layer's
-        memoized table program over all windows of all images in one
-        segment scan — materializing the columns a bounded slice of
-        images at a time, so memory stays flat however large the batch.
-        Grouped or float layers fall back to the per-image dense
-        reference.  Both paths are bit-identical to stacking
-        :meth:`forward` per image.
+        Signed-integer, ungrouped layers run as a one-step
+        :class:`~repro.engine.fusion.NetworkProgram` through
+        :func:`~repro.engine.fusion.execute_network`.  The one-step
+        program is assembled per call outside the program cache, on the
+        same memoized shard programs every fused network containing this
+        layer uses.  Grouped, float, or unsigned layers and inputs fall
+        back to the per-image dense reference.  Both paths are
+        bit-identical to stacking :meth:`forward` per image.
         """
         inputs = np.asarray(inputs)
         sh = self.shape
@@ -139,35 +140,15 @@ class ConvLayer(Layer):
         # The engine computes in int64; the per-image reference only
         # promotes kind-'i' operands, so restrict the fast path to
         # signed ints — anything else (float, unsigned with its wraparound
-        # semantics) falls back to the loop to keep bit-identity.
+        # semantics) falls back to the loop to keep bit-identity.  The
+        # guard runs before any compile, so a fused fallback step calling
+        # this method cannot recurse.
         if sh.groups != 1 or self.weights.dtype.kind != "i" or inputs.dtype.kind != "i":
             return super().forward_batch(inputs)
-        from repro.engine import compiled_layer_for, executor
+        from repro.engine.fusion import _assemble
+        from repro.nn.network import Network
 
-        program = compiled_layer_for(self.weights, group_size=self.engine_group_size).program
-        __, out_h, out_w = sh.output_shape.as_tuple()
-        positions = out_h * out_w
-        # The executor already chunks windows; bound the im2col columns
-        # the same way so the batch never materializes all at once.
-        per_image = sh.c * sh.r * sh.s * positions
-        step = max(1, executor.CHUNK_BUDGET_ELEMS // max(1, per_image))
-        n = inputs.shape[0]
-        out = np.empty((n, sh.k, out_h, out_w), dtype=np.int64)
-        for lo in range(0, n, step):
-            block = inputs[lo : lo + step]
-            # Window-major and C-contiguous, the layout the kernel scans.
-            windows = np.concatenate(
-                [
-                    reference.im2col(x.astype(np.int64), sh.r, sh.s, sh.stride, sh.padding).T
-                    for x in block
-                ],
-                axis=0,
-            )
-            res = executor.execute_program(program, windows)  # (K, len(block) * positions)
-            out[lo : lo + block.shape[0]] = res.reshape(
-                sh.k, block.shape[0], out_h, out_w
-            ).transpose(1, 0, 2, 3)
-        return out
+        return _assemble(Network(self.name, sh.input_shape, [self])).run(inputs)
 
     def output_shape(self, input_shape: TensorShape) -> TensorShape:
         if input_shape.as_tuple() != self.shape.input_shape.as_tuple():

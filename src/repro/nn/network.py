@@ -72,15 +72,16 @@ class Network:
         """Run inference over a batch of images at once.
 
         With ``fused=False`` (default), each layer's ``forward_batch``
-        runs in turn; convolutional layers with integer weights execute
-        their compiled table program (:mod:`repro.engine`) over every
-        window of every image in one segment scan.  With ``fused=True``
+        runs in turn; convolutional layers with signed-integer weights
+        run as one-step programs through the fused executor
+        (:mod:`repro.engine`), one layer at a time.  With ``fused=True``
         the whole network is lowered into one memoized
         :class:`~repro.engine.fusion.NetworkProgram` — intermediates
         live in preallocated reused buffers, each conv layer's segment
         scan fans out across ``threads`` workers, and zero activations
-        can be skipped (``sparse``).  Both paths are bit-identical to
-        stacking :meth:`forward` per image.
+        can be skipped (``sparse``).  Both paths share each conv layer's
+        compiled shard programs and are bit-identical to stacking
+        :meth:`forward` per image.
 
         Args:
             inputs: ``(N, C, H, W)`` batch matching the input shape.

@@ -2,12 +2,11 @@
 
 The nightly benches upload ``BENCH_kernels.json`` / ``BENCH_serve.json``
 / ``BENCH_tiers.json`` / ``BENCH_cluster.json`` / ``BENCH_programs.json``
-and gate on *static floors* (engine >= 20x per-entry, fused >= 1.5x,
-warm-serve >= 5x, artifact-warm start >= 5x over cold compile).  A
-floor answers "is it still fast enough to bother?" — it does not answer
-"did last week's PR quietly cost 25%?".  A run can clear the 20x floor
-at 49x today when it measured 65x all month; that trajectory is the
-regression.
+and gate on *static floors* (engine >= 20x per-entry, warm-serve >= 5x,
+artifact-warm start >= 5x over cold compile).  A floor answers "is it
+still fast enough to bother?" — it does not answer "did last week's PR
+quietly cost 25%?".  A run can clear the 20x floor at 49x today when
+it measured 65x all month; that trajectory is the regression.
 
 This module reads a *sequence* of bench payloads (oldest first, newest
 last), extracts named scalar metrics from each — every metric tagged

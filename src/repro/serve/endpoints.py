@@ -255,9 +255,10 @@ def network_forward(
     Builds a small conv/relu/pool/conv/relu/flatten/fc network with
     INQ-like synthetic weights, lowers it through
     :func:`repro.engine.compile_network`, executes a seeded image batch
-    with the fused executor, and verifies bit-identity against the
-    per-layer ``forward_batch`` path — the serving-facing proof that the
-    whole-network fast path computes the real thing.
+    with the fused executor, and verifies bit-identity against
+    ``Network.forward_batch`` — the same executor run a layer at a time,
+    each conv layer as a one-step program on the shard programs the
+    whole-network program already compiled.
 
     Args:
         c/size: input channels and spatial extent.
@@ -272,7 +273,7 @@ def network_forward(
         sparse: sparse-activation gather mode ("auto", "always", "never").
 
     Returns:
-        dict with parity against the per-layer path, an output checksum
+        dict with parity against the layer-at-a-time run, an output checksum
         (stable across runs), the fused program's geometry (steps,
         shards, cache key), and the batch/thread configuration.
     """

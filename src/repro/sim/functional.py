@@ -160,7 +160,7 @@ def crosscheck_tables(
     if windows.ndim == 1:
         windows = windows.reshape(1, -1)
     engine_out = table_program_for(tables).run(windows)
-    dense = tables.dense_check(windows)
+    dense = tables.filters.astype(np.int64) @ windows.astype(np.int64).T
     if not np.array_equal(engine_out, dense):
         raise ConsistencyError(
             f"engine program disagrees with dense reference on {windows.shape[0]} window(s)"

@@ -1,30 +1,10 @@
-"""Tests for FactorizedDotProduct / FactorizedConv."""
+"""Tests for FactorizedConv."""
 
 import numpy as np
 import pytest
 
-from repro.core.factorized import FactorizedConv, FactorizedDotProduct, OpCounts
+from repro.core.factorized import FactorizedConv, OpCounts
 from repro.nn.reference import conv2d_im2col
-
-
-class TestFactorizedDotProduct:
-    def test_outputs_match_dense(self, rng):
-        filters = rng.integers(-3, 4, size=(2, 30))
-        window = rng.integers(-9, 10, size=30)
-        fdp = FactorizedDotProduct(filters)
-        assert np.array_equal(fdp.compute(window), filters @ window)
-
-    def test_compute_many(self, rng):
-        filters = rng.integers(-3, 4, size=(3, 20))
-        windows = rng.integers(-9, 10, size=(7, 20))
-        fdp = FactorizedDotProduct(filters)
-        assert np.array_equal(fdp.compute_many(windows), filters @ windows.T)
-
-    def test_stats_available(self, rng):
-        fdp = FactorizedDotProduct(rng.integers(-2, 3, size=(2, 40)))
-        st = fdp.stats()
-        assert st.num_entries <= 40
-        assert st.num_filters == 2
 
 
 class TestFactorizedConv:
@@ -34,12 +14,6 @@ class TestFactorizedConv:
         inputs = rng.integers(-8, 9, size=(3, 8, 8))
         conv = FactorizedConv(weights, group_size=group_size)
         assert np.array_equal(conv.forward(inputs), conv2d_im2col(inputs, weights))
-
-    def test_forward_fast_matches_forward(self, rng):
-        weights = rng.integers(-3, 4, size=(4, 2, 3, 3))
-        inputs = rng.integers(-8, 9, size=(2, 9, 9))
-        conv = FactorizedConv(weights, group_size=2)
-        assert np.array_equal(conv.forward(inputs), conv.forward_fast(inputs))
 
     def test_forward_per_entry_matches_engine_forward(self, rng):
         weights = rng.integers(-3, 4, size=(4, 2, 3, 3))

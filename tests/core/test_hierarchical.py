@@ -9,6 +9,7 @@ from repro.core.hierarchical import (
     build_filter_group_tables,
 )
 from repro.core.indirection import factorize_filter
+from repro.engine import table_program_for
 
 
 def dense(filters, window):
@@ -135,7 +136,7 @@ class TestExecution:
         filters = rng.integers(-3, 4, size=(2, 20))
         windows = rng.integers(-9, 10, size=(6, 20))
         t = build_filter_group_tables(filters)
-        assert np.array_equal(t.execute_vectorized(windows), dense(filters, windows.T))
+        assert np.array_equal(table_program_for(t).run(windows), dense(filters, windows.T))
 
     def test_window_length_checked(self):
         t = build_filter_group_tables(np.array([[1, 2]]))

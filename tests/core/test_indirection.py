@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.hierarchical import build_filter_group_tables
 from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE, factorize_filter
+from repro.engine import table_program_for
 
 
 class TestTableConstruction:
@@ -96,21 +98,17 @@ class TestExecution:
             assert ff.execute(window) == int(filt @ window)
 
     def test_vectorized_matches_scalar(self, rng):
+        """The engine's batched G=1 program agrees with the scalar table walk."""
         filt = rng.integers(-3, 4, size=30)
         windows = rng.integers(-9, 10, size=(5, 30))
         ff = factorize_filter(filt)
-        vec = ff.execute_vectorized(windows)
+        (vec,) = table_program_for(build_filter_group_tables(filt[None])).run(windows)
         assert list(vec) == [ff.execute(w) for w in windows]
 
     def test_window_length_checked(self):
         ff = factorize_filter(np.array([1, 2]))
         with pytest.raises(ValueError, match="window length"):
             ff.execute(np.array([1, 2, 3]))
-
-    def test_vectorized_shape_checked(self):
-        ff = factorize_filter(np.array([1, 2]))
-        with pytest.raises(ValueError, match="windows must be"):
-            ff.execute_vectorized(np.zeros((3, 5), dtype=np.int64))
 
 
 class TestCounts:

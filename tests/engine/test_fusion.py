@@ -7,6 +7,8 @@ contracts shared with :class:`FactorizedConv`, fallback steps, buffer
 slicing, and the serve endpoint riding on top.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -54,12 +56,17 @@ def batch_for(network, rng, n=4):
     return rng.integers(-8, 9, size=(n, *network.input_shape.as_tuple())).astype(np.int64)
 
 
+def stacked_forward(network, x):
+    """The dense per-image reference, independent of the engine."""
+    return np.stack([network.forward(img) for img in x])
+
+
 class TestCompile:
     def test_fused_matches_per_layer_and_stacked_forward(self, rng):
         net = small_network(rng)
         x = batch_for(net, rng)
         per_layer = net.forward_batch(x)
-        stacked = np.stack([net.forward(img) for img in x])
+        stacked = stacked_forward(net, x)
         assert np.array_equal(per_layer, stacked)
         assert np.array_equal(net.forward_batch(x, fused=True), per_layer)
 
@@ -74,7 +81,6 @@ class TestCompile:
         assert key == compile_network(net).key
         # Any lowering parameter rotates the key prefix...
         assert network_program_key(net, group_size=4).startswith("net:g4:")
-        assert network_program_key(net, shards=2).startswith("net:g*:m16:c1:s2:")
         # ...and touching any layer's weights rotates the digest.
         net.layers[0].set_weights(net.layers[0].weights + 1)
         assert network_program_key(net) != key
@@ -82,7 +88,7 @@ class TestCompile:
     def test_group_size_override_is_honoured(self, rng):
         net = small_network(rng)
         x = batch_for(net, rng)
-        ref = net.forward_batch(x)
+        ref = stacked_forward(net, x)
         for g in (1, 3, 8):
             program = compile_network(net, group_size=g)
             assert np.array_equal(execute_network(program, x), ref)
@@ -101,7 +107,7 @@ class TestCompile:
 
     def test_shard_count_is_capped_by_group_count(self, rng):
         net = small_network(rng, k1=4)  # G=2 -> only 2 groups in conv1
-        program = compile_network(net, shards=8)
+        program = compile_network(net)
         first_conv = next(s for s in program.steps if isinstance(s, ConvStep))
         assert len(first_conv.shards) == 2
 
@@ -112,7 +118,7 @@ class TestCompile:
         program = compile_network(net)
         assert isinstance(program.steps[0], FallbackStep)
         x = rng.integers(-4, 5, size=(3, 4, 6, 6)).astype(np.int64)
-        assert np.array_equal(execute_network(program, x), net.forward_batch(x))
+        assert np.array_equal(execute_network(program, x), stacked_forward(net, x))
 
     def test_empty_network_passthrough(self, rng):
         net = Network("empty", TensorShape(2, 3, 3), [])
@@ -129,7 +135,7 @@ class TestCompile:
     def test_program_survives_cache_clear(self, rng):
         net = small_network(rng)
         x = batch_for(net, rng)
-        ref = net.forward_batch(x)
+        ref = stacked_forward(net, x)
         clear_program_cache()
         program = compile_network(net)
         assert isinstance(program, NetworkProgram)
@@ -190,7 +196,7 @@ class TestExecution:
     def test_thread_counts_are_bit_identical(self, rng):
         net = small_network(rng)
         x = batch_for(net, rng, n=6)
-        ref = net.forward_batch(x)
+        ref = stacked_forward(net, x)
         outs = [net.forward_batch(x, fused=True, threads=t) for t in (1, 2, 8)]
         for out in outs:
             assert np.array_equal(out, ref)
@@ -207,7 +213,7 @@ class TestExecution:
         net = small_network(rng)
         x = batch_for(net, rng)
         x[rng.random(x.shape) < 0.7] = 0  # engage the auto threshold
-        ref = net.forward_batch(x)
+        ref = stacked_forward(net, x)
         for sparse in (False, True, "auto"):
             assert np.array_equal(net.forward_batch(x, fused=True, sparse=sparse), ref)
 
@@ -233,7 +239,7 @@ class TestExecution:
         net = Network("tail", TensorShape(c, size, size), [ConvLayer(shape, weights)])
         x = rng.integers(-8, 9, size=(1, c, size, size)).astype(np.int64)
         x[rng.random(x.shape) < 0.95] = 0
-        ref = net.forward_batch(x)
+        ref = stacked_forward(net, x)
         program = compile_network(net)
         for sparse in (True, "auto"):
             assert np.array_equal(execute_network(program, x, sparse=sparse), ref)
@@ -241,17 +247,17 @@ class TestExecution:
     def test_all_zero_batch(self, rng):
         net = small_network(rng)
         x = np.zeros((3, *net.input_shape.as_tuple()), dtype=np.int64)
-        ref = net.forward_batch(x)
+        ref = stacked_forward(net, x)
         for sparse in (False, True, "auto"):
             assert np.array_equal(net.forward_batch(x, fused=True, sparse=sparse), ref)
 
     def test_tiny_budget_forces_multi_slice_execution(self, rng, monkeypatch):
-        from repro.engine import executor
+        from repro.engine import fusion
 
         net = small_network(rng)
         x = batch_for(net, rng, n=7)
-        ref = net.forward_batch(x)
-        monkeypatch.setattr(executor, "CHUNK_BUDGET_ELEMS", 1)
+        ref = stacked_forward(net, x)
+        monkeypatch.setattr(fusion, "CHUNK_BUDGET_ELEMS", 1)
         assert compile_network(net).plan.images_per_slice() == 1
         assert np.array_equal(net.forward_batch(x, fused=True, threads=2), ref)
 
@@ -263,13 +269,85 @@ class TestExecution:
         net = Network("zg", TensorShape(2, 6, 6), [ConvLayer(s, weights), ReluLayer()])
         x = batch_for(net, rng)
         fused = net.forward_batch(x, fused=True)
-        assert np.array_equal(fused, net.forward_batch(x))
+        assert np.array_equal(fused, stacked_forward(net, x))
         assert not fused[:, 2:4].any()
 
     def test_int8_inputs_accepted(self, rng):
         net = small_network(rng)
         x = rng.integers(-8, 9, size=(3, *net.input_shape.as_tuple()), dtype=np.int8)
-        assert np.array_equal(net.forward_batch(x, fused=True), net.forward_batch(x))
+        assert np.array_equal(net.forward_batch(x, fused=True), stacked_forward(net, x))
+
+
+class TestSharedShards:
+    """One compiled layer backs its one-step program and every network."""
+
+    def test_layer_at_a_time_run_compiles_nothing_the_fused_run_did_not(self, rng):
+        from repro.engine import executor, fusion, program, program_cache_info
+        from repro.nn import reference
+
+        net = small_network(rng)
+        x = batch_for(net, rng)
+        fused = compile_network(net)
+        expected = execute_network(fused, x)
+        before = program_cache_info()
+        with (
+            mock.patch.object(executor, "telescope", wraps=executor.telescope) as telescope,
+            mock.patch.object(program, "compile_layer", wraps=program.compile_layer) as compile_layer,
+            mock.patch.object(reference, "im2col", wraps=reference.im2col) as im2col,
+        ):
+            out = net.forward_batch(x)
+        after = program_cache_info()
+        assert np.array_equal(out, expected)
+        assert telescope.call_count == 0
+        assert compile_layer.call_count == 0
+        assert im2col.call_count == 0
+        # One-step programs are assembled outside the program cache.
+        assert (after["entries"], after["misses"]) == (before["entries"], before["misses"])
+        conv_steps = [s for s in fused.steps if isinstance(s, ConvStep)]
+        assert len(conv_steps) == 2
+        for step in conv_steps:
+            layer = net.find(step.name)
+            (own,) = fusion._assemble(Network(layer.name, layer.shape.input_shape, [layer])).steps
+            assert len(own.shards) == len(step.shards)
+            for mine, theirs in zip(own.shards, step.shards):
+                assert mine.program is theirs.program
+
+    def test_racing_first_callers_all_get_valid_shards(self, rng):
+        """Concurrent first reads of ``CompiledLayer.shards``: any winner is exact."""
+        import dataclasses
+        import sys
+        import threading
+
+        from repro.engine import compiled_layer_for
+
+        weights = rng.integers(-3, 4, size=(24, 18)).astype(np.int64)
+        windows = rng.integers(-9, 10, size=(5, 18))
+        layer = dataclasses.replace(compiled_layer_for(weights, group_size=2))  # no shards yet
+        results = []
+        gate = threading.Barrier(8, timeout=10.0)
+
+        def worker():
+            gate.wait()
+            out = np.empty((24, 5), dtype=np.int64)
+            for spec in layer.shards:
+                out[spec.row_lo : spec.row_hi] = spec.program.run(windows)
+            results.append(out)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        for out in results:
+            assert np.array_equal(out, weights @ windows.T)
+        assert layer.shards is layer.shards
 
 
 class TestServeEndpoint:

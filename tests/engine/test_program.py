@@ -9,6 +9,7 @@ import pytest
 from repro.core.factorized import FactorizedConv
 from repro.core.hierarchical import build_filter_group_tables
 from repro.engine import (
+    TableProgram,
     clear_program_cache,
     compile_layer,
     compile_tables,
@@ -113,14 +114,18 @@ class TestCompileLayer:
         with pytest.raises(ValueError, match="at least one"):
             compile_layer([])
 
-    def test_chunking_equals_unchunked(self, rng):
+    def test_chunking_equals_unchunked(self, rng, monkeypatch):
+        from repro.engine import executor
+
         filters = rng.integers(-3, 4, size=(4, 25))
         groups = [build_filter_group_tables(filters[i : i + 2]) for i in range(0, 4, 2)]
         program = compile_layer(groups)
         windows = rng.integers(-9, 10, size=(11, 25))
         full = execute_program(program, windows)
-        for chunk in (1, 2, 5):
-            assert np.array_equal(execute_program(program, windows, chunk=chunk), full)
+        width = max(program.num_entries, program.terms.cols.size)
+        for chunk in (1, 2, 5):  # windows per chunk
+            monkeypatch.setattr(executor, "SCAN_CHUNK_ELEMS", chunk * width)
+            assert np.array_equal(execute_program(program, windows), full)
 
 
 class TestExecutorValidation:
@@ -188,16 +193,6 @@ class TestFactorizedConvEngine:
         with pytest.raises(ValueError, match="integer inputs"):
             conv.forward_per_entry(rng.normal(size=(3, 8, 8)))
 
-    def test_execute_vectorized_runs_factorized_math(self, rng):
-        """execute_vectorized goes through the engine, not the matmul."""
-        filters = rng.integers(-3, 4, size=(2, 20))
-        tables = build_filter_group_tables(filters)
-        windows = rng.integers(-9, 10, size=(6, 20))
-        assert np.array_equal(tables.execute_vectorized(windows), dense(filters, windows))
-        assert np.array_equal(tables.dense_check(windows), dense(filters, windows))
-        with pytest.raises(ValueError, match="integer"):
-            tables.execute_vectorized(windows.astype(float))
-
 
 class TestCrosscheckHook:
     def test_agreement_passes(self, rng):
@@ -216,8 +211,8 @@ class TestCrosscheckHook:
     def test_mismatch_raises(self, rng, monkeypatch):
         filters = rng.integers(-2, 3, size=(2, 10))
         tables = build_filter_group_tables(filters)
-        monkeypatch.setattr(
-            type(tables), "dense_check", lambda self, w: np.zeros((2, len(w)), dtype=np.int64) + 1
+        monkeypatch.setattr(  # corrupt the engine side of the check
+            TableProgram, "run", lambda self, w: np.zeros((2, len(w)), dtype=np.int64) + 1
         )
         with pytest.raises(ConsistencyError):
             crosscheck_tables(tables, rng.integers(1, 9, size=(2, 10)), lane=False)

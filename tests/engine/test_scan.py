@@ -42,11 +42,10 @@ class TestWrapAround:
         assert not np.array_equal(exact, (weights @ acts.T).astype(object))
 
     @pytest.mark.parametrize("g", [1, 2, 3])
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_execute_program_equals_wrapping_dense(self, rng, g, sparse):
+    def test_execute_program_equals_wrapping_dense(self, rng, g):
         weights, acts = _wrapping_case(rng)
         program = compiled_layer_for(weights, group_size=g).program
-        out = execute_program(program, acts, sparse=sparse)
+        out = execute_program(program, acts)
         assert np.array_equal(out, weights @ acts.T)
 
     @pytest.mark.parametrize("sparse", [False, True])
@@ -120,18 +119,20 @@ class TestKernelEdges:
         net = Network("zf", TensorShape(2, 6, 6), [ConvLayer(shape, weights)])
         x = rng.integers(-8, 9, size=(3, 2, 6, 6))
         fused = net.forward_batch(x, fused=True)
-        assert np.array_equal(fused, net.forward_batch(x))
+        assert np.array_equal(fused, np.stack([net.forward(img) for img in x]))
         assert not fused[:, 1].any()
 
     def test_sparse_drops_terms_landing_on_position_zero(self):
         """A filter reading only dead entries maps every term to P[0]."""
         weights = np.array([[1, 2, 3, 0, 0, 0], [0, 0, 0, 4, -5, 6]], dtype=np.int64)
-        program = compiled_layer_for(weights, group_size=1).program
-        windows = np.array([[0, 0, 0, 1, 2, 3], [0, 0, 0, -4, 5, 7]], dtype=np.int64)
-        for sparse in (True, "auto"):
-            out = execute_program(program, windows, sparse=sparse)
-            assert np.array_equal(out, weights @ windows.T)
-            assert not out[0].any()
+        shape = ConvShape(name="c", w=1, h=1, c=6, k=2, r=1, s=1)
+        net = Network("dead", TensorShape(6, 1, 1), [ConvLayer(shape, weights.reshape(2, 6, 1, 1))])
+        images = np.array([[0, 0, 0, 1, 2, 3], [0, 0, 0, -4, 5, 7]], dtype=np.int64)
+        program = compile_network(net)  # G=2: both filters share one shard program
+        assert len(program.steps[0].shards) == 1
+        out = execute_network(program, images.reshape(2, 6, 1, 1), sparse=True)
+        assert np.array_equal(out.reshape(2, 2), images @ weights.T)
+        assert not out[:, 0].any()
 
 
 class TestConstructionBounds:

@@ -1,8 +1,11 @@
 """Tests for layer objects."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.engine import fusion
 from repro.nn.layers import (
     AvgPoolLayer,
     ConvLayer,
@@ -60,6 +63,27 @@ class TestConvLayer:
         layer = ConvLayer(shape, weights)
         x = rng.integers(-5, 6, size=(4, 8, 8))
         assert layer.forward(x).shape == (4, 8, 8)
+
+    @pytest.mark.parametrize(
+        ("case", "compiles"),
+        [("signed", 1), ("grouped", 0), ("float_weights", 0), ("unsigned_inputs", 0)],
+    )
+    def test_forward_batch_guard_runs_before_compile(self, rng, case, compiles):
+        """Only signed-int ungrouped layers reach the engine; the rest never compile."""
+        shape = conv_shape(c=2, k=4, groups=2) if case == "grouped" else conv_shape()
+        weights = rng.integers(-3, 4, size=shape.weight_shape)
+        if case == "float_weights":
+            weights = weights.astype(np.float64)
+        x = rng.integers(0, 6, size=(3, *shape.input_shape.as_tuple()))
+        if case == "unsigned_inputs":
+            x = x.astype(np.uint8)
+        layer = ConvLayer(shape, weights)
+        stacked = np.stack([layer.forward(image) for image in x])
+        with mock.patch.object(fusion, "_assemble", wraps=fusion._assemble) as assemble:
+            out = layer.forward_batch(x)
+        assert assemble.call_count == compiles
+        assert out.dtype == stacked.dtype
+        assert np.array_equal(out, stacked)
 
 
 class TestPoolingAndRelu:

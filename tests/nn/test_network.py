@@ -89,7 +89,8 @@ class TestForward:
         net.layers[0].set_weights(rng.integers(-2, 3, size=(3, 2, 3, 3)))
         net.layers[3].set_weights(rng.integers(-2, 3, size=(4, 108)))
         batch = rng.integers(-5, 6, size=(5, 2, 6, 6))
-        ref = net.forward_batch(batch)
+        ref = np.stack([net.forward(img) for img in batch])
+        assert np.array_equal(net.forward_batch(batch), ref)
         for threads in (1, 2, 8):
             for sparse in (False, True, "auto"):
                 fused = net.forward_batch(batch, fused=True, threads=threads, sparse=sparse)
@@ -105,14 +106,15 @@ class TestForward:
 
     def test_forward_batch_image_chunking_is_bit_identical(self, rng, monkeypatch):
         """A tiny column budget forces multi-slice execution; same bits."""
-        from repro.engine import executor
+        from repro.engine import fusion
 
         net = tiny_network()
         net.layers[0].set_weights(rng.integers(-2, 3, size=(3, 2, 3, 3)))
         net.layers[3].set_weights(rng.integers(-2, 3, size=(4, 108)))
         batch = rng.integers(0, 5, size=(7, 2, 6, 6))
         full = net.forward_batch(batch)
-        monkeypatch.setattr(executor, "CHUNK_BUDGET_ELEMS", 1)
+        assert np.array_equal(full, np.stack([net.forward(img) for img in batch]))
+        monkeypatch.setattr(fusion, "CHUNK_BUDGET_ELEMS", 1)
         assert np.array_equal(net.forward_batch(batch), full)
 
 
