@@ -194,11 +194,11 @@ def bench_network_reference(bench_network):
     return np.stack([network.forward(img) for img in images])
 
 
-def test_bench_network_per_layer(benchmark, bench_network):
+def test_bench_network_per_layer(benchmark, bench_network, bench_network_reference):
     network, images = bench_network
     network.forward_batch(images)  # warm the compiled layers and their shards
     out = benchmark(network.forward_batch, images)
-    assert out.shape[0] == images.shape[0]
+    assert np.array_equal(out, bench_network_reference)
 
 
 def test_bench_network_fused(benchmark, bench_network, bench_network_reference):
@@ -216,28 +216,6 @@ def test_bench_network_dense(benchmark, bench_network):
 
     out = benchmark.pedantic(dense, rounds=1, iterations=1)
     assert out.shape[0] == images.shape[0]
-
-
-def test_fused_network_speedup_ratio(bench_network, bench_network_reference):
-    """Whole-network program vs the same executor run a layer at a time.
-
-    Asserts bit-identity of both sides against the dense oracle on the
-    batch the clocks run on and prints the ratio.  It sets no floor: both
-    sides run the same executor and shard programs, so the ratio only
-    measures per-layer dispatch.  Fused speed is gated by the nightly
-    trend gate on ``test_bench_network_fused``.
-    """
-    network, images = bench_network
-    program = compile_network(network)
-    assert np.array_equal(execute_network(program, images), bench_network_reference)
-    assert np.array_equal(network.forward_batch(images), bench_network_reference)
-    t_per_layer = best_of(lambda: network.forward_batch(images))
-    t_fused = best_of(lambda: execute_network(program, images))
-    speedup = t_per_layer / t_fused
-    print(
-        f"\nfused speedup ratio [{network.name}]: per-layer {t_per_layer * 1e3:.1f} ms "
-        f"vs fused {t_fused * 1e3:.1f} ms over {images.shape[0]} images -> {speedup:.2f}x"
-    )
 
 
 def test_engine_speedup_gate(bench_conv, bench_inputs):

@@ -477,7 +477,6 @@ def _enc_network_program(p: NetworkProgram, w: _ArrayWriter) -> dict:
         "plan": {
             "slot_elems": [int(plan.slot_elems[0]), int(plan.slot_elems[1])],
             "cols_elems": int(plan.cols_elems), "pad_elems": int(plan.pad_elems),
-            "gather_elems": int(plan.gather_elems), "term_elems": int(plan.term_elems),
             "per_image_cost": int(plan.per_image_cost),
             "max_shards": int(plan.max_shards),
         },
@@ -495,8 +494,7 @@ def _dec_network_program(node: dict, r: _ArrayReader) -> NetworkProgram:
         steps=tuple(_dec_step(s, r) for s in node["steps"]),
         plan=BufferPlan(
             slot_elems=(lo, hi), cols_elems=int(plan["cols_elems"]),
-            pad_elems=int(plan["pad_elems"]), gather_elems=int(plan["gather_elems"]),
-            term_elems=int(plan["term_elems"]),
+            pad_elems=int(plan["pad_elems"]),
             per_image_cost=int(plan["per_image_cost"]),
             max_shards=int(plan["max_shards"]),
         ),

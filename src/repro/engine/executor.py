@@ -4,34 +4,47 @@
 :func:`execute_program` (one program over a window matrix) and
 :func:`repro.engine.fusion.execute_network` (an image batch, one call
 per filter-group shard).  Given a C-contiguous, window-major
-``(n, N)`` int64 window matrix it runs five vectorized primitives,
-whatever the program's group size G:
+``(n, N)`` int64 window matrix it makes one call into a small C kernel
+(``_scan.c`` next to this module) that walks the program the way the
+paper's processing element walks its indirection table: per window it
+streams the activations named by ``program.gather`` into a running
+prefix sum ``P`` (``P[i]`` = sum of the first ``i`` entries) and folds
+every run's telescoped terms, ``coef * P[col]``, straight into the
+output row, whatever the program's group size G.  Windows go four at a
+time so their serial adds overlap, and nothing window-sized is
+materialized beyond the output.
 
-1. **gather** — ``np.take`` copies the traversal-ordered activation
-   stream of every window into a contiguous ``(n, entries)`` buffer;
-2. **scan** — one in-place ``np.cumsum`` along the entry axis turns it
-   into prefix sums, ``P[i]`` = sum of the first ``i`` entries;
-3. **boundary take** — a second ``np.take`` reads ``P`` at every
-   boundary where some level's weight changes;
-4. **multiply** — each read is scaled by its telescoped coefficient;
-5. **fold** — one ``np.add.reduceat`` sums each filter's terms.
-
-Steps 3-5 read the program's :class:`ScanTerms`, derived once by
-:func:`telescope` and cached on the program.
-For a filter whose run covers segments ``a..b-1`` with start offsets
-``p_s`` and weights ``w_s``, the segment sums telescope:
+The terms are the program's :class:`ScanTerms`, derived once by
+:func:`telescope` and cached on the program.  For a filter whose run
+covers segments ``a..b-1`` with start offsets ``p_s`` and weights
+``w_s``, the segment sums telescope:
 
     out = sum_s w_s * (P[p_{s+1}] - P[p_s])
         = -w_a * P[p_a] + sum_{a<s<b} (w_{s-1} - w_s) * P[p_s] + w_{b-1} * P[p_b]
 
 so every level reads the same scan, with one multiply per boundary where
-its weight changes.  All arithmetic is int64 and the identity holds mod
-2**64, so outputs are bit-identical to the per-entry walk and the dense
-matmul even when the running prefix wraps.
+its weight changes.  The kernel computes in ``uint64_t``, which wraps
+mod 2**64 exactly like numpy's int64, and the identity holds mod 2**64,
+so outputs are bit-identical to the per-entry walk and the dense matmul
+even when the running prefix wraps.
 
-:func:`execute_program` processes windows in chunks bounding the
-scanned matrix to roughly :data:`SCAN_CHUNK_ELEMS` elements, so a
-window matrix of any size runs in constant working memory.
+**Building the kernel.**  The first :func:`scan` in a process compiles
+``_scan.c`` with the system ``cc`` and :data:`KERNEL_CFLAGS` into
+``__pycache__/_scan.<digest>.so`` next to the source, named by a
+SHA-256 of source and flags, and loads it through :mod:`ctypes`, which
+releases the GIL for the call, so threads scanning different shards
+overlap.  Later processes load the cached library without compiling; a
+package directory that is not writable makes each process build into a
+private temporary directory instead.  If ``cc`` is missing or fails,
+that first :func:`scan` raises :class:`RuntimeError` carrying the
+command and its error output.  The kernel does no bounds checking:
+:func:`scan` validates every operand first, and gather indices were
+bounds-checked when the program was built.
+
+:func:`execute_program` copies a caller's window matrix to contiguous
+int64 in chunks of about :data:`COPY_CHUNK_ELEMS` elements (a
+contiguous int64 matrix is scanned in place), so a window matrix of
+any size and layout runs in constant working memory.
 
 **Dropping dead entries** (``scan(keep=)``, the fused executor's
 sparse-activation gather): gather entries whose source activation is
@@ -45,18 +58,117 @@ are dropped, and a filter left with no terms writes 0.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from repro.engine.program import TableProgram
 
-#: :func:`execute_program` chunks windows so each chunk's scanned matrix
-#: and boundary-take matrix stay near this many int64 elements (~8 MiB):
-#: the scan and the boundary take then re-read the chunk from cache, and
-#: the per-chunk buffers are small enough for the allocator to reuse
-#: between chunks instead of faulting in fresh pages.
-SCAN_CHUNK_ELEMS = 1_000_000
+#: :func:`execute_program` copies a caller's window matrix to contiguous
+#: int64 in chunks of about this many elements (~8 MiB).
+COPY_CHUNK_ELEMS = 1_000_000
+
+#: The kernel's C source, and the fixed flags it is compiled with.
+KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
+KERNEL_CFLAGS = ("-O3", "-fPIC", "-shared")
+
+_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+#: ``ucnn_scan``'s C signature, in argument order.
+_KERNEL_ARGTYPES = (
+    _PTR, _I64, _I64,  # windows, n, width
+    _PTR, _I64,  # gather, entries
+    _PTR, _PTR,  # cols, coefs
+    _PTR, _PTR, _I64, _I64,  # run_starts, rows, runs, terms
+    _PTR, _I64,  # out, out row stride in elements
+)
+
+_kernel_entry = None
+_kernel_lock = threading.Lock()
+
+
+def load_kernel(source: Path = KERNEL_SOURCE, cache_dir: Path | None = None) -> ctypes.CDLL:
+    """Build the scan kernel once per source and flags, and load it.
+
+    Args:
+        source: the kernel's C source.
+        cache_dir: where built libraries are kept, as
+            ``<stem>.<sha256(source, flags)[:16]>.so``; defaults to the
+            ``__pycache__`` directory next to ``source``.  When it
+            cannot be created or written, the library is built into a
+            private temporary directory that is removed once loaded.
+
+    Returns:
+        the loaded library, its ``ucnn_scan`` typed.
+
+    Raises:
+        RuntimeError: if ``cc`` is missing or fails; the message carries
+            the command and the compiler's error output.
+    """
+    cache_dir = source.parent / "__pycache__" if cache_dir is None else cache_dir
+    digest = hashlib.sha256(source.read_bytes())
+    digest.update(b"\0" + " ".join(KERNEL_CFLAGS).encode())
+    private = not _writable(cache_dir)
+    directory = Path(tempfile.mkdtemp(prefix="repro-scan-")) if private else cache_dir
+    library = directory / f"{source.stem}.{digest.hexdigest()[:16]}.so"
+    try:
+        if not library.exists():
+            _compile(source, library)
+        lib = ctypes.CDLL(str(library))
+    finally:
+        if private:
+            shutil.rmtree(directory, ignore_errors=True)
+    lib.ucnn_scan.argtypes = _KERNEL_ARGTYPES
+    lib.ucnn_scan.restype = ctypes.c_int
+    return lib
+
+
+def _writable(directory: Path) -> bool:
+    """Whether ``directory`` exists (creating it if needed) and is writable."""
+    try:
+        directory.mkdir(exist_ok=True)
+    except OSError:
+        return False
+    return os.access(directory, os.W_OK)
+
+
+def _compile(source: Path, library: Path) -> None:
+    """Compile ``source`` to ``library`` via a temp directory, atomically.
+
+    Racing processes each compile into their own temp directory next to
+    ``library``; the last ``os.replace`` wins with an identical library.
+    """
+    workdir = tempfile.mkdtemp(prefix=library.name + ".", suffix=".tmp", dir=library.parent)
+    built = os.path.join(workdir, library.name)
+    cmd = ["cc", *KERNEL_CFLAGS, "-o", built, str(source)]
+    what = f"building the scan kernel: `{' '.join(cmd)}`"
+    try:
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+        except OSError as exc:  # no compiler on PATH
+            raise RuntimeError(f"{what} could not run: {exc}") from exc
+        if proc.returncode:
+            raise RuntimeError(f"{what} exited with status {proc.returncode}:\n{proc.stderr}")
+        os.replace(built, library)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def _native_scan():
+    """The kernel's ``ucnn_scan`` entry, built and loaded on first use."""
+    global _kernel_entry
+    if _kernel_entry is None:
+        with _kernel_lock:
+            if _kernel_entry is None:
+                _kernel_entry = load_kernel().ucnn_scan
+    return _kernel_entry
 
 
 @dataclass(frozen=True)
@@ -121,24 +233,66 @@ def telescope(program: TableProgram) -> ScanTerms:
     )
 
 
-def _validated_windows(windows: np.ndarray, filter_size: int) -> np.ndarray:
-    """Validate ``(n, N)`` integer windows and cast them to int64."""
-    windows = np.asarray(windows)
-    if windows.ndim != 2 or windows.shape[1] != filter_size:
-        raise ValueError(f"windows must be (n, {filter_size}), got {windows.shape}")
-    if windows.dtype.kind not in "iub":
+def _check_operands(
+    program: TableProgram, windows: np.ndarray, out: np.ndarray, keep: np.ndarray | None
+) -> None:
+    """Raise ``ValueError`` unless the kernel may read and write these arrays."""
+    if not isinstance(windows, np.ndarray) or windows.ndim != 2:
+        raise ValueError(f"windows must be a 2-D array, got {np.shape(windows)}")
+    if windows.dtype != np.int64:
+        raise ValueError(f"windows must be int64, got {windows.dtype}")
+    if not (windows.flags.c_contiguous and windows.flags.aligned):
+        raise ValueError("windows must be C-contiguous and aligned")
+    if windows.shape[1] != program.filter_size:
+        raise ValueError(f"windows must be (n, {program.filter_size}), got {windows.shape}")
+    expected = (program.num_filters, windows.shape[0])
+    if not isinstance(out, np.ndarray) or out.dtype != np.int64 or out.shape != expected:
         raise ValueError(
-            f"engine windows must be integers (got dtype {windows.dtype}); "
-            "quantize activations explicitly instead of relying on truncation"
+            f"out must be an int64 array of shape {expected}, got "
+            f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
         )
-    return windows.astype(np.int64, copy=False)
+    if out.strides[1] != out.itemsize or out.strides[0] % out.itemsize or not out.flags.aligned:
+        raise ValueError(f"out must be aligned with unit column stride, got strides {out.strides}")
+    if not out.flags.writeable:
+        raise ValueError("out must be writeable")
+    if keep is not None and (
+        not isinstance(keep, np.ndarray) or keep.dtype != bool or keep.shape != (program.num_entries,)
+    ):
+        raise ValueError(
+            f"keep must be a boolean mask of shape ({program.num_entries},), got "
+            f"{getattr(keep, 'dtype', type(keep).__name__)} {np.shape(keep)}"
+        )
 
 
-def _matrix(buf: np.ndarray | None, n: int, width: int) -> np.ndarray:
-    """An ``(n, width)`` int64 matrix, carved from ``buf`` when given."""
-    if buf is None:
-        return np.empty((n, width), dtype=np.int64)
-    return buf[: n * width].reshape(n, width)
+def _int64(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as an aligned, C-contiguous int64 array (no copy if it is one)."""
+    return np.require(arr, np.int64, ("C", "A"))
+
+
+def _drop_dead_entries(
+    gather: np.ndarray, terms: ScanTerms, keep: np.ndarray
+) -> tuple[np.ndarray, ScanTerms]:
+    """The ``keep`` entries of ``gather``, and ``terms`` remapped onto them.
+
+    A boundary at full-stream position ``p`` reads the compressed prefix
+    at the number of kept entries before ``p``; terms that land on
+    position 0 are dropped, and runs left with no terms join the idle
+    rows (see the module docstring).
+    """
+    kept_before = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    mapped = kept_before[terms.cols + 1]  # P[p] of the full stream sits at P[mapped]
+    live = mapped > 0
+    rows = terms.rows
+    runs = np.repeat(np.arange(rows.size), np.diff(terms.run_starts, append=terms.cols.size))
+    counts = np.bincount(runs[live], minlength=rows.size)
+    return gather[keep], ScanTerms(
+        cols=mapped[live] - 1,
+        coefs=terms.coefs[live],
+        run_starts=np.cumsum(counts[counts > 0]) - counts[counts > 0],
+        rows=rows[counts > 0],
+        idle_rows=np.concatenate([terms.idle_rows, rows[counts == 0]]),
+    )
 
 
 def scan(
@@ -146,58 +300,46 @@ def scan(
     windows: np.ndarray,
     out: np.ndarray,
     keep: np.ndarray | None = None,
-    gather_buf: np.ndarray | None = None,
-    terms_buf: np.ndarray | None = None,
 ) -> None:
     """Evaluate ``program`` over a window matrix into ``out``.
 
     Args:
         program: the compiled :class:`TableProgram`.
-        windows: C-contiguous, window-major ``(n, N)`` int64 matrix.
-            Its width must equal ``program.filter_size``; gather indices
-            were bounds-checked when the program was built, so the takes
-            run in ``clip`` mode.
-        out: ``(num_filters, n)`` int64 view; every row is written.
+        windows: C-contiguous, window-major ``(n, N)`` int64 matrix;
+            ``N`` must equal ``program.filter_size``.
+        out: writeable ``(num_filters, n)`` int64 array with unit column
+            stride (a row block of a larger buffer is fine); every row
+            is written.
         keep: optional boolean mask over the program's gather entries;
             ``False`` entries read an activation that is zero in every
             window and are left out of the scan.
-        gather_buf, terms_buf: optional flat int64 scratch buffers of at
-            least ``n * num_entries`` and ``n * len(terms.cols)``
-            elements (allocated per call when omitted).
+
+    Raises:
+        ValueError: if an operand does not match the program (checked
+            before the native call, which does no bounds checking).
+        RuntimeError: if the kernel library cannot be built.
+        MemoryError: if the kernel cannot allocate its prefix scratch.
     """
-    terms = program.terms
-    gather, cols, coefs = program.gather, terms.cols, terms.coefs
-    run_starts, rows, idle = terms.run_starts, terms.rows, terms.idle_rows
-    entries = program.num_entries
-    if keep is not None:
-        kept = int(np.count_nonzero(keep))
-        if kept == 0:
-            out[...] = 0
-            return
-        if kept < entries:
-            kept_before = np.zeros(entries + 1, dtype=np.int64)
-            np.cumsum(keep, out=kept_before[1:])
-            mapped = kept_before[cols + 1]  # P[p] of the full stream sits at P[mapped]
-            live = mapped > 0
-            runs = np.repeat(np.arange(rows.size), np.diff(run_starts, append=cols.size))
-            counts = np.bincount(runs[live], minlength=rows.size)
-            idle = np.concatenate([idle, rows[counts == 0]])
-            rows = rows[counts > 0]
-            counts = counts[counts > 0]
-            run_starts = np.cumsum(counts) - counts
-            gather, cols, coefs, entries = gather[keep], mapped[live] - 1, coefs[live], kept
-    if idle.size:
-        out[idle] = 0
-    if not cols.size:
+    _check_operands(program, windows, out, keep)
+    gather, terms = program.gather, program.terms
+    if keep is not None and not keep.all():
+        gather, terms = _drop_dead_entries(gather, terms, keep)
+    if terms.idle_rows.size:
+        out[terms.idle_rows] = 0
+    if not terms.cols.size:
         return
-    n = windows.shape[0]
-    prefix_sums = _matrix(gather_buf, n, entries)
-    np.take(windows, gather, axis=1, out=prefix_sums, mode="clip")
-    np.cumsum(prefix_sums, axis=1, out=prefix_sums)
-    picked = _matrix(terms_buf, n, cols.size)
-    np.take(prefix_sums, cols, axis=1, out=picked, mode="clip")
-    np.multiply(picked, coefs, out=picked)
-    out[rows] = np.add.reduceat(picked, run_starts, axis=1).T
+    gather, cols, coefs, run_starts, rows = map(
+        _int64, (gather, terms.cols, terms.coefs, terms.run_starts, terms.rows)
+    )
+    status = _native_scan()(
+        windows.ctypes.data, windows.shape[0], windows.shape[1],
+        gather.ctypes.data, gather.size,
+        cols.ctypes.data, coefs.ctypes.data,
+        run_starts.ctypes.data, rows.ctypes.data, rows.size, cols.size,
+        out.ctypes.data, out.strides[0] // out.itemsize,
+    )
+    if status:
+        raise MemoryError(f"scan kernel: no memory for the prefixes of {gather.size} entries")
 
 
 def execute_program(program: TableProgram, windows: np.ndarray) -> np.ndarray:
@@ -205,8 +347,9 @@ def execute_program(program: TableProgram, windows: np.ndarray) -> np.ndarray:
 
     Args:
         program: the compiled :class:`TableProgram`.
-        windows: ``(n, N)`` integer matrix of flattened input tiles,
-            scanned in chunks of about :data:`SCAN_CHUNK_ELEMS` elements.
+        windows: ``(n, N)`` integer matrix of flattened input tiles, in
+            any layout; it is copied to contiguous int64 in chunks of
+            about :data:`COPY_CHUNK_ELEMS` elements.
 
     Returns:
         ``(K, n)`` int64 dot products, bit-identical to walking each
@@ -215,14 +358,20 @@ def execute_program(program: TableProgram, windows: np.ndarray) -> np.ndarray:
     Raises:
         ValueError: on shape mismatch or non-integer windows.
     """
-    windows = _validated_windows(windows, program.filter_size)
+    windows = np.asarray(windows)
+    if windows.ndim != 2 or windows.shape[1] != program.filter_size:
+        raise ValueError(f"windows must be (n, {program.filter_size}), got {windows.shape}")
+    if windows.dtype.kind not in "iub":
+        raise ValueError(
+            f"engine windows must be integers (got dtype {windows.dtype}); "
+            "quantize activations explicitly instead of relying on truncation"
+        )
     n = windows.shape[0]
     out = np.zeros((program.num_filters, n), dtype=np.int64)
-    entries = program.num_entries
-    if entries == 0 or n == 0:
+    if program.num_entries == 0 or n == 0:
         return out
-    chunk = max(1, SCAN_CHUNK_ELEMS // max(entries, program.terms.cols.size))
+    chunk = max(1, COPY_CHUNK_ELEMS // program.filter_size)
     for lo in range(0, n, chunk):
-        block = np.ascontiguousarray(windows[lo : lo + chunk])
+        block = _int64(windows[lo : lo + chunk])
         scan(program, block, out[:, lo : lo + block.shape[0]])
     return out

@@ -10,10 +10,10 @@ without returning to per-layer Python dispatch:
   (``CompiledLayer.shards``) and shared by every network built from
   it — so a thread pool can fan each layer's work out.  Each shard is
   one call of the engine's only segment-scan kernel,
-  :func:`repro.engine.executor.scan`: one gather, one prefix-sum scan,
-  one boundary take, one multiply and one ``reduceat`` fold, whatever
-  the group size (NumPy releases the GIL inside each of them, so shards
-  genuinely overlap);
+  :func:`repro.engine.executor.scan`: one native pass per window that
+  gathers, keeps the running prefix sum and folds the telescoped terms
+  into the shard's output rows, whatever the group size (the call
+  releases the GIL, so shards genuinely overlap);
 * intermediate activations live in two ping-pong buffers sized by an
   :class:`BufferPlan` at compile time — no per-layer allocation, and no
   per-layer ``(N, C, H, W) <-> (C, N, H, W)`` transposes: the fused
@@ -64,10 +64,10 @@ from repro.engine.program import (
     weights_fingerprint,
 )
 
-#: Memory budget (int64 elements, ~64 MiB) of one image slice's working
+#: Memory budget (int64 elements, ~8 MiB) of one image slice's working
 #: set: :meth:`BufferPlan.images_per_slice` sizes slices so the largest
 #: per-image footprint of any step, times the slice, stays near it.
-CHUNK_BUDGET_ELEMS = 8_000_000
+CHUNK_BUDGET_ELEMS = 1_000_000
 
 #: ``sparse="auto"`` probes a layer's activation slice for dead gather
 #: rows only when at least this fraction of its activations is zero.
@@ -208,22 +208,15 @@ class BufferPlan:
             of any conv step.
         pad_elems: largest zero-padded activation tensor of any conv
             step with ``padding > 0``.
-        gather_elems: largest single-shard gathered stream
-            (``entries * windows``) — allocated once per worker thread.
-        term_elems: largest single-shard boundary-take matrix
-            (``TableProgram.max_terms * windows``) — allocated once per
-            worker thread.
-        per_image_cost: slicing unit — the largest per-image footprint
-            across conv steps; slices are sized so this stays near
-            :data:`CHUNK_BUDGET_ELEMS`.
+        per_image_cost: slicing unit — the largest per-image buffer (an
+            activation slot or a conv step's column matrix); slices are
+            sized so this stays near :data:`CHUNK_BUDGET_ELEMS`.
         max_shards: most shards in any conv step (bounds useful threads).
     """
 
     slot_elems: tuple[int, int]
     cols_elems: int
     pad_elems: int
-    gather_elems: int
-    term_elems: int
     per_image_cost: int
     max_shards: int
 
@@ -282,9 +275,8 @@ class NetworkProgram:
                 kind = type(step).__name__.replace("Step", "").lower()
                 lines.append(f"  {kind} {step.name!r}: {step.in_shape} -> {step.out_shape}")
         lines.append(
-            f"  buffers: slots {self.plan.slot_elems} elems/image, "
-            f"cols {self.plan.cols_elems}, gather {self.plan.gather_elems} "
-            f"(x{self.plan.max_shards} shards max)"
+            f"  buffers: slots {self.plan.slot_elems}, cols {self.plan.cols_elems} "
+            f"elems/image; up to {self.plan.max_shards} shards per conv step"
         )
         return "\n".join(lines)
 
@@ -400,33 +392,22 @@ def _lower_layers(
 def _plan_buffers(input_elems: int, steps: tuple) -> BufferPlan:
     """Size every reused buffer of the fused executor (per-image units)."""
     slot_elems = [input_elems, 0]
-    cols = pad = gather = terms = per_image = max_shards = 0
+    cols = pad = max_shards = 0
     for i, step in enumerate(steps):
         out_elems = int(np.prod(step.out_shape))
         slot = (i + 1) % 2
         slot_elems[slot] = max(slot_elems[slot], out_elems)
         if isinstance(step, ConvStep):
-            windows = step.windows
-            cols = max(cols, step.filter_size * windows)
+            cols = max(cols, step.filter_size * step.windows)
             if step.padding:
                 c, h, w = step.in_shape
                 pad = max(pad, c * (h + 2 * step.padding) * (w + 2 * step.padding))
-            for spec in step.shards:
-                gather = max(gather, spec.program.num_entries * windows)
-                terms = max(terms, spec.program.max_terms * windows)
-            layer_terms = sum(spec.program.max_terms for spec in step.shards)
-            per_image = max(
-                per_image, max(step.entries, layer_terms, step.filter_size) * windows
-            )
             max_shards = max(max_shards, len(step.shards))
-    per_image = max(per_image, *slot_elems)
     return BufferPlan(
         slot_elems=(slot_elems[0], slot_elems[1]),
         cols_elems=cols,
         pad_elems=pad,
-        gather_elems=gather,
-        term_elems=terms,
-        per_image_cost=per_image,
+        per_image_cost=max(cols, *slot_elems),
         max_shards=max_shards,
     )
 
@@ -537,17 +518,14 @@ def _assemble(
 class _Scratch:
     """Per-call buffer pool realizing the :class:`BufferPlan`."""
 
-    def __init__(self, plan: BufferPlan, slice_n: int, workers: int):
+    def __init__(self, plan: BufferPlan, slice_n: int):
         """Allocate every buffer the plan sizes, for one image slice."""
-        self.slice_n = slice_n
         self.slots = [
             np.empty(plan.slot_elems[0] * slice_n, dtype=np.int64),
             np.empty(plan.slot_elems[1] * slice_n, dtype=np.int64),
         ]
         self.cols = np.empty(plan.cols_elems * slice_n, dtype=np.int64)
         self.pad = np.empty(plan.pad_elems * slice_n, dtype=np.int64)
-        self.gather = [np.empty(plan.gather_elems * slice_n, dtype=np.int64) for _ in range(workers)]
-        self.terms = [np.empty(plan.term_elems * slice_n, dtype=np.int64) for _ in range(workers)]
 
     def slot_view(self, slot: int, shape: tuple[int, int, int], ns: int) -> np.ndarray:
         """A ``(C, ns, H, W)`` view of one ping-pong activation buffer."""
@@ -611,17 +589,17 @@ def _apply_conv(
     out2d = out.reshape(step.out_shape[0], ns * step.windows)
     if pool is not None and len(step.shards) > 1:
         futures = [
-            pool.submit(_run_shard_list, step.shards[slot::workers], cols, out2d, live, scratch, slot)
+            pool.submit(_run_shard_list, step.shards[slot::workers], cols, out2d, live)
             for slot in range(min(workers, len(step.shards)))
         ]
         for future in futures:
             future.result()
     else:
-        _run_shard_list(step.shards, cols, out2d, live, scratch, 0)
+        _run_shard_list(step.shards, cols, out2d, live)
 
 
-def _run_shard_list(shards, cols, out2d, live, scratch: _Scratch, slot: int) -> None:
-    """Scan a worker's shard share sequentially on its own scratch pair."""
+def _run_shard_list(shards, cols, out2d, live) -> None:
+    """Scan a worker's share of the shards, one after another."""
     for spec in shards:
         program = spec.program
         scan(
@@ -629,8 +607,6 @@ def _run_shard_list(shards, cols, out2d, live, scratch: _Scratch, slot: int) -> 
             cols,
             out2d[spec.row_lo : spec.row_hi],
             keep=None if live is None else live[program.gather],
-            gather_buf=scratch.gather[slot],
-            terms_buf=scratch.terms[slot],
         )
 
 
@@ -729,7 +705,7 @@ def execute_network(
     out = np.empty((n,) + program.output_shape, dtype=np.int64)
     slice_n = min(n, program.plan.images_per_slice())
     workers = max(1, min(int(threads), max(1, program.plan.max_shards)))
-    scratch = _Scratch(program.plan, slice_n, workers)
+    scratch = _Scratch(program.plan, slice_n)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for lo in range(0, n, slice_n):

@@ -4,9 +4,9 @@ The per-entry walk of :meth:`FilterGroupTables.execute` is the *semantic*
 ground truth for UCNN's datapath, but as a Python loop it is orders of
 magnitude slower than the dense matmul it is meant to beat.  This module
 lowers each table — offline, once per layer — into a **table program**:
-a handful of flat integer arrays that a vectorized segment-scan executor
-(:mod:`repro.engine.executor`) can evaluate over *all* windows and *all*
-filter groups of a layer at once.
+a handful of flat integer arrays that the segment-scan kernel
+(:mod:`repro.engine.executor`) evaluates over *all* windows and *all*
+filter groups of a layer in one native call.
 
 The lowering rests on one identity.  Within a level-``g`` segment of the
 hierarchical traversal, filter ``g``'s weight is constant (the segment is
@@ -174,15 +174,6 @@ class TableProgram:
         from repro.engine.executor import telescope
 
         return telescope(self)
-
-    @property
-    def max_terms(self) -> int:
-        """Upper bound on the number of :attr:`terms`, without deriving them.
-
-        One term per segment start plus one per run end; buffer plans
-        size the per-window term matrix with it at compile time.
-        """
-        return int(sum(p.num_segments + p.filter_ids.size for p in self.passes))
 
     def run(self, windows: np.ndarray) -> np.ndarray:
         """Execute over ``(n, N)`` integer windows; returns ``(K, n)``."""

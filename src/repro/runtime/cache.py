@@ -7,8 +7,9 @@ A design point is addressed by the SHA-256 of the canonical JSON of::
 
     [code_fingerprint, "module.qualname", canonicalize(kwargs)]
 
-* ``code_fingerprint`` hashes every ``*.py`` file of the installed
-  ``repro`` package, so any source change invalidates the whole cache
+* ``code_fingerprint`` hashes every ``*.py`` and ``*.c`` file of the
+  installed ``repro`` package (the C file being the engine's scan
+  kernel), so any source change invalidates the whole cache
   (conservative but always sound);
 * the function identity pins which computation produced the value;
 * :func:`canonicalize` maps kwargs to a deterministic JSON-able
@@ -81,12 +82,16 @@ def default_cache_dir() -> Path:
 
 @lru_cache(maxsize=1)
 def code_fingerprint() -> str:
-    """Digest of the ``repro`` package sources (the cache's code version)."""
+    """Digest of the ``repro`` package sources (the cache's code version).
+
+    Covers the Python modules and the C source of the engine's scan
+    kernel, so editing either invalidates every cached result.
+    """
     import repro
 
     root = Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted([*root.rglob("*.py"), *root.rglob("*.c")]):
         digest.update(path.relative_to(root).as_posix().encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())

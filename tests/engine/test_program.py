@@ -30,10 +30,11 @@ def dense(filters, windows):
 class TestCompileTables:
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_matches_execute_and_dense(self, g, rng):
-        for __ in range(10):
+        # Every tail length after the kernel's four-window blocks.
+        for count in (1, 2, 3, 4, 5, 6, 7, 8, 9, 11):
             n = int(rng.integers(1, 50))
             filters = rng.integers(-3, 4, size=(g, n))
-            windows = rng.integers(-9, 10, size=(7, n))
+            windows = rng.integers(-9, 10, size=(count, n))
             tables = build_filter_group_tables(filters)
             program = compile_tables(tables)
             out = execute_program(program, windows)
@@ -122,10 +123,13 @@ class TestCompileLayer:
         program = compile_layer(groups)
         windows = rng.integers(-9, 10, size=(11, 25))
         full = execute_program(program, windows)
-        width = max(program.num_entries, program.terms.cols.size)
+        assert np.array_equal(full, dense(filters, windows))
         for chunk in (1, 2, 5):  # windows per chunk
-            monkeypatch.setattr(executor, "SCAN_CHUNK_ELEMS", chunk * width)
+            monkeypatch.setattr(executor, "COPY_CHUNK_ELEMS", chunk * program.filter_size)
             assert np.array_equal(execute_program(program, windows), full)
+            # Narrower or F-ordered input: each chunk is copied to int64.
+            assert np.array_equal(execute_program(program, windows.astype(np.int8)), full)
+            assert np.array_equal(execute_program(program, np.asfortranarray(windows)), full)
 
 
 class TestExecutorValidation:

@@ -1,19 +1,30 @@
 """Tests for the shared segment-scan kernel (repro.engine.executor.scan).
 
 The kernel reads every UCNN level from one prefix sum through
-telescoped coefficients.  These tests pin what that arithmetic changes:
-exactness when the running prefix wraps past 2**63, how much work it
-does per window, and the construction-time bounds checks that let its
-takes run unchecked.
+telescoped coefficients, in one native call per program.  These tests
+pin what that arithmetic changes: exactness when the running prefix
+wraps past 2**63 (for every tail length of the kernel's four-window
+blocks), how much work it does per window, the checks that run before
+the unchecked native call, and how the kernel library is built and
+cached.
 """
 
 import dataclasses
-from unittest import mock
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.engine import compile_network, compiled_layer_for, execute_network, execute_program
+from repro.engine import executor
 from repro.nn.layers import ConvLayer, ReluLayer
 from repro.nn.network import Network
 from repro.nn.reference import im2col
@@ -25,6 +36,11 @@ BIG = 2**62
 #: leave the int64 range, so prefixes wrap as soon as the scan starts.
 BIG_WEIGHTS = np.array([BIG + 3, -BIG + 7, BIG - 1, 5, 0], dtype=np.int64)
 BIG_ACTS = np.array([BIG - 11, -BIG + 1, 3, 0], dtype=np.int64)
+
+
+#: Window counts covering one to two full four-window blocks of the
+#: kernel and every tail length after them.
+WINDOW_COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11)
 
 
 def _wrapping_case(rng, k=5, n=40, windows=9):
@@ -43,10 +59,11 @@ class TestWrapAround:
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_execute_program_equals_wrapping_dense(self, rng, g):
-        weights, acts = _wrapping_case(rng)
-        program = compiled_layer_for(weights, group_size=g).program
-        out = execute_program(program, acts)
-        assert np.array_equal(out, weights @ acts.T)
+        for windows in WINDOW_COUNTS:
+            weights, acts = _wrapping_case(rng, windows=windows)
+            program = compiled_layer_for(weights, group_size=g).program
+            out = execute_program(program, acts)
+            assert np.array_equal(out, weights @ acts.T), f"{windows} windows"
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_execute_network_equals_wrapping_dense(self, rng, sparse):
@@ -75,6 +92,27 @@ def _nonzero_stretches(p):
     return total
 
 
+#: ``ucnn_scan``'s arguments, in the order of its C signature.
+KERNEL_ARGS = (
+    "windows", "n", "width", "gather", "entries", "cols", "coefs",
+    "run_starts", "rows", "runs", "terms", "out", "out_stride",
+)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Record every native kernel call as a name -> argument dict."""
+    real = executor._native_scan()
+    calls = []
+
+    def recorder(*args):
+        calls.append(dict(zip(KERNEL_ARGS, args, strict=True)))
+        return real(*args)
+
+    monkeypatch.setattr(executor, "_native_scan", lambda: recorder)
+    return calls
+
+
 class TestReuseInvariant:
     """Per window: ``num_entries`` scan adds and one multiply per boundary.
 
@@ -85,29 +123,20 @@ class TestReuseInvariant:
     """
 
     @pytest.mark.parametrize("g", [1, 2, 4])
-    def test_kernel_runs_one_scan_and_boundary_terms_only(self, rng, g):
+    def test_kernel_runs_one_scan_and_boundary_terms_only(self, rng, g, kernel_calls):
         weights = rng.choice(np.array([-3, -1, 0, 2, 4]), size=(8, 60))
         program = compiled_layer_for(weights, group_size=g).program
-        terms = program.terms.cols.size  # derive outside the spies
+        terms = program.terms
         bound = sum(int(p.mac_mask.sum()) + _nonzero_stretches(p) for p in program.passes)
-        assert terms <= bound <= program.max_terms
-        assert terms < weights.size
+        assert terms.cols.size < weights.size
         windows = rng.integers(-9, 10, size=(11, 60))
-        with (
-            mock.patch.object(np, "cumsum", wraps=np.cumsum) as cumsum,
-            mock.patch.object(np, "take", wraps=np.take) as take,
-            mock.patch.object(np, "multiply", wraps=np.multiply) as multiply,
-        ):
-            out = execute_program(program, windows)
+        out = execute_program(program, windows)
         assert np.array_equal(out, weights @ windows.T)
-        (scanned,), kwargs = cumsum.call_args
-        assert cumsum.call_count == 1 and kwargs["axis"] == 1
-        assert scanned.shape == (11, program.num_entries)
-        gather, boundary = (call.args[1] for call in take.call_args_list)
-        assert np.array_equal(gather, program.gather)
-        assert boundary.size == terms
-        assert multiply.call_count == 1
-        assert multiply.call_args.args[0].shape == (11, terms)
+        (call,) = kernel_calls  # one native pass over all 11 windows
+        assert (call["n"], call["width"]) == (11, 60)
+        assert call["entries"] == program.num_entries
+        assert call["terms"] == terms.cols.size <= bound
+        assert call["runs"] == terms.rows.size
 
 
 class TestKernelEdges:
@@ -167,3 +196,201 @@ class TestConstructionBounds:
         bad = dataclasses.replace(p, filter_ids=p.filter_ids + program.num_filters)
         with pytest.raises(ValueError, match="out of range"):
             dataclasses.replace(program, passes=(bad,) + program.passes[1:])
+
+
+class TestBoundaryChecks:
+    """``scan`` rejects operands the unchecked native call could misuse."""
+
+    @pytest.fixture
+    def case(self, rng, monkeypatch):
+        weights = rng.integers(-3, 4, size=(4, 30))
+        program = compiled_layer_for(weights, group_size=2).program
+        windows = rng.integers(-9, 10, size=(6, 30))
+        out = np.empty((4, 6), dtype=np.int64)
+
+        def no_native_call():
+            raise AssertionError("the native kernel ran on a rejected operand")
+
+        executor._native_scan()  # build before the guard replaces the loader
+        monkeypatch.setattr(executor, "_native_scan", no_native_call)
+        return program, windows, out
+
+    def test_valid_operands_pass_the_checks(self, case, monkeypatch):
+        program, windows, out = case
+        monkeypatch.undo()
+        executor.scan(program, windows, out)
+        assert np.array_equal(out, executor.execute_program(program, windows))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float64])
+    def test_windows_of_another_dtype(self, case, dtype):
+        program, windows, out = case
+        with pytest.raises(ValueError, match="windows must be int64"):
+            executor.scan(program, windows.astype(dtype), out)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_windows(self, case, layout):
+        program, windows, out = case
+        bad = np.asfortranarray(windows) if layout == "fortran" else np.repeat(windows, 2, 0)[::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            executor.scan(program, bad, out)
+
+    @pytest.mark.parametrize("shape", [(6, 29), (6, 31), (180,)])
+    def test_windows_of_the_wrong_width(self, case, shape):
+        program, windows, out = case
+        bad = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(ValueError, match="windows must be"):
+            executor.scan(program, bad, out)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (3, 6), (4, 7), (24,)])
+    def test_out_of_the_wrong_shape(self, case, shape):
+        program, windows, __ = case
+        with pytest.raises(ValueError, match="out must be an int64 array of shape"):
+            executor.scan(program, windows, np.empty(shape, dtype=np.int64))
+
+    def test_out_of_another_dtype(self, case):
+        program, windows, __ = case
+        with pytest.raises(ValueError, match="out must be an int64 array"):
+            executor.scan(program, windows, np.empty((4, 6), dtype=np.int32))
+
+    @pytest.mark.parametrize("layout", ["fortran", "every_other_column"])
+    def test_out_without_unit_column_stride(self, case, layout):
+        program, windows, __ = case
+        if layout == "fortran":
+            bad = np.empty((4, 6), dtype=np.int64, order="F")
+        else:
+            bad = np.empty((4, 12), dtype=np.int64)[:, ::2]
+        with pytest.raises(ValueError, match="unit column stride"):
+            executor.scan(program, windows, bad)
+
+    def test_read_only_out(self, case):
+        program, windows, out = case
+        out.setflags(write=False)
+        with pytest.raises(ValueError, match="writeable"):
+            executor.scan(program, windows, out)
+
+    @pytest.mark.parametrize("edit", ["short", "long", "int"])
+    def test_keep_of_the_wrong_length_or_dtype(self, case, edit):
+        program, windows, out = case
+        entries = program.num_entries
+        keep = {
+            "short": np.ones(entries - 1, dtype=bool),
+            "long": np.ones(entries + 1, dtype=bool),
+            "int": np.ones(entries, dtype=np.int64),
+        }[edit]
+        with pytest.raises(ValueError, match="keep must be a boolean mask"):
+            executor.scan(program, windows, out, keep=keep)
+
+
+def _kernel_copy(tmp_path: Path) -> Path:
+    """A private copy of the kernel source, so tests never touch the shared cache."""
+    source = tmp_path / "src" / executor.KERNEL_SOURCE.name
+    source.parent.mkdir()
+    shutil.copy(executor.KERNEL_SOURCE, source)
+    return source
+
+
+def _assert_kernel_works(lib, monkeypatch, rng):
+    """Run a program through ``lib`` and compare with the dense product."""
+    weights = rng.integers(-3, 4, size=(5, 20))
+    program = compiled_layer_for(weights, group_size=2).program
+    windows = rng.integers(-9, 10, size=(7, 20))
+    monkeypatch.setattr(executor, "_native_scan", lambda: lib.ucnn_scan)
+    assert np.array_equal(execute_program(program, windows), weights @ windows.T)
+
+
+class TestKernelBuild:
+    """The library is built once per source and flags, and cached."""
+
+    def test_second_load_in_a_fresh_process_runs_no_compiler(self, tmp_path):
+        executor._native_scan()  # this process built or found the cached library
+        script = (
+            "import numpy as np\n"
+            "from repro.engine import compiled_layer_for, execute_program\n"
+            "w = np.arange(-6, 6).reshape(3, 4)\n"
+            "x = np.arange(20).reshape(5, 4)\n"
+            "out = execute_program(compiled_layer_for(w, group_size=2).program, x)\n"
+            "assert np.array_equal(out, w @ x.T)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PATH=str(tmp_path), PYTHONPATH=src)  # no cc on PATH
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_edited_source_builds_a_new_hash_named_library(self, tmp_path, monkeypatch, rng):
+        source = _kernel_copy(tmp_path)
+        cache = tmp_path / "cache"
+        executor.load_kernel(source, cache)
+        (first,) = cache.iterdir()
+        source.write_text(source.read_text() + "\n/* edited */\n")
+        lib = executor.load_kernel(source, cache)
+        names = sorted(p.name for p in cache.iterdir())
+        assert len(names) == 2 and first.name in names
+        assert all(re.fullmatch(r"_scan\.[0-9a-f]{16}\.so", name) for name in names)
+        _assert_kernel_works(lib, monkeypatch, rng)
+
+    def test_unwritable_cache_dir_falls_back_to_a_private_temp_dir(
+        self, tmp_path, monkeypatch, rng
+    ):
+        source = _kernel_copy(tmp_path)
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        made = []
+
+        def mkdtemp(**kwargs):
+            made.append(real_mkdtemp(**kwargs))
+            return made[-1]
+
+        real_mkdtemp = tempfile.mkdtemp
+        monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+        lib = executor.load_kernel(source, blocker / "__pycache__")  # cannot be created
+        (private,) = [d for d in made if Path(d).parent == Path(tempfile.gettempdir())]
+        assert not os.path.exists(private)  # removed once loaded
+        _assert_kernel_works(lib, monkeypatch, rng)
+
+    def test_missing_compiler_raises_naming_cc(self, tmp_path, monkeypatch):
+        source = _kernel_copy(tmp_path)
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        with pytest.raises(RuntimeError, match=r"`cc -O3 -fPIC -shared -o \S+ \S+` could not run"):
+            executor.load_kernel(source, cache)
+        assert not list(cache.iterdir())  # no library, no leftover temp file
+
+    def test_compiler_error_carries_its_output(self, tmp_path):
+        source = _kernel_copy(tmp_path)
+        source.write_text(source.read_text() + "\nthis is not C;\n")
+        with pytest.raises(RuntimeError, match=r"(?s)exited with status \d+:.*error"):
+            executor.load_kernel(source, tmp_path / "cache")
+        assert not list((tmp_path / "cache").iterdir())
+
+    def test_racing_first_scans_load_the_kernel_once(self, monkeypatch):
+        loads = []
+        real_load = executor.load_kernel
+
+        def counting_load(*args, **kwargs):
+            loads.append(1)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "load_kernel", counting_load)
+        monkeypatch.setattr(executor, "_kernel_entry", None)
+        start = threading.Barrier(8)
+        entries = []
+
+        def first_scan():
+            start.wait(timeout=30)
+            entries.append(executor._native_scan())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_scan) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(loads) == 1 and len(entries) == 8
+        assert all(entry is entries[0] for entry in entries)

@@ -75,6 +75,39 @@ class TestCacheKey:
         assert baseline != bumped
 
 
+class TestCodeFingerprint:
+    """The code version covers Python modules and the kernel's C source."""
+
+    @pytest.fixture
+    def package(self, tmp_path, monkeypatch):
+        import repro
+
+        root = tmp_path / "repro"
+        (root / "engine").mkdir(parents=True)
+        (root / "__init__.py").write_text("")
+        (root / "engine" / "executor.py").write_text("x = 1\n")
+        (root / "engine" / "_scan.c").write_text("int x;\n")
+        monkeypatch.setattr(repro, "__file__", str(root / "__init__.py"))
+        return root
+
+    @staticmethod
+    def fingerprint():
+        return code_fingerprint.__wrapped__()  # bypass the per-process memo
+
+    @pytest.mark.parametrize("source", ["engine/executor.py", "engine/_scan.c"])
+    def test_source_edit_rotates_it(self, package, source):
+        before = self.fingerprint()
+        path = package / source
+        path.write_text(path.read_text() + "\n")
+        assert self.fingerprint() != before
+
+    def test_build_products_do_not(self, package):
+        before = self.fingerprint()
+        (package / "engine" / "__pycache__").mkdir()
+        (package / "engine" / "__pycache__" / "_scan.0123456789abcdef.so").write_bytes(b"\x7fELF")
+        assert self.fingerprint() == before
+
+
 class TestResultCache:
     def test_roundtrip_bit_identical(self, tmp_path):
         cache = ResultCache(root=tmp_path)
