@@ -2,13 +2,15 @@
 
 :class:`FactorizedConv` runs an entire convolutional layer through the
 factorized path — grouping the K filters into ``ceil(K/G)`` table
-groups, im2col-ing the input, and executing the layer's compiled table
-program (:mod:`repro.engine`) over every output position at once —
-producing outputs that are bit-exact against
-:func:`repro.nn.reference.conv2d_im2col` while reporting the arithmetic
-savings UCNN realizes.  The per-entry table walk survives as
-:meth:`FactorizedConv.forward_per_entry`, the semantic ground truth the
-engine is tested against.  Dot products of one filter group run through
+groups and executing the layer's compiled table program
+(:mod:`repro.engine`) over every output position at once, gathering
+each window straight from the zero-padded input — producing outputs
+that are bit-exact against :func:`repro.nn.reference.conv2d_im2col`
+while reporting the arithmetic savings UCNN realizes.  The per-entry
+table walk survives as :meth:`FactorizedConv.forward_per_entry`, the
+semantic ground truth the engine is tested against; it unfolds the
+input with :func:`repro.nn.reference.im2col`, so it shares no gather
+code with the engine.  Dot products of one filter group run through
 ``table_program_for(tables).run(windows)`` (or walk
 :meth:`~repro.core.hierarchical.FilterGroupTables.execute` per window).
 
@@ -25,7 +27,9 @@ import numpy as np
 
 from repro.core.hierarchical import FilterGroupTables
 from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
-from repro.engine import TableProgram, compiled_layer_for, execute_program
+from repro.engine import TableProgram, compiled_layer_for
+from repro.engine.executor import scan
+from repro.engine.fusion import gather_offsets, window_view
 from repro.nn.reference import im2col
 from repro.nn.tensor import conv_output_hw
 
@@ -131,8 +135,8 @@ class FactorizedConv:
         """K — output channels."""
         return int(self.weights.shape[0])
 
-    def _columns(self, inputs: np.ndarray) -> tuple[np.ndarray, int, int]:
-        """Validate inputs and unfold them into im2col columns."""
+    def _validated(self, inputs: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """Check inputs; returns them as int64 with the output height and width."""
         inputs = np.asarray(inputs)
         k, c, r, s = self.weights.shape
         if inputs.ndim != 3 or inputs.shape[0] != c:
@@ -144,16 +148,22 @@ class FactorizedConv:
                 "quantize activations explicitly instead of relying on truncation"
             )
         out_h, out_w = conv_output_hw(inputs.shape[1], inputs.shape[2], r, s, self.stride, self.padding)
+        return inputs.astype(np.int64), out_h, out_w
+
+    def _columns(self, inputs: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """Validate inputs and unfold them into im2col columns."""
+        inputs, out_h, out_w = self._validated(inputs)
+        __, __, r, s = self.weights.shape
         # im2col uses the same (c, r, s) flattening order as the tables.
-        cols = im2col(inputs.astype(np.int64), r, s, self.stride, self.padding)
-        return cols, out_h, out_w
+        return im2col(inputs, r, s, self.stride, self.padding), out_h, out_w
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Run the convolution through the compiled factorized path.
 
         Executes the layer's table program over every output position at
-        once; bit-exact against both the per-entry table walk
-        (:meth:`forward_per_entry`) and the dense im2col reference.
+        once, gathering each window from the zero-padded input; bit-exact
+        against both the per-entry table walk (:meth:`forward_per_entry`)
+        and the dense im2col reference.
 
         Args:
             inputs: ``(C, H, W)`` integer activation tensor.
@@ -164,9 +174,15 @@ class FactorizedConv:
         Raises:
             ValueError: on channel mismatch or non-integer inputs.
         """
-        cols, out_h, out_w = self._columns(inputs)
-        out = execute_program(self.program, cols.T)
-        return out.reshape(self.num_filters, out_h, out_w)
+        inputs, out_h, out_w = self._validated(inputs)
+        k, c, r, s = self.weights.shape
+        h, w, p = inputs.shape[1], inputs.shape[2], self.padding
+        src = np.zeros((c, 1, h + 2 * p, w + 2 * p), dtype=np.int64)
+        src[:, 0, p : p + h, p : p + w] = inputs
+        bases, taps = gather_offsets(window_view(src, r, s, self.stride, (out_h, out_w)))
+        out = np.empty((k, out_h * out_w), dtype=np.int64)
+        scan(self.program, src, bases, taps, out)
+        return out.reshape(k, out_h, out_w)
 
     def forward_per_entry(self, inputs: np.ndarray) -> np.ndarray:
         """Per-entry table walk (ground truth; orders of magnitude slower).

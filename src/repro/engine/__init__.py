@@ -6,10 +6,11 @@ The engine makes the factorized path the *fast* path, at two scales:
   lowers each :class:`~repro.core.hierarchical.FilterGroupTables` into a
   flat table program — gather indices, per-level segment boundaries,
   weight/MAC schedules — and the segment-scan kernel
-  (:mod:`repro.engine.executor`) evaluates the program over a window
-  matrix covering all windows and all filter groups of a layer at once,
-  bit-exact against both the per-entry walk and the dense im2col
-  reference.
+  (:mod:`repro.engine.executor`) evaluates the program over all windows
+  and all filter groups of a layer at once, gathering each window's
+  activations by offset from wherever they lie (a window matrix, or
+  a zero-padded activation tensor), bit-exact against both the
+  per-entry walk and the dense im2col reference.
 
 * **Per network** — :mod:`repro.engine.fusion` stitches every layer's
   shard programs into one :class:`NetworkProgram` with a preallocated

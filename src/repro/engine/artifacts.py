@@ -126,10 +126,12 @@ def engine_fingerprint() -> str:
     """Digest of the engine + lowering sources (the artifact code version).
 
     Narrower than :func:`repro.runtime.cache.code_fingerprint` (which
-    hashes the whole package): only the modules that define program
-    *structure and execution* rotate it — ``repro.engine`` plus the
-    core factorization modules the lowering reads.  A serve-layer edit
-    keeps every artifact valid; an engine edit invalidates them all.
+    hashes the whole package): only the sources that define program
+    *structure and execution* rotate it — the ``*.py`` and ``*.c``
+    files directly in ``repro.engine`` (the scan kernel's C source
+    included) plus the core factorization modules the lowering reads.
+    Build products under ``__pycache__`` are not hashed.  A serve-layer
+    edit keeps every artifact valid; an engine edit invalidates them all.
 
     Computed once per process (sources are immutable while running).
     """
@@ -143,7 +145,7 @@ def engine_fingerprint() -> str:
     roots = (Path(engine_pkg.__file__).resolve().parent,
              Path(core_pkg.__file__).resolve().parent)
     for root in roots:
-        for path in sorted(root.glob("*.py")):
+        for path in sorted([*root.glob("*.py"), *root.glob("*.c")]):
             digest.update(path.name.encode())
             digest.update(b"\0")
             digest.update(path.read_bytes())
@@ -476,7 +478,7 @@ def _enc_network_program(p: NetworkProgram, w: _ArrayWriter) -> dict:
         "steps": [_enc_step(s, w) for s in p.steps],
         "plan": {
             "slot_elems": [int(plan.slot_elems[0]), int(plan.slot_elems[1])],
-            "cols_elems": int(plan.cols_elems), "pad_elems": int(plan.pad_elems),
+            "pad_elems": int(plan.pad_elems),
             "per_image_cost": int(plan.per_image_cost),
             "max_shards": int(plan.max_shards),
         },
@@ -493,8 +495,7 @@ def _dec_network_program(node: dict, r: _ArrayReader) -> NetworkProgram:
         output_shape=_shape3(node["output_shape"]),
         steps=tuple(_dec_step(s, r) for s in node["steps"]),
         plan=BufferPlan(
-            slot_elems=(lo, hi), cols_elems=int(plan["cols_elems"]),
-            pad_elems=int(plan["pad_elems"]),
+            slot_elems=(lo, hi), pad_elems=int(plan["pad_elems"]),
             per_image_cost=int(plan["per_image_cost"]),
             max_shards=int(plan["max_shards"]),
         ),

@@ -1,18 +1,23 @@
 """The segment-scan kernel: every UCNN level from one prefix sum.
 
-:func:`scan` is the engine's only segment scan.  Both drivers call it:
-:func:`execute_program` (one program over a window matrix) and
+:func:`scan` is the engine's only segment scan.  Every driver calls it:
+:func:`execute_program` (one program over a window matrix),
 :func:`repro.engine.fusion.execute_network` (an image batch, one call
-per filter-group shard).  Given a C-contiguous, window-major
-``(n, N)`` int64 window matrix it makes one call into a small C kernel
-(``_scan.c`` next to this module) that walks the program the way the
-paper's processing element walks its indirection table: per window it
-streams the activations named by ``program.gather`` into a running
-prefix sum ``P`` (``P[i]`` = sum of the first ``i`` entries) and folds
-every run's telescoped terms, ``coef * P[col]``, straight into the
-output row, whatever the program's group size G.  Windows go four at a
-time so their serial adds overlap, and nothing window-sized is
-materialized beyond the output.
+per filter-group shard) and
+:meth:`repro.core.factorized.FactorizedConv.forward` (one image).  It
+never sees a window matrix: tap ``k`` of window ``w`` is
+``src.flat[bases[w] + taps[k]]``, so a convolution hands it the padded
+activations with one base offset per output position and one element
+offset per window element, and the kernel reads each activation where
+it lies, the way the paper's input indirection table addresses the
+input buffer.  One call into a small C kernel (``_scan.c`` next to this
+module) walks the program the way the paper's processing element walks
+its indirection table: per window it streams the activations named by
+``taps[program.gather]`` into a running prefix sum ``P`` (``P[i]`` =
+sum of the first ``i`` entries) and folds every run's telescoped terms,
+``coef * P[col]``, straight into the output row, whatever the program's
+group size G.  Windows go four at a time so their serial adds overlap,
+and nothing window-sized is materialized beyond the output.
 
 The terms are the program's :class:`ScanTerms`, derived once by
 :func:`telescope` and cached on the program.  For a filter whose run
@@ -38,13 +43,16 @@ package directory that is not writable makes each process build into a
 private temporary directory instead.  If ``cc`` is missing or fails,
 that first :func:`scan` raises :class:`RuntimeError` carrying the
 command and its error output.  The kernel does no bounds checking:
-:func:`scan` validates every operand first, and gather indices were
-bounds-checked when the program was built.
+:func:`scan` proves every read in bounds first (``bases`` and ``taps``
+non-negative, ``max(bases) + max(taps) < src.size``), and gather
+indices were bounds-checked when the program was built.
 
-:func:`execute_program` copies a caller's window matrix to contiguous
-int64 in chunks of about :data:`COPY_CHUNK_ELEMS` elements (a
-contiguous int64 matrix is scanned in place), so a window matrix of
-any size and layout runs in constant working memory.
+:func:`execute_program` is the trivial case, a window-major matrix with
+``bases = w * N`` and ``taps = arange(N)``.  It copies a caller's
+window matrix to contiguous int64 in chunks of about
+:data:`COPY_CHUNK_ELEMS` elements (a contiguous int64 matrix is scanned
+in place), so a window matrix of any size and layout runs in constant
+working memory.
 
 **Dropping dead entries** (``scan(keep=)``, the fused executor's
 sparse-activation gather): gather entries whose source activation is
@@ -83,8 +91,8 @@ KERNEL_CFLAGS = ("-O3", "-fPIC", "-shared")
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 #: ``ucnn_scan``'s C signature, in argument order.
 _KERNEL_ARGTYPES = (
-    _PTR, _I64, _I64,  # windows, n, width
-    _PTR, _I64,  # gather, entries
+    _PTR, _PTR, _I64,  # src, bases, n
+    _PTR, _I64,  # taps[gather], entries
     _PTR, _PTR,  # cols, coefs
     _PTR, _PTR, _I64, _I64,  # run_starts, rows, runs, terms
     _PTR, _I64,  # out, out row stride in elements
@@ -234,18 +242,43 @@ def telescope(program: TableProgram) -> ScanTerms:
 
 
 def _check_operands(
-    program: TableProgram, windows: np.ndarray, out: np.ndarray, keep: np.ndarray | None
+    program: TableProgram,
+    src: np.ndarray,
+    bases: np.ndarray,
+    taps: np.ndarray,
+    out: np.ndarray,
+    keep: np.ndarray | None,
 ) -> None:
-    """Raise ``ValueError`` unless the kernel may read and write these arrays."""
-    if not isinstance(windows, np.ndarray) or windows.ndim != 2:
-        raise ValueError(f"windows must be a 2-D array, got {np.shape(windows)}")
-    if windows.dtype != np.int64:
-        raise ValueError(f"windows must be int64, got {windows.dtype}")
-    if not (windows.flags.c_contiguous and windows.flags.aligned):
-        raise ValueError("windows must be C-contiguous and aligned")
-    if windows.shape[1] != program.filter_size:
-        raise ValueError(f"windows must be (n, {program.filter_size}), got {windows.shape}")
-    expected = (program.num_filters, windows.shape[0])
+    """Raise ``ValueError`` unless the kernel may read and write these arrays.
+
+    Every read the kernel makes is ``src.flat[bases[w] + taps[gather[i]]]``,
+    so non-negative offsets with ``max(bases) + max(taps) < src.size``
+    keep all of them inside ``src`` (``gather`` indexes ``taps`` in
+    bounds since the program was built).  The sum is taken on Python
+    integers, so huge offsets cannot wrap past the check.
+    """
+    if not isinstance(src, np.ndarray) or src.dtype != np.int64:
+        raise ValueError(
+            f"src must be an int64 array, got {getattr(src, 'dtype', type(src).__name__)}"
+        )
+    if not (src.flags.c_contiguous and src.flags.aligned):
+        raise ValueError("src must be C-contiguous and aligned")
+    for name, arr in (("bases", bases), ("taps", taps)):
+        if not isinstance(arr, np.ndarray) or arr.dtype != np.int64 or arr.ndim != 1:
+            raise ValueError(
+                f"{name} must be a 1-D int64 array, got "
+                f"{getattr(arr, 'dtype', type(arr).__name__)} {np.shape(arr)}"
+            )
+        if arr.size and arr.min() < 0:
+            raise ValueError(f"{name} must be non-negative, got {arr.min()}")
+    if taps.shape != (program.filter_size,):
+        raise ValueError(f"taps must have shape ({program.filter_size},), got {taps.shape}")
+    if bases.size and int(bases.max()) + int(taps.max()) >= src.size:
+        raise ValueError(
+            f"max(bases) + max(taps) = {int(bases.max()) + int(taps.max())} reads past "
+            f"src of {src.size} elements"
+        )
+    expected = (program.num_filters, bases.size)
     if not isinstance(out, np.ndarray) or out.dtype != np.int64 or out.shape != expected:
         raise ValueError(
             f"out must be an int64 array of shape {expected}, got "
@@ -297,16 +330,24 @@ def _drop_dead_entries(
 
 def scan(
     program: TableProgram,
-    windows: np.ndarray,
+    src: np.ndarray,
+    bases: np.ndarray,
+    taps: np.ndarray,
     out: np.ndarray,
     keep: np.ndarray | None = None,
 ) -> None:
-    """Evaluate ``program`` over a window matrix into ``out``.
+    """Evaluate ``program`` over windows gathered from ``src`` into ``out``.
+
+    Tap ``k`` of window ``w`` is ``src.flat[bases[w] + taps[k]]``.
 
     Args:
         program: the compiled :class:`TableProgram`.
-        windows: C-contiguous, window-major ``(n, N)`` int64 matrix;
-            ``N`` must equal ``program.filter_size``.
+        src: C-contiguous, aligned int64 activations, any shape.
+        bases: 1-D int64 offset (in elements) of each of the ``n``
+            windows, ``>= 0``.
+        taps: 1-D int64 offset of each of the ``N`` window elements
+            (``N == program.filter_size``), ``>= 0``, with
+            ``max(bases) + max(taps) < src.size``.
         out: writeable ``(num_filters, n)`` int64 array with unit column
             stride (a row block of a larger buffer is fine); every row
             is written.
@@ -315,35 +356,40 @@ def scan(
             window and are left out of the scan.
 
     Raises:
-        ValueError: if an operand does not match the program (checked
-            before the native call, which does no bounds checking).
+        ValueError: if an operand does not match the program or an
+            offset reads outside ``src`` (checked before the native
+            call, which does no bounds checking).
         RuntimeError: if the kernel library cannot be built.
         MemoryError: if the kernel cannot allocate its prefix scratch.
     """
-    _check_operands(program, windows, out, keep)
+    _check_operands(program, src, bases, taps, out, keep)
     gather, terms = program.gather, program.terms
     if keep is not None and not keep.all():
         gather, terms = _drop_dead_entries(gather, terms, keep)
     if terms.idle_rows.size:
         out[terms.idle_rows] = 0
-    if not terms.cols.size:
+    if not terms.cols.size or not bases.size:
         return
-    gather, cols, coefs, run_starts, rows = map(
-        _int64, (gather, terms.cols, terms.coefs, terms.run_starts, terms.rows)
+    offsets = taps[gather]
+    bases, cols, coefs, run_starts, rows = map(
+        _int64, (bases, terms.cols, terms.coefs, terms.run_starts, terms.rows)
     )
     status = _native_scan()(
-        windows.ctypes.data, windows.shape[0], windows.shape[1],
-        gather.ctypes.data, gather.size,
+        src.ctypes.data, bases.ctypes.data, bases.size,
+        offsets.ctypes.data, offsets.size,
         cols.ctypes.data, coefs.ctypes.data,
         run_starts.ctypes.data, rows.ctypes.data, rows.size, cols.size,
         out.ctypes.data, out.strides[0] // out.itemsize,
     )
     if status:
-        raise MemoryError(f"scan kernel: no memory for the prefixes of {gather.size} entries")
+        raise MemoryError(f"scan kernel: no memory for the prefixes of {offsets.size} entries")
 
 
 def execute_program(program: TableProgram, windows: np.ndarray) -> np.ndarray:
     """Evaluate a compiled program over a window matrix.
+
+    The trivial :func:`scan`: window ``w`` of a contiguous block starts
+    at ``w * N`` and its taps are ``arange(N)``.
 
     Args:
         program: the compiled :class:`TableProgram`.
@@ -366,12 +412,15 @@ def execute_program(program: TableProgram, windows: np.ndarray) -> np.ndarray:
             f"engine windows must be integers (got dtype {windows.dtype}); "
             "quantize activations explicitly instead of relying on truncation"
         )
-    n = windows.shape[0]
+    n, width = windows.shape
     out = np.zeros((program.num_filters, n), dtype=np.int64)
     if program.num_entries == 0 or n == 0:
         return out
-    chunk = max(1, COPY_CHUNK_ELEMS // program.filter_size)
+    chunk = max(1, COPY_CHUNK_ELEMS // width)
+    bases = np.arange(min(n, chunk), dtype=np.int64) * width
+    taps = np.arange(width, dtype=np.int64)
     for lo in range(0, n, chunk):
         block = _int64(windows[lo : lo + chunk])
-        scan(program, block, out[:, lo : lo + block.shape[0]])
+        rows = block.shape[0]
+        scan(program, block, bases[:rows], taps, out[:, lo : lo + rows])
     return out

@@ -19,14 +19,18 @@ without returning to per-layer Python dispatch:
   per-layer ``(N, C, H, W) <-> (C, N, H, W)`` transposes: the fused
   pipeline keeps activations in channel-major ``(C, n, H, W)`` layout
   end to end and converts exactly once on entry and once on exit;
-* the im2col unfold is batched — one strided copy for the whole image
-  slice straight into the window-major ``(n * windows, C*R*S)`` column
-  matrix the kernel reads, instead of one Python-level unfold per image;
+* no window is unrolled: a conv step zero-pads the image slice once (or
+  reads the activation slot itself when ``padding == 0``) and hands the
+  kernel one base offset per output position and one element offset per
+  window element (:func:`window_view`, :func:`gather_offsets`), so each
+  shard gathers its activations straight from the padded buffer, the
+  way the paper's input indirection table addresses the input buffer;
 * pooling is ``size x size`` strided taps over the whole slice;
 * a **sparse-activation gather mode** (``sparse="auto"``, the default)
-  drops gather entries whose source activation is zero across the
-  slice — ReuseSense-style activation reuse layered on UCNN's weight
-  reuse, bit-exact because zeros contribute nothing to int64 sums.
+  drops gather entries whose source activation is zero in every window
+  of the slice (one ``any()`` over the strided window view) —
+  ReuseSense-style activation reuse layered on UCNN's weight reuse,
+  bit-exact because zeros contribute nothing to int64 sums.
 
 This executor is the only image-batch driver of the kernel:
 ``ConvLayer.forward_batch`` runs a signed-integer, ungrouped layer as a
@@ -204,18 +208,15 @@ class BufferPlan:
     Attributes:
         slot_elems: ping-pong activation buffer sizes — step ``i`` reads
             slot ``i % 2`` and writes slot ``(i + 1) % 2``.
-        cols_elems: largest unfolded column matrix (``C*R*S * windows``)
-            of any conv step.
         pad_elems: largest zero-padded activation tensor of any conv
-            step with ``padding > 0``.
+            step with ``padding > 0`` (the buffer its shards gather from).
         per_image_cost: slicing unit — the largest per-image buffer (an
-            activation slot or a conv step's column matrix); slices are
-            sized so this stays near :data:`CHUNK_BUDGET_ELEMS`.
+            activation slot or the pad buffer); slices are sized so this
+            stays near :data:`CHUNK_BUDGET_ELEMS`.
         max_shards: most shards in any conv step (bounds useful threads).
     """
 
     slot_elems: tuple[int, int]
-    cols_elems: int
     pad_elems: int
     per_image_cost: int
     max_shards: int
@@ -275,7 +276,7 @@ class NetworkProgram:
                 kind = type(step).__name__.replace("Step", "").lower()
                 lines.append(f"  {kind} {step.name!r}: {step.in_shape} -> {step.out_shape}")
         lines.append(
-            f"  buffers: slots {self.plan.slot_elems}, cols {self.plan.cols_elems} "
+            f"  buffers: slots {self.plan.slot_elems}, pad {self.plan.pad_elems} "
             f"elems/image; up to {self.plan.max_shards} shards per conv step"
         )
         return "\n".join(lines)
@@ -392,22 +393,20 @@ def _lower_layers(
 def _plan_buffers(input_elems: int, steps: tuple) -> BufferPlan:
     """Size every reused buffer of the fused executor (per-image units)."""
     slot_elems = [input_elems, 0]
-    cols = pad = max_shards = 0
+    pad = max_shards = 0
     for i, step in enumerate(steps):
         out_elems = int(np.prod(step.out_shape))
         slot = (i + 1) % 2
         slot_elems[slot] = max(slot_elems[slot], out_elems)
         if isinstance(step, ConvStep):
-            cols = max(cols, step.filter_size * step.windows)
             if step.padding:
                 c, h, w = step.in_shape
                 pad = max(pad, c * (h + 2 * step.padding) * (w + 2 * step.padding))
             max_shards = max(max_shards, len(step.shards))
     return BufferPlan(
         slot_elems=(slot_elems[0], slot_elems[1]),
-        cols_elems=cols,
         pad_elems=pad,
-        per_image_cost=max(cols, *slot_elems),
+        per_image_cost=max(pad, *slot_elems),
         max_shards=max_shards,
     )
 
@@ -524,7 +523,6 @@ class _Scratch:
             np.empty(plan.slot_elems[0] * slice_n, dtype=np.int64),
             np.empty(plan.slot_elems[1] * slice_n, dtype=np.int64),
         ]
-        self.cols = np.empty(plan.cols_elems * slice_n, dtype=np.int64)
         self.pad = np.empty(plan.pad_elems * slice_n, dtype=np.int64)
 
     def slot_view(self, slot: int, shape: tuple[int, int, int], ns: int) -> np.ndarray:
@@ -533,36 +531,76 @@ class _Scratch:
         return self.slots[slot][: c * ns * h * w].reshape(c, ns, h, w)
 
 
-def _unfold(step: ConvStep, cur: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """Batched im2col, window-major: a C-contiguous ``(ns*windows, C*R*S)``.
+def window_view(
+    src: np.ndarray, r: int, s: int, stride: int, out_hw: tuple[int, int]
+) -> np.ndarray:
+    """Every convolution window of ``(C, n, H, W)`` activations, uncopied.
 
-    One strided copy for the whole slice.  Windows run in ``(n, y, x)``
-    order, matching the output rows' columns, and each window is
-    flattened exactly like :func:`repro.nn.reference.im2col`'s columns
-    (``c*R*S + rr*S + ss`` holds ``I[c, y*stride + ss, x*stride + rr]``).
+    A read-only strided view: ``view[i, y, x, c, rr, ss]`` is
+    ``src[c, i, y*stride + ss, x*stride + rr]``.  Windows run in
+    ``(n, y, x)`` order, matching the output rows' columns, and each
+    window is flattened exactly like :func:`repro.nn.reference.im2col`'s
+    columns (element ``c*R*S + rr*S + ss``; ``r`` runs along width and
+    ``s`` along height).  ``src`` holds the zero-padded activations.
     """
-    c, h, w = step.in_shape
-    ns = cur.shape[1]
-    if step.padding:
-        p = step.padding
-        padded = scratch.pad[: c * ns * (h + 2 * p) * (w + 2 * p)].reshape(
-            c, ns, h + 2 * p, w + 2 * p
-        )
-        padded[...] = 0
-        padded[:, :, p : p + h, p : p + w] = cur
-    else:
-        padded = cur
-    oh, ow = step.out_shape[1], step.out_shape[2]
-    sc, sn, sy, sx = padded.strides
-    taps = as_strided(
-        padded,
-        shape=(ns, oh, ow, c, step.r, step.s),
-        strides=(sn, sy * step.stride, sx * step.stride, sc, sx, sy),
+    sc, sn, sy, sx = src.strides
+    return as_strided(
+        src,
+        shape=(src.shape[1], *out_hw, src.shape[0], r, s),
+        strides=(sn, sy * stride, sx * stride, sc, sx, sy),
         writeable=False,
     )
-    cols = scratch.cols[: ns * oh * ow * step.filter_size].reshape(taps.shape)
-    cols[...] = taps
-    return cols.reshape(ns * oh * ow, step.filter_size)
+
+
+def gather_offsets(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~repro.engine.executor.scan`'s ``bases`` and ``taps`` for a window view.
+
+    Element ``k`` of window ``w`` of a :func:`window_view` over a
+    C-contiguous ``src`` is ``src.flat[bases[w] + taps[k]]``: the view's
+    three window axes give the bases and its three element axes the taps.
+    """
+    return _offsets(view, slice(0, 3)), _offsets(view, slice(3, 6))
+
+
+def live_taps(
+    src: np.ndarray, r: int, s: int, stride: int, out_hw: tuple[int, int]
+) -> np.ndarray:
+    """Which window elements read a nonzero activation in some window.
+
+    Element ``k`` is live unless it is zero in every window of every
+    image of ``src``, exactly ``any()`` over column ``k`` of the batch's
+    im2col matrices.  The images are OR'd together first, so one
+    ``any()`` over the strided :func:`window_view` of a ``(C, 1, H, W)``
+    mask answers for the whole slice.
+    """
+    nonzero = src.any(axis=1, keepdims=True)
+    return window_view(nonzero, r, s, stride, out_hw).any(axis=(0, 1, 2)).reshape(-1)
+
+
+def _offsets(view: np.ndarray, axes: slice) -> np.ndarray:
+    """Flat element offsets of a C-order walk over some axes of ``view``."""
+    flat = np.zeros(1, dtype=np.int64)
+    for size, stride in zip(view.shape[axes], view.strides[axes]):
+        step = np.arange(size, dtype=np.int64) * (stride // view.itemsize)
+        flat = (flat[:, None] + step).reshape(-1)
+    return flat
+
+
+def _padded(step: ConvStep, cur: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """The ``(C, ns, H, W)`` slice the step gathers from, zero-padded.
+
+    A step without padding gathers from its activation slot directly.
+    """
+    if not step.padding:
+        return cur
+    c, h, w = step.in_shape
+    ns, p = cur.shape[1], step.padding
+    padded = scratch.pad[: c * ns * (h + 2 * p) * (w + 2 * p)].reshape(
+        c, ns, h + 2 * p, w + 2 * p
+    )
+    padded[...] = 0
+    padded[:, :, p : p + h, p : p + w] = cur
+    return padded
 
 
 def _apply_conv(
@@ -574,37 +612,41 @@ def _apply_conv(
     workers: int,
     sparse: bool | str,
 ) -> None:
-    """Run one conv step: unfold, then fan the shards across threads."""
+    """Run one conv step: pad, then fan the shards across threads."""
     ns = cur.shape[1]
-    cols = _unfold(step, cur, scratch)
+    src = _padded(step, cur, scratch)
+    geometry = (step.r, step.s, step.stride, step.out_shape[1:])
+    bases, taps = gather_offsets(window_view(src, *geometry))
     live = None
-    if sparse is True:
-        live = cols.any(axis=0)
-    elif sparse == "auto":
-        zero_frac = 1.0 - np.count_nonzero(cur) / cur.size
-        if zero_frac >= SPARSE_AUTO_MIN_ZERO_FRACTION:
-            live = cols.any(axis=0)
-    if live is not None and live.all():
-        live = None
+    if sparse is True or (
+        sparse == "auto"
+        and 1.0 - np.count_nonzero(cur) / cur.size >= SPARSE_AUTO_MIN_ZERO_FRACTION
+    ):
+        live = live_taps(src, *geometry)
+        if live.all():
+            live = None
     out2d = out.reshape(step.out_shape[0], ns * step.windows)
+    args = (src, bases, taps, out2d, live)
     if pool is not None and len(step.shards) > 1:
         futures = [
-            pool.submit(_run_shard_list, step.shards[slot::workers], cols, out2d, live)
+            pool.submit(_run_shard_list, step.shards[slot::workers], *args)
             for slot in range(min(workers, len(step.shards)))
         ]
         for future in futures:
             future.result()
     else:
-        _run_shard_list(step.shards, cols, out2d, live)
+        _run_shard_list(step.shards, *args)
 
 
-def _run_shard_list(shards, cols, out2d, live) -> None:
+def _run_shard_list(shards, src, bases, taps, out2d, live) -> None:
     """Scan a worker's share of the shards, one after another."""
     for spec in shards:
         program = spec.program
         scan(
             program,
-            cols,
+            src,
+            bases,
+            taps,
             out2d[spec.row_lo : spec.row_hi],
             keep=None if live is None else live[program.gather],
         )

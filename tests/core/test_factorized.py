@@ -35,12 +35,27 @@ class TestFactorizedConv:
         assert conv.program.num_filters == 4
         assert conv.program.num_groups == 2
 
-    def test_stride_and_padding(self, rng):
-        weights = rng.integers(-3, 4, size=(3, 2, 3, 3))
-        inputs = rng.integers(-8, 9, size=(2, 10, 10))
-        conv = FactorizedConv(weights, group_size=2, stride=2, padding=1)
-        ref = conv2d_im2col(inputs, weights, stride=2, padding=1)
+    @pytest.mark.parametrize(
+        "r, s, stride, padding",
+        [(3, 3, 2, 1), (3, 3, 2, 2), (3, 3, 1, 2), (2, 5, 1, 1), (5, 1, 3, 2), (1, 1, 2, 0)],
+    )
+    def test_stride_and_padding(self, rng, r, s, stride, padding):
+        """Strides, wide padding and non-square windows (``r`` along width)."""
+        weights = rng.integers(-3, 4, size=(3, 2, r, s))
+        inputs = rng.integers(-8, 9, size=(2, 10, 11))
+        conv = FactorizedConv(weights, group_size=2, stride=stride, padding=padding)
+        ref = conv2d_im2col(inputs, weights, stride=stride, padding=padding)
         assert np.array_equal(conv.forward(inputs), ref)
+        assert np.array_equal(conv.forward_per_entry(inputs), ref)
+
+    @pytest.mark.parametrize("dtype, lo, hi", [(np.uint8, 0, 256), (np.int8, -128, 128), (bool, 0, 2)])
+    def test_narrow_integer_inputs_are_widened_first(self, rng, dtype, lo, hi):
+        weights = rng.integers(-3, 4, size=(4, 3, 3, 2))
+        inputs = rng.integers(lo, hi, size=(3, 8, 7)).astype(dtype)
+        conv = FactorizedConv(weights, group_size=3, stride=2, padding=2)
+        dense = conv2d_im2col(inputs.astype(np.int64), weights, stride=2, padding=2)
+        assert np.array_equal(conv.forward(inputs), conv.forward_per_entry(inputs))
+        assert np.array_equal(conv.forward(inputs), dense)
 
     def test_k_not_divisible_by_g(self, rng):
         weights = rng.integers(-3, 4, size=(5, 2, 2, 2))

@@ -175,6 +175,43 @@ class TestRejection:
             A.serialize_program({"not": "a program"})
 
 
+class TestEngineFingerprint:
+    """The artifact code version covers the engine's Python and C sources."""
+
+    @pytest.fixture
+    def package(self, tmp_path, monkeypatch):
+        import repro.core
+        import repro.engine
+
+        root = tmp_path / "repro"
+        for sub in ("engine", "core"):
+            (root / sub).mkdir(parents=True)
+            (root / sub / "__init__.py").write_text("")
+            monkeypatch.setattr(getattr(repro, sub), "__file__", str(root / sub / "__init__.py"))
+        (root / "engine" / "executor.py").write_text("x = 1\n")
+        (root / "engine" / "_scan.c").write_text("int x;\n")
+        (root / "core" / "hierarchical.py").write_text("y = 2\n")
+        return root
+
+    @staticmethod
+    def fingerprint(monkeypatch):
+        monkeypatch.setattr(A, "_FINGERPRINT_MEMO", None)  # bypass the per-process memo
+        return A.engine_fingerprint()
+
+    @pytest.mark.parametrize("source", ["engine/executor.py", "engine/_scan.c", "core/hierarchical.py"])
+    def test_source_edit_rotates_it(self, package, monkeypatch, source):
+        before = self.fingerprint(monkeypatch)
+        path = package / source
+        path.write_text(path.read_text() + "\n")
+        assert self.fingerprint(monkeypatch) != before
+
+    def test_build_products_do_not(self, package, monkeypatch):
+        before = self.fingerprint(monkeypatch)
+        (package / "engine" / "__pycache__").mkdir()
+        (package / "engine" / "__pycache__" / "_scan.0123456789abcdef.so").write_bytes(b"\x7fELF")
+        assert self.fingerprint(monkeypatch) == before
+
+
 class TestCorruptionProperties:
     """The trailing whole-envelope digest catches *any* byte damage."""
 

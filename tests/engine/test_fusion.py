@@ -244,6 +244,40 @@ class TestExecution:
         for sparse in (True, "auto"):
             assert np.array_equal(execute_network(program, x, sparse=sparse), ref)
 
+    def test_sparse_live_taps_match_im2col_columns(self, rng, monkeypatch):
+        """The sparse gather keeps exactly the taps some window reads as nonzero.
+
+        On a padded, stride-2, non-square layer, a window element is live
+        iff its im2col row is nonzero for some image of the batch; each
+        shard's ``keep`` mask is that mask at its gather entries.
+        """
+        from repro.engine import fusion
+        from repro.nn.reference import im2col
+
+        shape = ConvShape(name="c", w=9, h=7, c=3, k=5, r=3, s=2, stride=2, padding=2)
+        weights = rng.integers(-3, 4, size=shape.weight_shape).astype(np.int64)
+        net = Network("live", TensorShape(3, 7, 9), [ConvLayer(shape, weights)])
+        x = np.zeros((3, 3, 7, 9), dtype=np.int64)
+        x[0, 0, 0, 0] = 5  # top-left corner: two of channel 0's taps see it
+        x[2, 1, 6, 8] = -2  # bottom-right corner, another image and channel
+        x[1, 2, 3, 4] = 7
+        expected = np.logical_or.reduce([im2col(img, 3, 2, 2, 2).any(axis=1) for img in x])
+        assert expected.any() and not expected.all()
+        calls = []
+        real_scan = fusion.scan
+
+        def recording_scan(program, src, bases, taps, out, keep=None):
+            calls.append((program, keep))
+            real_scan(program, src, bases, taps, out, keep=keep)
+
+        monkeypatch.setattr(fusion, "scan", recording_scan)
+        program = compile_network(net)
+        out = execute_network(program, x, sparse=True)
+        assert np.array_equal(out, stacked_forward(net, x))
+        assert len(calls) == len(program.steps[0].shards)
+        for shard_program, keep in calls:
+            assert np.array_equal(keep, expected[shard_program.gather])
+
     def test_all_zero_batch(self, rng):
         net = small_network(rng)
         x = np.zeros((3, *net.input_shape.as_tuple()), dtype=np.int64)

@@ -3,10 +3,12 @@
 The fused whole-network executor must be *bit-identical* to the
 per-layer ``forward_batch`` path and to stacking the dense per-image
 ``forward`` — across group sizes 1..8 (including ragged ``K % G``
-layers), zero-heavy activations that trip the sparse-gather path, every
-thread count, and repeated runs.  Thread shards own disjoint output
-rows, so bit-identity across thread counts is a hard determinism
-contract, not a tolerance.
+layers), non-square windows, padding 0..2 and stride 1..3 (so output
+widths that are not a multiple of the kernel's four-window blocks, and
+blocks that straddle output rows and images), zero-heavy activations
+that trip the sparse-gather path, every thread count, and repeated
+runs.  Thread shards own disjoint output rows, so bit-identity across
+thread counts is a hard determinism contract, not a tolerance.
 """
 
 import numpy as np
@@ -34,15 +36,18 @@ def _network_case(draw):
     group_size = draw(st.integers(min_value=1, max_value=8))
     # k deliberately not rounded to G so ragged K % G groups are common.
     k1 = draw(st.integers(min_value=1, max_value=9))
-    padding = draw(st.integers(min_value=0, max_value=1))
-    stride = draw(st.integers(min_value=1, max_value=2))
+    # r (along width) and s (along height) are drawn independently.
+    r = draw(st.sampled_from([1, 2, 3, 5]))
+    s = draw(st.sampled_from([1, 2, 3, 5]))
+    padding = draw(st.integers(min_value=0, max_value=2))
+    stride = draw(st.integers(min_value=1, max_value=3))
     # Zero-heavy weights exercise dead segments and empty groups;
     # zero-heavy activations exercise the sparse gather path.
     weight_zero_frac = draw(st.sampled_from([0.0, 0.3, 0.9]))
     act_zero_frac = draw(st.sampled_from([0.0, 0.5, 0.95]))
 
     def conv(name, w, h, cin, k):
-        shape = ConvShape(name=name, w=w, h=h, c=cin, k=k, r=3, s=3,
+        shape = ConvShape(name=name, w=w, h=h, c=cin, k=k, r=r, s=s,
                           stride=stride, padding=padding)
         weights = rng.integers(-3, 4, size=shape.weight_shape).astype(np.int64)
         weights[rng.random(weights.shape) < weight_zero_frac] = 0
@@ -60,7 +65,7 @@ def _network_case(draw):
         pool = draw(st.sampled_from([MaxPoolLayer, AvgPoolLayer]))(*size_stride, "p1")
         layers.append(pool)
         shape = pool.output_shape(shape)
-    if draw(st.booleans()) and shape.h >= 3 and shape.w >= 3:
+    if draw(st.booleans()) and shape.h + 2 * padding >= s and shape.w + 2 * padding >= r:
         layers.append(conv("c2", shape.w, shape.h, shape.c,
                            draw(st.integers(min_value=1, max_value=6))))
         shape = layers[-1].shape.output_shape

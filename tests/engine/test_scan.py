@@ -9,6 +9,7 @@ the unchecked native call, and how the kernel library is built and
 cached.
 """
 
+import ctypes
 import dataclasses
 import os
 import re
@@ -94,19 +95,31 @@ def _nonzero_stretches(p):
 
 #: ``ucnn_scan``'s arguments, in the order of its C signature.
 KERNEL_ARGS = (
-    "windows", "n", "width", "gather", "entries", "cols", "coefs",
+    "src", "bases", "n", "taps", "entries", "cols", "coefs",
     "run_starts", "rows", "runs", "terms", "out", "out_stride",
 )
 
 
+def _int64_at(address: int, count: int) -> np.ndarray:
+    """A copy of ``count`` int64 values the kernel is about to read."""
+    return np.ctypeslib.as_array((ctypes.c_int64 * count).from_address(address)).copy()
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Record every native kernel call as a name -> argument dict."""
+    """Record every native kernel call as a name -> argument dict.
+
+    ``bases`` and ``taps`` are recorded as the offsets the kernel
+    reads, not as pointers.
+    """
     real = executor._native_scan()
     calls = []
 
     def recorder(*args):
-        calls.append(dict(zip(KERNEL_ARGS, args, strict=True)))
+        call = dict(zip(KERNEL_ARGS, args, strict=True))
+        call["bases"] = _int64_at(call["bases"], call["n"])
+        call["taps"] = _int64_at(call["taps"], call["entries"])
+        calls.append(call)
         return real(*args)
 
     monkeypatch.setattr(executor, "_native_scan", lambda: recorder)
@@ -133,7 +146,9 @@ class TestReuseInvariant:
         out = execute_program(program, windows)
         assert np.array_equal(out, weights @ windows.T)
         (call,) = kernel_calls  # one native pass over all 11 windows
-        assert (call["n"], call["width"]) == (11, 60)
+        assert call["n"] == 11
+        assert np.array_equal(call["bases"], np.arange(11) * 60)  # window w starts at w * N
+        assert np.array_equal(call["taps"], program.gather)  # taps = arange(N)
         assert call["entries"] == program.num_entries
         assert call["terms"] == terms.cols.size <= bound
         assert call["runs"] == terms.rows.size
@@ -199,13 +214,20 @@ class TestConstructionBounds:
 
 
 class TestBoundaryChecks:
-    """``scan`` rejects operands the unchecked native call could misuse."""
+    """``scan`` rejects operands the unchecked native call could misuse.
+
+    The case is the trivial gather of a ``(6, 30)`` window matrix:
+    ``bases = 30 * w`` and ``taps = arange(30)``, whose last read is the
+    last element of ``src``.
+    """
 
     @pytest.fixture
     def case(self, rng, monkeypatch):
         weights = rng.integers(-3, 4, size=(4, 30))
         program = compiled_layer_for(weights, group_size=2).program
-        windows = rng.integers(-9, 10, size=(6, 30))
+        src = rng.integers(-9, 10, size=(6, 30))
+        bases = np.arange(6, dtype=np.int64) * 30
+        taps = np.arange(30, dtype=np.int64)
         out = np.empty((4, 6), dtype=np.int64)
 
         def no_native_call():
@@ -213,64 +235,113 @@ class TestBoundaryChecks:
 
         executor._native_scan()  # build before the guard replaces the loader
         monkeypatch.setattr(executor, "_native_scan", no_native_call)
-        return program, windows, out
+        return program, src, bases, taps, out
 
     def test_valid_operands_pass_the_checks(self, case, monkeypatch):
-        program, windows, out = case
+        program, src, bases, taps, out = case
         monkeypatch.undo()
-        executor.scan(program, windows, out)
+        executor.scan(program, src, bases, taps, out)
+        assert np.array_equal(out, executor.execute_program(program, src))
+
+    def test_windows_may_overlap_and_come_in_any_order(self, case, monkeypatch):
+        program, src, __, taps, __ = case
+        monkeypatch.undo()
+        bases = np.array([150, 0, 7, 7, 149, 33, 150], dtype=np.int64)  # 150 + 29 = last element
+        out = np.empty((4, bases.size), dtype=np.int64)
+        executor.scan(program, src, bases, taps, out)
+        windows = src.reshape(-1)[bases[:, None] + taps]
         assert np.array_equal(out, executor.execute_program(program, windows))
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float64])
-    def test_windows_of_another_dtype(self, case, dtype):
-        program, windows, out = case
-        with pytest.raises(ValueError, match="windows must be int64"):
-            executor.scan(program, windows.astype(dtype), out)
+    def test_src_of_another_dtype(self, case, dtype):
+        program, src, bases, taps, out = case
+        with pytest.raises(ValueError, match="src must be an int64 array"):
+            executor.scan(program, src.astype(dtype), bases, taps, out)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
-    def test_non_contiguous_windows(self, case, layout):
-        program, windows, out = case
-        bad = np.asfortranarray(windows) if layout == "fortran" else np.repeat(windows, 2, 0)[::2]
+    def test_non_contiguous_src(self, case, layout):
+        program, src, bases, taps, out = case
+        bad = np.asfortranarray(src) if layout == "fortran" else np.repeat(src, 2, 0)[::2]
         with pytest.raises(ValueError, match="C-contiguous"):
-            executor.scan(program, bad, out)
+            executor.scan(program, bad, bases, taps, out)
 
-    @pytest.mark.parametrize("shape", [(6, 29), (6, 31), (180,)])
-    def test_windows_of_the_wrong_width(self, case, shape):
-        program, windows, out = case
-        bad = np.zeros(shape, dtype=np.int64)
-        with pytest.raises(ValueError, match="windows must be"):
-            executor.scan(program, bad, out)
+    @pytest.mark.parametrize("which", ["bases", "taps"])
+    @pytest.mark.parametrize("edit", ["int32", "2-D", "list"])
+    def test_offsets_of_another_dtype_or_rank(self, case, which, edit):
+        program, src, bases, taps, out = case
+        arr = {"bases": bases, "taps": taps}[which]
+        bad = {"int32": arr.astype(np.int32), "2-D": arr[None, :], "list": arr.tolist()}[edit]
+        operands = {"bases": bases, "taps": taps, which: bad}
+        with pytest.raises(ValueError, match=f"{which} must be a 1-D int64 array"):
+            executor.scan(program, src, operands["bases"], operands["taps"], out)
+
+    @pytest.mark.parametrize("size", [29, 31, 0])
+    def test_taps_of_the_wrong_length(self, case, size):
+        program, src, bases, __, out = case
+        taps = np.arange(size, dtype=np.int64)
+        with pytest.raises(ValueError, match=r"taps must have shape \(30,\)"):
+            executor.scan(program, src, bases, taps, out)
+
+    def test_negative_base(self, case):
+        program, src, bases, taps, out = case
+        bases[2] = -1
+        with pytest.raises(ValueError, match="bases must be non-negative"):
+            executor.scan(program, src, bases, taps, out)
+
+    def test_negative_tap(self, case):
+        program, src, bases, taps, out = case
+        taps[7] = -30  # would read the previous window's element
+        with pytest.raises(ValueError, match="taps must be non-negative"):
+            executor.scan(program, src, bases, taps, out)
+
+    @pytest.mark.parametrize("edit", ["last_base", "last_tap"])
+    def test_last_read_one_past_the_end(self, case, edit):
+        program, src, bases, taps, out = case
+        if edit == "last_base":
+            bases[-1] += 1
+        else:
+            taps[-1] += 1
+        assert int(bases.max()) + int(taps.max()) == src.size
+        with pytest.raises(ValueError, match="reads past src of 180 elements"):
+            executor.scan(program, src, bases, taps, out)
+
+    def test_offsets_whose_sum_wraps_int64(self, case):
+        program, src, bases, taps, out = case
+        bases[0] = 2**62
+        taps[-1] = 2**62  # int64 addition would wrap to -2**63
+        with pytest.raises(ValueError, match="reads past src"):
+            executor.scan(program, src, bases, taps, out)
 
     @pytest.mark.parametrize("shape", [(4, 5), (3, 6), (4, 7), (24,)])
     def test_out_of_the_wrong_shape(self, case, shape):
-        program, windows, __ = case
+        program, src, bases, taps, __ = case
         with pytest.raises(ValueError, match="out must be an int64 array of shape"):
-            executor.scan(program, windows, np.empty(shape, dtype=np.int64))
+            executor.scan(program, src, bases, taps, np.empty(shape, dtype=np.int64))
 
     def test_out_of_another_dtype(self, case):
-        program, windows, __ = case
+        program, src, bases, taps, __ = case
         with pytest.raises(ValueError, match="out must be an int64 array"):
-            executor.scan(program, windows, np.empty((4, 6), dtype=np.int32))
+            executor.scan(program, src, bases, taps, np.empty((4, 6), dtype=np.int32))
 
     @pytest.mark.parametrize("layout", ["fortran", "every_other_column"])
     def test_out_without_unit_column_stride(self, case, layout):
-        program, windows, __ = case
+        program, src, bases, taps, __ = case
         if layout == "fortran":
             bad = np.empty((4, 6), dtype=np.int64, order="F")
         else:
             bad = np.empty((4, 12), dtype=np.int64)[:, ::2]
         with pytest.raises(ValueError, match="unit column stride"):
-            executor.scan(program, windows, bad)
+            executor.scan(program, src, bases, taps, bad)
 
     def test_read_only_out(self, case):
-        program, windows, out = case
+        program, src, bases, taps, out = case
         out.setflags(write=False)
         with pytest.raises(ValueError, match="writeable"):
-            executor.scan(program, windows, out)
+            executor.scan(program, src, bases, taps, out)
 
     @pytest.mark.parametrize("edit", ["short", "long", "int"])
     def test_keep_of_the_wrong_length_or_dtype(self, case, edit):
-        program, windows, out = case
+        program, src, bases, taps, out = case
         entries = program.num_entries
         keep = {
             "short": np.ones(entries - 1, dtype=bool),
@@ -278,7 +349,7 @@ class TestBoundaryChecks:
             "int": np.ones(entries, dtype=np.int64),
         }[edit]
         with pytest.raises(ValueError, match="keep must be a boolean mask"):
-            executor.scan(program, windows, out, keep=keep)
+            executor.scan(program, src, bases, taps, out, keep=keep)
 
 
 def _kernel_copy(tmp_path: Path) -> Path:
