@@ -12,8 +12,9 @@ The engine makes the factorized path the *fast* path, at two scales:
   a zero-padded activation tensor), bit-exact against both the
   per-entry walk and the dense im2col reference.
 
-* **Per network** — :mod:`repro.engine.fusion` stitches every layer's
-  shard programs into one :class:`NetworkProgram` with a preallocated
+* **Per network** — :mod:`repro.engine.fusion` stitches every conv and
+  FC layer's shard programs (an FC layer runs as a 1x1 conv) into one
+  :class:`NetworkProgram` with a preallocated
   activation-buffer plan, a thread pool fanning each layer's segment
   scan across filter-group shards, and a sparse-activation gather mode.
   It is the only image-batch driver: ``ConvLayer.forward_batch`` runs

@@ -57,11 +57,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.hierarchical import FilterGroupTables, TableStats
+from repro.core.hierarchical import FilterGroupTables
 from repro.engine.fusion import (
     BufferPlan,
     ConvStep,
-    DenseStep,
     FallbackStep,
     FlattenStep,
     NetworkProgram,
@@ -89,7 +88,7 @@ MANIFEST_MAGIC = b"RPROGMAN"
 
 #: Envelope layout version.  Bump on any layout change; a mismatch is a
 #: clean :class:`ArtifactError`, never a misparse.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Serialized kind tags, one per program class.
 KIND_TABLE = "table_program"
@@ -279,34 +278,6 @@ class _ArrayReader:
 # ----------------------------------------------------------------------
 
 
-def _enc_stats(st: TableStats) -> dict:
-    return {
-        "num_entries": int(st.num_entries),
-        "num_filters": int(st.num_filters),
-        "filter_size": int(st.filter_size),
-        "boundaries_per_level": [int(b) for b in st.boundaries_per_level],
-        "multiplies": int(st.multiplies),
-        "adds": int(st.adds),
-        "weight_reads": int(st.weight_reads),
-        "skip_bubbles": int(st.skip_bubbles),
-        "mult_stalls": int(st.mult_stalls),
-    }
-
-
-def _dec_stats(node: dict) -> TableStats:
-    return TableStats(
-        num_entries=int(node["num_entries"]),
-        num_filters=int(node["num_filters"]),
-        filter_size=int(node["filter_size"]),
-        boundaries_per_level=tuple(int(b) for b in node["boundaries_per_level"]),
-        multiplies=int(node["multiplies"]),
-        adds=int(node["adds"]),
-        weight_reads=int(node["weight_reads"]),
-        skip_bubbles=int(node["skip_bubbles"]),
-        mult_stalls=int(node["mult_stalls"]),
-    )
-
-
 def _enc_pass(p: SegmentPass, w: _ArrayWriter) -> dict:
     # mac_mask is weights != 0 by construction; recomputed on decode.
     return {
@@ -337,8 +308,6 @@ def _enc_table_program(p: TableProgram, w: _ArrayWriter) -> dict:
         "num_filters": int(p.num_filters),
         "filter_size": int(p.filter_size),
         "num_groups": int(p.num_groups),
-        "stats": [_enc_stats(st) for st in p.stats],
-        "skip_entries": int(p.skip_entries),
         "key": p.key,
     }
 
@@ -350,41 +319,77 @@ def _dec_table_program(node: dict, r: _ArrayReader) -> TableProgram:
         num_filters=int(node["num_filters"]),
         filter_size=int(node["filter_size"]),
         num_groups=int(node["num_groups"]),
-        stats=tuple(_dec_stats(st) for st in node["stats"]),
-        skip_entries=int(node["skip_entries"]),
         key=node.get("key"),
     )
 
 
-def _enc_tables(t: FilterGroupTables, w: _ArrayWriter) -> dict:
+def _enc_groups(groups: tuple[FilterGroupTables, ...], w: _ArrayWriter) -> dict:
+    """A layer's group tables field-wise: one array per field for the layer.
+
+    The header keeps each group's filter, entry and unique-weight counts;
+    the ``(G, L)`` fields are stored flattened, group after group.
+    """
+    sizes = {t.max_group_size for t in groups}
+    if len(sizes) != 1:
+        raise ArtifactError(
+            f"cannot serialize a layer whose groups have max_group_size {sorted(sizes)}")
     return {
-        "filters": w.add(t.filters),
-        "canonical": w.add(t.canonical),
-        "iit": w.add(t.iit),
-        "ranks": w.add(t.ranks),
-        "transitions": w.add(t.transitions),
-        "skip_needs": w.add(t.skip_needs),
-        "max_group_size": int(t.max_group_size),
+        "num_filters": [t.num_filters for t in groups],
+        "num_entries": [t.num_entries for t in groups],
+        "num_unique": [t.num_unique for t in groups],
+        "max_group_size": sizes.pop(),
+        "filters": w.add(np.concatenate([t.filters for t in groups])),
+        "canonical": w.add(np.concatenate([t.canonical for t in groups])),
+        "iit": w.add(np.concatenate([t.iit for t in groups])),
+        "ranks": w.add(np.concatenate([t.ranks.reshape(-1) for t in groups])),
+        "transitions": w.add(np.concatenate([t.transitions.reshape(-1) for t in groups])),
+        "skip_needs": w.add(np.concatenate([t.skip_needs.reshape(-1) for t in groups])),
     }
 
 
-def _dec_tables(node: dict, r: _ArrayReader) -> FilterGroupTables:
-    return FilterGroupTables(
-        filters=r.get(node["filters"]),
-        canonical=r.get(node["canonical"]),
-        iit=r.get(node["iit"]),
-        ranks=r.get(node["ranks"]),
-        transitions=r.get(node["transitions"]),
-        skip_needs=r.get(node["skip_needs"]),
-        max_group_size=int(node["max_group_size"]),
-    )
+def _counts(node: dict, field: str) -> list[int]:
+    """One per-group count list from the header, validated."""
+    counts = node[field]
+    if not isinstance(counts, list) or any(type(c) is not int or c < 0 for c in counts):
+        raise ArtifactError(f"group table {field} must be a list of non-negative ints")
+    return counts
+
+
+def _dec_groups(node: dict, r: _ArrayReader) -> tuple[FilterGroupTables, ...]:
+    """Split the layer-wide field arrays back into per-group tables.
+
+    Every count is checked against the stored arrays before any slice,
+    so a header that disagrees with its payload is an
+    :class:`ArtifactError`, never a misaligned table.
+    """
+    gs, ls, us = (_counts(node, f) for f in ("num_filters", "num_entries", "num_unique"))
+    filters = r.get(node["filters"])
+    canonical = r.get(node["canonical"])
+    iit = r.get(node["iit"])
+    flat = [r.get(node[f]) for f in ("ranks", "transitions", "skip_needs")]
+    cells = sum(g * n for g, n in zip(gs, ls))
+    if (not len(gs) == len(ls) == len(us)
+            or filters.ndim != 2 or filters.shape[0] != sum(gs)
+            or canonical.shape != (sum(us),) or iit.shape != (sum(ls),)
+            or any(a.shape != (cells,) for a in flat)):
+        raise ArtifactError("group table counts do not match the stored arrays")
+    max_group_size = int(node["max_group_size"])
+    groups = []
+    f = u = e = c = 0
+    for g, n, k in zip(gs, ls, us):
+        ranks, transitions, skip_needs = (a[c : c + g * n].reshape(g, n) for a in flat)
+        groups.append(FilterGroupTables(
+            filters=filters[f : f + g], canonical=canonical[u : u + k], iit=iit[e : e + n],
+            ranks=ranks, transitions=transitions, skip_needs=skip_needs,
+            max_group_size=max_group_size))
+        f, u, e, c = f + g, u + k, e + n, c + g * n
+    return tuple(groups)
 
 
 def _enc_compiled_layer(cl: CompiledLayer, w: _ArrayWriter) -> dict:
     return {
-        "groups": [_enc_tables(t, w) for t in cl.groups],
+        "groups": _enc_groups(cl.groups, w),
         "canonical": None if cl.canonical is None else w.add(cl.canonical),
-        "program": _enc_table_program(cl.program, w),
         "key": cl.key,
     }
 
@@ -392,9 +397,8 @@ def _enc_compiled_layer(cl: CompiledLayer, w: _ArrayWriter) -> dict:
 def _dec_compiled_layer(node: dict, r: _ArrayReader) -> CompiledLayer:
     canonical = node["canonical"]
     return CompiledLayer(
-        groups=tuple(_dec_tables(t, r) for t in node["groups"]),
+        groups=_dec_groups(node["groups"], r),
         canonical=None if canonical is None else r.get(canonical),
-        program=_dec_table_program(node["program"], r),
         key=str(node["key"]),
     )
 
@@ -415,11 +419,7 @@ def _enc_step(step: object, w: _ArrayWriter) -> dict:
                  "row_lo": int(spec.row_lo), "row_hi": int(spec.row_hi)}
                 for spec in step.shards
             ],
-            "entries": int(step.entries),
         }
-    if isinstance(step, DenseStep):
-        return {"step": "dense", "name": step.name, "weights": w.add(step.weights),
-                "in_shape": list(step.in_shape), "out_shape": list(step.out_shape)}
     if isinstance(step, ReluStep):
         return {"step": "relu", "name": step.name,
                 "in_shape": list(step.in_shape), "out_shape": list(step.out_shape)}
@@ -453,11 +453,7 @@ def _dec_step(node: dict, r: _ArrayReader) -> object:
                     row_lo=int(spec["row_lo"]), row_hi=int(spec["row_hi"]))
                 for spec in node["shards"]
             ),
-            entries=int(node["entries"]),
         )
-    if tag == "dense":
-        return DenseStep(name=name, weights=r.get(node["weights"]),
-                         in_shape=in_shape, out_shape=out_shape)
     if tag == "relu":
         return ReluStep(name=name, in_shape=in_shape, out_shape=out_shape)
     if tag == "pool":

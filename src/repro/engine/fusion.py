@@ -8,7 +8,11 @@ without returning to per-layer Python dispatch:
 * every convolutional layer becomes a :class:`ConvStep` holding the
   layer's filter-group shard programs — split once per compiled layer
   (``CompiledLayer.shards``) and shared by every network built from
-  it — so a thread pool can fan each layer's work out.  Each shard is
+  it — so a thread pool can fan each layer's work out.  A fully
+  connected layer lowers the same way, as the paper runs it (Section
+  IV-E): a 1x1, stride-1, unpadded conv over an ``(N, 1, 1)`` input,
+  one window per image, after a :class:`FlattenStep` when its input is
+  not already ``(N, 1, 1)``.  Each shard is
   one call of the engine's only segment-scan kernel,
   :func:`repro.engine.executor.scan`: one native pass per window that
   gathers, keeps the running prefix sum and folds the telescoped terms
@@ -103,7 +107,6 @@ class ConvStep:
             ``s`` along height, matching :func:`repro.nn.reference.im2col`).
         shards: the layer's :class:`ShardSpec` sequence (disjoint,
             exhaustive output rows).
-        entries: total gather entries across shards (per window).
     """
 
     name: str
@@ -114,7 +117,11 @@ class ConvStep:
     stride: int
     padding: int
     shards: tuple[ShardSpec, ...]
-    entries: int
+
+    @property
+    def entries(self) -> int:
+        """Total gather entries across shards (per window)."""
+        return sum(spec.program.num_entries for spec in self.shards)
 
     @property
     def windows(self) -> int:
@@ -125,23 +132,6 @@ class ConvStep:
     def filter_size(self) -> int:
         """Flattened window length ``C*R*S``."""
         return self.in_shape[0] * self.r * self.s
-
-
-@dataclass(frozen=True, eq=False)
-class DenseStep:
-    """A fully connected layer as one int64 matmul into its buffer.
-
-    Attributes:
-        name: source layer name.
-        weights: ``(K, N)`` int64 weight matrix.
-        in_shape: ``(C, H, W)`` input shape per image (``C*H*W == N``).
-        out_shape: ``(K, 1, 1)`` output shape per image.
-    """
-
-    name: str
-    weights: np.ndarray
-    in_shape: tuple[int, int, int]
-    out_shape: tuple[int, int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,7 +297,7 @@ def _lower_layers(
     layer_canonical: bool,
     compile_steps: bool = True,
 ) -> tuple[tuple, list[str]]:
-    """Lower every layer into a step; returns (steps, key descriptors).
+    """Lower every layer into steps; returns (steps, key descriptors).
 
     With ``compile_steps=False`` only the cheap descriptor walk runs —
     weights are fingerprinted and validated but no table program is
@@ -322,6 +312,12 @@ def _lower_layers(
         MaxPoolLayer,
         ReluLayer,
     )
+
+    def shards(weights: np.ndarray, g: int) -> tuple[ShardSpec, ...]:
+        """The compiled layer's shard programs, shared by every network."""
+        return compiled_layer_for(
+            weights, group_size=g, max_group_size=max_group_size, layer_canonical=layer_canonical
+        ).shards
 
     steps: list = []
     descriptors: list[str] = []
@@ -339,25 +335,9 @@ def _lower_layers(
                 f"{weights_fingerprint(weights)}"
             )
             if compile_steps:
-                compiled = compiled_layer_for(
-                    weights,
-                    group_size=g,
-                    max_group_size=max_group_size,
-                    layer_canonical=layer_canonical,
-                )
-                steps.append(
-                    ConvStep(
-                        name=layer.name,
-                        in_shape=in_t,
-                        out_shape=out_t,
-                        r=sh.r,
-                        s=sh.s,
-                        stride=sh.stride,
-                        padding=sh.padding,
-                        shards=compiled.shards,
-                        entries=compiled.program.num_entries,
-                    )
-                )
+                steps.append(ConvStep(
+                    layer.name, in_t, out_t, sh.r, sh.s, sh.stride, sh.padding, shards(weights, g)
+                ))
         elif isinstance(layer, ConvLayer):
             _check_weights(layer.name, layer.weights)  # same rejection as the fused path
             steps.append(FallbackStep(layer.name, layer, in_t, out_t))
@@ -366,9 +346,19 @@ def _lower_layers(
                 f"p{layer.shape.padding}:{weights_fingerprint(np.asarray(layer.weights))}"
             )
         elif isinstance(layer, FullyConnectedLayer):
+            # Section IV-E: the FC runs as its 1x1 conv over (N, 1, 1),
+            # one window per image.
             weights = _check_weights(layer.name, layer.weights)
-            steps.append(DenseStep(layer.name, weights, in_t, out_t))
-            descriptors.append(f"fc:{layer.name}:{weights_fingerprint(weights)}")
+            g = group_size if group_size is not None else ConvLayer.engine_group_size
+            descriptors.append(f"fc:{layer.name}:g{g}:{weights_fingerprint(weights)}")
+            sh = layer.as_conv_shape()
+            flat_t = sh.input_shape.as_tuple()
+            if in_t != flat_t:
+                steps.append(FlattenStep(layer.name, in_t, flat_t))
+            if compile_steps:
+                steps.append(ConvStep(
+                    layer.name, flat_t, out_t, sh.r, sh.s, sh.stride, sh.padding, shards(weights, g)
+                ))
         elif isinstance(layer, ReluLayer):
             steps.append(ReluStep(layer.name, in_t, out_t))
             descriptors.append("relu")
@@ -384,8 +374,16 @@ def _lower_layers(
             steps.append(FlattenStep(layer.name, in_t, out_t))
             descriptors.append("flatten")
         else:
+            # The step runs the live layer, so the key must cover every
+            # weight inside it: two networks that differ only within a
+            # block must not share one cached program.
             steps.append(FallbackStep(layer.name, layer, in_t, out_t))
-            descriptors.append(f"fallback:{type(layer).__name__}:{layer.name}")
+            inner = "".join(
+                f":{sub.name}:G{sub.shape.groups}:st{sub.shape.stride}:p{sub.shape.padding}:"
+                f"{weights_fingerprint(np.asarray(sub.weights))}"
+                for sub in layer.conv_sublayers()
+            )
+            descriptors.append(f"fallback:{type(layer).__name__}:{layer.name}{inner}")
         shape = out_shape
     return tuple(steps), descriptors
 
@@ -448,16 +446,18 @@ def compile_network(
 
     Args:
         network: the network; every conv/FC layer must have (signed)
-            integer weights attached.  Ungrouped conv layers lower into
-            their compiled layer's shared shard programs (at most
+            integer weights attached.  Ungrouped conv layers and FC
+            layers (as 1x1 convs) lower into their compiled layer's
+            shared shard programs (at most
             :data:`DEFAULT_NETWORK_SHARDS`, the thread fan-out ceiling);
             grouped convs and unknown layer types become fallback steps
             running the layer's own batched forward.
-        group_size: UCNN G for every conv layer; ``None`` (default)
-            uses each layer's ``engine_group_size`` — the same choice
-            ``ConvLayer.forward_batch`` makes, so a layer's one-step
-            program and every network containing it share one compiled
-            layer and its shards.
+        group_size: UCNN G for every conv and FC layer; ``None``
+            (default) uses each conv layer's ``engine_group_size`` — the
+            same choice ``ConvLayer.forward_batch`` makes, so a layer's
+            one-step program and every network containing it share one
+            compiled layer and its shards — and the conv default
+            (``ConvLayer.engine_group_size``, 2) for FC layers.
         max_group_size: innermost chunk limit (Section IV-B).
         layer_canonical: key each conv layer's groups to the layer-wide
             canonical weight order.
@@ -765,13 +765,6 @@ def execute_network(
                     _apply_pool(step, cur, nxt)
                 elif isinstance(step, FlattenStep):
                     _flatten_into(cur, nxt.reshape(step.out_shape[0], ns))
-                elif isinstance(step, DenseStep):
-                    c, h, w = step.in_shape
-                    if h == 1 and w == 1:
-                        flat = cur.reshape(c, ns)
-                    else:
-                        flat = cur.transpose(0, 2, 3, 1).reshape(c * h * w, ns)
-                    np.matmul(step.weights, flat, out=nxt.reshape(step.out_shape[0], ns))
                 else:  # FallbackStep
                     result = step.layer.forward_batch(cur.transpose(1, 0, 2, 3))
                     nxt[...] = np.asarray(result).transpose(1, 0, 2, 3)

@@ -39,10 +39,12 @@ object, never serialized), which rewrite every level's segment sums as
 weighted reads of one prefix sum over the gathered stream (see
 :mod:`repro.engine.executor`).
 
-Compilation is pure bookkeeping: it never re-orders the tables and it
-must not change their event accounting — :attr:`TableProgram.stats`
-carries each group's :class:`TableStats` verbatim, and the test suite
-pins compile-invariance.
+Compilation is pure bookkeeping: it never re-orders the tables and
+reads no event accounting.  The op counts the simulators and the
+regress digest report stay on :meth:`FilterGroupTables.stats`, which
+the lowering never calls; the test suite pins that compiling a group
+leaves them unchanged and that the program's MAC schedule agrees with
+them.
 
 Programs are memoized in a process-wide cache keyed by
 ``(weights fingerprint, G, max_group_size, layer_canonical)`` (schema in
@@ -62,7 +64,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.activation_groups import canonical_weight_order
-from repro.core.hierarchical import FilterGroupTables, TableStats, build_filter_group_tables
+from repro.core.hierarchical import FilterGroupTables, build_filter_group_tables
 from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
 
 if TYPE_CHECKING:
@@ -116,11 +118,6 @@ class TableProgram:
         num_filters: total output rows K (sum of group sizes).
         filter_size: flattened window length N every group shares.
         num_groups: filter groups fused into this program.
-        stats: each group's :class:`TableStats`, unchanged by
-            compilation (the op-count invariance contract).
-        skip_entries: total skip-entry bubbles across groups (program
-            metadata; the executor never pays them — they are cycle
-            accounting, not math).
         key: program-cache key when the program came from the cache.
     """
 
@@ -129,8 +126,6 @@ class TableProgram:
     num_filters: int
     filter_size: int
     num_groups: int
-    stats: tuple[TableStats, ...]
-    skip_entries: int
     key: str | None = None
 
     def __post_init__(self):
@@ -208,8 +203,8 @@ class ShardSpec:
 
     Attributes:
         program: the shard's compiled :class:`TableProgram` (its
-            ``gather`` holds absolute window indices, so every shard
-            reads the same column matrix).
+            ``gather`` holds absolute window element indices, so every
+            shard reads the same windows).
         row_lo: first output row (int) this shard owns.
         row_hi: one past the last output row this shard owns.  The
             kernel writes every row in between, zeroing the rows of
@@ -223,20 +218,31 @@ class ShardSpec:
 
 @dataclass(frozen=True)
 class CompiledLayer:
-    """A layer lowered end to end: its tables plus their fused program.
+    """A layer's filter-group tables, lowered into programs on first read.
 
     Attributes:
         groups: the hierarchical tables, one per filter group.
         canonical: the layer-wide canonical weight order (None when each
             group used its own values).
-        program: the fused :class:`TableProgram` over all groups.
         key: the program-cache key this layer is stored under.
     """
 
     groups: tuple[FilterGroupTables, ...]
     canonical: np.ndarray | None
-    program: TableProgram
     key: str
+
+    @cached_property
+    def program(self) -> TableProgram:
+        """The whole-layer :class:`TableProgram` over every group.
+
+        Built on first read and kept on the object (never serialized).
+        The fused executor never reads it — it runs :attr:`shards` — so
+        only callers that execute the layer as one window-matrix program
+        (``FactorizedConv``, :func:`~repro.engine.executor.execute_program`
+        callers) pay for this second lowering of the groups.  Racing
+        first callers build identical programs; either may win.
+        """
+        return compile_layer(self.groups, key=self.key)
 
     @cached_property
     def shards(self) -> tuple[ShardSpec, ...]:
@@ -298,7 +304,6 @@ def compile_layer(groups: Sequence[FilterGroupTables], key: str | None = None) -
             raise ValueError(
                 f"filter size mismatch across groups: {tables.filter_size} != {filter_size}"
             )
-    stats = tuple(tables.stats() for tables in groups)
     offsets = np.zeros(len(groups), dtype=np.int64)
     np.cumsum([t.num_entries for t in groups[:-1]], out=offsets[1:])
     filter_offsets = np.zeros(len(groups), dtype=np.int64)
@@ -356,8 +361,6 @@ def compile_layer(groups: Sequence[FilterGroupTables], key: str | None = None) -
         num_filters=num_filters,
         filter_size=filter_size,
         num_groups=len(groups),
-        stats=stats,
-        skip_entries=int(sum(st.skip_bubbles for st in stats)),
         key=key,
     )
 
@@ -513,7 +516,7 @@ def compiled_layer_for(
     max_group_size: int = DEFAULT_MAX_GROUP_SIZE,
     layer_canonical: bool = True,
 ) -> CompiledLayer:
-    """Lower a whole layer (tables + fused program), memoized.
+    """Factorize a whole layer into its filter-group tables, memoized.
 
     Args:
         weights: ``(K, C, R, S)`` or ``(K, N)`` integer weight tensor.
@@ -548,7 +551,7 @@ def compiled_layer_for(
     key = layer_program_key(flat, group_size, max_group_size, layer_canonical)
 
     def build() -> CompiledLayer:
-        """Factorize the groups and lower them (cache-miss path)."""
+        """Factorize the groups (cache-miss path); lowering waits for a reader."""
         canonical = canonical_weight_order(flat) if layer_canonical else None
         groups = tuple(
             build_filter_group_tables(
@@ -558,12 +561,7 @@ def compiled_layer_for(
             )
             for start in range(0, flat.shape[0], group_size)
         )
-        return CompiledLayer(
-            groups=groups,
-            canonical=canonical,
-            program=compile_layer(groups, key=key),
-            key=key,
-        )
+        return CompiledLayer(groups=groups, canonical=canonical, key=key)
 
     return _cached(key, build)
 

@@ -275,7 +275,7 @@ class FullyConnectedLayer(Layer):
         self._weights = weights
 
     def as_conv_shape(self) -> ConvShape:
-        """Equivalent 1x1 conv geometry (used by the accelerator model)."""
+        """Equivalent 1x1 conv geometry (the accelerator model and the fused engine run it)."""
         return ConvShape(name=self.name, w=1, h=1, c=self.in_features, k=self.out_features, r=1, s=1)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:

@@ -71,7 +71,7 @@ def _layer_digest(shape: ConvShape, group_size: int, provider) -> dict:
         "segments_per_level": [p.num_segments for p in program.passes],
         "macs_per_level": [int(p.mac_mask.sum()) for p in program.passes],
         "weights_sum": int(sum(int(p.weights.sum()) for p in program.passes)),
-        "multiplies": int(sum(st.multiplies for st in program.stats)),
+        "multiplies": int(sum(t.stats().multiplies for t in compiled.groups)),
         "output_sum": int(out.sum()),
         "output_sha256": _array_sha256(out),
     }

@@ -258,7 +258,8 @@ def network_forward(
     with the fused executor, and verifies bit-identity against
     ``Network.forward_batch`` — the same executor run a layer at a time,
     each conv layer as a one-step program on the shard programs the
-    whole-network program already compiled.
+    whole-network program already compiled, and the FC layer (a 1x1
+    conv step in the fused program) as its int64 matmul reference.
 
     Args:
         c/size: input channels and spatial extent.

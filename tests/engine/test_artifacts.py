@@ -58,10 +58,13 @@ class TestRoundTrip:
         windows = rng.integers(-9, 10, size=(40, layer.program.filter_size))
         assert np.array_equal(layer.program.run(windows), again.program.run(windows))
         assert np.array_equal(layer.canonical, again.canonical)
+        assert len(again.groups) == len(layer.groups)
         for t1, t2 in zip(layer.groups, again.groups):
-            assert np.array_equal(t1.filters, t2.filters)
-            assert np.array_equal(t1.iit, t2.iit)
+            for field in ("filters", "canonical", "iit", "ranks", "transitions", "skip_needs"):
+                a, b = getattr(t1, field), getattr(t2, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), field
             assert t1.max_group_size == t2.max_group_size
+            assert t1.stats() == t2.stats()
 
     def test_table_program_bit_identical(self, rng):
         clear_program_cache()
@@ -70,8 +73,8 @@ class TestRoundTrip:
         again = A.deserialize_program(A.serialize_program(program))
         windows = rng.integers(-9, 10, size=(25, 20))
         assert np.array_equal(program.run(windows), again.run(windows))
-        assert [s.num_entries for s in program.stats] == [
-            s.num_entries for s in again.stats]
+        assert np.array_equal(program.gather, again.gather)
+        assert (again.num_groups, again.key) == (program.num_groups, program.key)
 
     def test_network_program_bit_identical(self, rng):
         program = _network()
@@ -83,10 +86,36 @@ class TestRoundTrip:
         batch = rng.integers(-16, 17, size=(2, *program.input_shape))
         assert np.array_equal(program.run(batch), again.run(batch))
 
+    def test_fc_conv_step_round_trips(self, rng):
+        """A network whose FC layers lowered to 1x1 conv steps, one flattened first."""
+        from repro.nn.layers import ConvLayer, FullyConnectedLayer
+        from repro.nn.network import Network
+        from repro.nn.tensor import ConvShape, TensorShape
+
+        s1 = ConvShape(name="c1", w=6, h=6, c=2, k=4, r=3, s=3)
+        n = s1.output_shape.size
+        net = Network("conv-fc-fc", TensorShape(2, 6, 6), [
+            ConvLayer(s1, rng.integers(-3, 4, size=s1.weight_shape)),
+            FullyConnectedLayer(5, n, rng.integers(-3, 4, size=(5, n)), name="fc1"),
+            FullyConnectedLayer(3, 5, rng.integers(-3, 4, size=(3, 5)), name="fc2"),
+        ])
+        clear_program_cache()
+        program = compile_network(net)
+        again = A.deserialize_program(A.serialize_program(program), expected_key=program.key)
+        kinds = [(type(s).__name__, s.name) for s in again.steps]
+        assert kinds == [("ConvStep", "c1"), ("FlattenStep", "fc1"),
+                         ("ConvStep", "fc1"), ("ConvStep", "fc2")]
+        for mine, theirs in zip(program.steps, again.steps):
+            assert mine.in_shape == theirs.in_shape and mine.out_shape == theirs.out_shape
+        assert [s.entries for s in again.steps[2:]] == [s.entries for s in program.steps[2:]]
+        batch = rng.integers(-16, 17, size=(3, 2, 6, 6))
+        assert np.array_equal(again.run(batch), np.stack([net.forward(x) for x in batch]))
+
     def test_decoded_arrays_are_writable(self):
         again = A.deserialize_program(_BLOB)
-        again.program.gather.flags.writeable  # noqa: B018 — must not raise
-        assert again.program.gather.flags.writeable
+        for tables in again.groups:
+            for field in ("filters", "canonical", "iit", "ranks", "transitions", "skip_needs"):
+                assert getattr(tables, field).flags.writeable, field
 
 
 class TestRejection:
@@ -127,6 +156,36 @@ class TestRejection:
         with pytest.raises(A.ArtifactError, match="gather indices"):
             A.deserialize_program(bytes(blob))
 
+    @pytest.mark.parametrize("field", ["num_filters", "num_entries", "num_unique"])
+    @pytest.mark.parametrize("damage, message", [
+        ("grow", "counts do not match"),
+        ("shrink", "counts do not match"),
+        ("drop", "counts do not match"),
+        ("negative", "non-negative ints"),
+    ])
+    def test_group_counts_must_match_the_stored_arrays(self, field, damage, message):
+        """Re-signed per-group counts that disagree with the field arrays are rejected."""
+        layer = _layer(seed=9, k=6, n=18)
+        assert len(layer.groups) == 3
+        blob = A.serialize_program(layer)
+        hlen = struct.unpack(">I", blob[8:12])[0]
+        header = json.loads(blob[12:12 + hlen])
+        counts = header["meta"]["groups"][field]
+        assert min(counts) > 0
+        if damage == "grow":
+            counts[0] += 1
+        elif damage == "shrink":
+            counts[-1] -= 1
+        elif damage == "drop":
+            counts.pop()
+        else:
+            counts[1] = -counts[1]
+        import hashlib
+        hj = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+        body = A.MAGIC + struct.pack(">I", len(hj)) + hj + blob[12 + hlen:-32]
+        with pytest.raises(A.ArtifactError, match=message):
+            A.deserialize_program(body + hashlib.sha256(body).digest())
+
     def test_stale_fingerprint_rejected(self):
         layer = _layer(seed=3)
         blob = A.serialize_program(layer, fingerprint="0123456789abcdef")
@@ -161,14 +220,12 @@ class TestRejection:
             A.serialize_program(bad)
 
     def test_unkeyed_program_rejected(self):
-        layer = _layer(seed=4)
+        import dataclasses
+
+        program = _layer(seed=4).program
+        assert program.key  # the whole-layer program carries its layer's key
         with pytest.raises(A.ArtifactError, match="key"):
-            A.serialize_program(layer.program.__class__(
-                gather=layer.program.gather, passes=layer.program.passes,
-                num_filters=layer.program.num_filters,
-                filter_size=layer.program.filter_size,
-                num_groups=layer.program.num_groups, stats=layer.program.stats,
-                skip_entries=layer.program.skip_entries, key=None))
+            A.serialize_program(dataclasses.replace(program, key=None))
 
     def test_non_program_rejected(self):
         with pytest.raises(A.ArtifactError, match="cannot serialize"):

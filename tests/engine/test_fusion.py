@@ -120,6 +120,42 @@ class TestCompile:
         x = rng.integers(-4, 5, size=(3, 4, 6, 6)).astype(np.int64)
         assert np.array_equal(execute_network(program, x), stacked_forward(net, x))
 
+    def test_fallback_key_covers_weights_inside_a_block(self, rng):
+        """Networks differing only inside a block get distinct programs."""
+        from repro.nn.zoo import BottleneckBlock
+
+        def block_net(seed):
+            block = BottleneckBlock("b", in_channels=4, width=2, h=4, w=4)
+            block_rng = np.random.default_rng(seed)
+            for conv in block.conv_sublayers():
+                conv.set_weights(block_rng.integers(-2, 3, size=conv.shape.weight_shape))
+            return Network("blocky", TensorShape(4, 4, 4), [block])
+
+        a, b = block_net(1), block_net(2)
+        assert network_program_key(a) != network_program_key(b)
+        x = rng.integers(-4, 5, size=(2, 4, 4, 4)).astype(np.int64)
+        compile_network(a).run(x)
+        assert compile_network(b) is not compile_network(a)
+        assert np.array_equal(b.forward_batch(x, fused=True), stacked_forward(b, x))
+
+    def test_fc_after_conv_lowers_to_flatten_and_a_1x1_conv(self, rng):
+        s1 = ConvShape(name="c1", w=5, h=5, c=2, k=3, r=3, s=3)
+        conv = ConvLayer(s1, rng.integers(-3, 4, size=s1.weight_shape).astype(np.int64))
+        n = s1.output_shape.size
+        fc1 = FullyConnectedLayer(6, n, rng.integers(-3, 4, size=(6, n)), name="fc1")
+        fc2 = FullyConnectedLayer(4, 6, rng.integers(-3, 4, size=(4, 6)), name="fc2")
+        net = Network("conv-fc-fc", TensorShape(2, 5, 5), [conv, fc1, fc2])
+        program = compile_network(net, group_size=4)
+        assert [(type(s).__name__, s.name) for s in program.steps] == [
+            ("ConvStep", "c1"), ("FlattenStep", "fc1"), ("ConvStep", "fc1"), ("ConvStep", "fc2"),
+        ]
+        fc_step = program.steps[2]
+        assert fc_step.in_shape == (n, 1, 1) and fc_step.out_shape == (6, 1, 1)
+        assert (fc_step.r, fc_step.s, fc_step.stride, fc_step.padding, fc_step.windows) == (1, 1, 1, 0, 1)
+        assert len(fc_step.shards) == 2  # ceil(6 / G=4) groups
+        x = rng.integers(-8, 9, size=(5, 2, 5, 5)).astype(np.int64)
+        assert np.array_equal(execute_network(program, x, threads=2), stacked_forward(net, x))
+
     def test_empty_network_passthrough(self, rng):
         net = Network("empty", TensorShape(2, 3, 3), [])
         x = rng.integers(-4, 5, size=(2, 2, 3, 3)).astype(np.int64)
@@ -312,6 +348,46 @@ class TestExecution:
         assert np.array_equal(net.forward_batch(x, fused=True), stacked_forward(net, x))
 
 
+class TestColdCompile:
+    """A cold fused compile lowers each filter group once and counts no events."""
+
+    def test_lenet_lowers_every_weighted_layer_into_its_shards_only(self, rng):
+        from repro.core.hierarchical import FilterGroupTables
+        from repro.engine import program
+        from repro.nn.zoo import lenet_cifar10
+        from repro.quant.distributions import uniform_unique_weights
+
+        net = lenet_cifar10()
+        weight_rng = np.random.default_rng(7)
+        for layer in net.layers:
+            if isinstance(layer, ConvLayer):
+                shape = layer.shape.weight_shape
+            elif isinstance(layer, FullyConnectedLayer):
+                shape = (layer.out_features, layer.in_features)
+            else:
+                continue
+            layer.set_weights(uniform_unique_weights(shape, 17, 0.9, weight_rng).values)
+        clear_program_cache()
+        with (
+            mock.patch.object(
+                FilterGroupTables, "stats", autospec=True, side_effect=FilterGroupTables.stats
+            ) as stats,
+            mock.patch.object(program, "compile_layer", wraps=program.compile_layer) as compile_layer,
+        ):
+            fused = compile_network(net)
+        assert stats.call_count == 0
+        conv_steps = [s for s in fused.steps if isinstance(s, ConvStep)]
+        assert [s.name for s in conv_steps] == ["conv1", "conv2", "conv3", "ip1", "ip2"]
+        # 8 shards each for conv1-3 and ip1, 5 for ip2's ceil(10 / 2) groups.
+        assert compile_layer.call_count == sum(len(s.shards) for s in conv_steps) == 37
+        assert {type(s).__name__ for s in fused.steps} == {
+            "ConvStep", "ReluStep", "PoolStep", "FlattenStep"}
+        x = rng.integers(-16, 17, size=(3, 3, 32, 32))
+        ref = stacked_forward(net, x)
+        for threads in (1, 2):
+            assert np.array_equal(execute_network(fused, x, threads=threads), ref)
+
+
 class TestSharedShards:
     """One compiled layer backs its one-step program and every network."""
 
@@ -338,8 +414,10 @@ class TestSharedShards:
         # One-step programs are assembled outside the program cache.
         assert (after["entries"], after["misses"]) == (before["entries"], before["misses"])
         conv_steps = [s for s in fused.steps if isinstance(s, ConvStep)]
-        assert len(conv_steps) == 2
-        for step in conv_steps:
+        # The FC lowers to a conv step too; a layer at a time it runs
+        # the int64 matmul reference, so only the convs have one-step programs.
+        assert [s.name for s in conv_steps] == ["c1", "c2", "fc"]
+        for step in conv_steps[:2]:
             layer = net.find(step.name)
             (own,) = fusion._assemble(Network(layer.name, layer.shape.input_shape, [layer])).steps
             assert len(own.shards) == len(step.shards)

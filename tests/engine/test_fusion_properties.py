@@ -5,9 +5,10 @@ per-layer ``forward_batch`` path and to stacking the dense per-image
 ``forward`` — across group sizes 1..8 (including ragged ``K % G``
 layers), non-square windows, padding 0..2 and stride 1..3 (so output
 widths that are not a multiple of the kernel's four-window blocks, and
-blocks that straddle output rows and images), zero-heavy activations
-that trip the sparse-gather path, every thread count, and repeated
-runs.  Thread shards own disjoint output rows, so bit-identity across
+blocks that straddle output rows and images), FC layers with or
+without a preceding flatten and sometimes a second FC after the first,
+zero-heavy activations that trip the sparse-gather path, every thread
+count, and repeated runs.  Thread shards own disjoint output rows, so bit-identity across
 thread counts is a hard determinism contract, not a tolerance.
 """
 
@@ -70,11 +71,16 @@ def _network_case(draw):
                            draw(st.integers(min_value=1, max_value=6))))
         shape = layers[-1].shape.output_shape
     if draw(st.booleans()):
-        layers.append(FlattenLayer("fl"))
-        layers.append(FullyConnectedLayer(
-            3, shape.size, rng.integers(-2, 3, size=(3, shape.size)).astype(np.int64),
-            name="fc",
-        ))
+        # Without a FlattenLayer the FC reads the conv or pool output
+        # directly, and the lowering flattens it first.
+        if draw(st.booleans()):
+            layers.append(FlattenLayer("fl"))
+        widths = [shape.size, 3] + ([draw(st.integers(min_value=1, max_value=5))]
+                                    if draw(st.booleans()) else [])
+        for i, (n, k) in enumerate(zip(widths, widths[1:])):
+            weights = rng.integers(-2, 3, size=(k, n)).astype(np.int64)
+            weights[rng.random(weights.shape) < weight_zero_frac] = 0
+            layers.append(FullyConnectedLayer(k, n, weights, name=f"fc{i}"))
     network = Network("prop", TensorShape(c, size, size), layers)
     n = draw(st.integers(min_value=1, max_value=4))
     images = rng.integers(-8, 9, size=(n, c, size, size)).astype(np.int64)
