@@ -134,8 +134,8 @@ def test_bench_per_entry_walk(benchmark, bench_conv, bench_inputs):
 
 
 # ----------------------------------------------------------------------
-# Fused network vs per-layer engine vs dense: the standard 4-layer
-# (3 conv + 1 FC) batch workload, three ways.
+# Fused network vs dense: the standard 4-layer (3 conv + 1 FC) batch
+# workload, two ways.
 # ----------------------------------------------------------------------
 
 
@@ -143,8 +143,8 @@ def _bench_network_workload():
     """The standard 4-layer batch workload of the fused-network benchmarks.
 
     conv-relu-pool, conv-relu-pool, conv-relu, flatten-fc with INQ-like
-    synthetic weights — deep enough that per-layer dispatch overhead is
-    the difference under test, small enough for nightly smoke runs.
+    synthetic weights — deep enough to exercise every step kind, small
+    enough for nightly smoke runs.
     """
     rng = np.random.default_rng(2018)
     if smoke_mode():
@@ -192,13 +192,6 @@ def bench_network_reference(bench_network):
     """Stacked per-image ``Network.forward``: the engine-free oracle."""
     network, images = bench_network
     return np.stack([network.forward(img) for img in images])
-
-
-def test_bench_network_per_layer(benchmark, bench_network, bench_network_reference):
-    network, images = bench_network
-    network.forward_batch(images)  # warm the compiled layers and their shards
-    out = benchmark(network.forward_batch, images)
-    assert np.array_equal(out, bench_network_reference)
 
 
 def test_bench_network_fused(benchmark, bench_network, bench_network_reference):

@@ -57,12 +57,10 @@ def _build_network(smoke: bool) -> Network:
     rng = np.random.default_rng(11)
     s1 = ConvShape(name="conv1", w=size, h=size, c=c, k=k1, r=3, s=3, padding=1)
     conv1 = ConvLayer(s1, uniform_unique_weights(s1.weight_shape, u, density, rng).values)
-    conv1.engine_group_size = 1
     pooled = MaxPoolLayer(2, 2).output_shape(s1.output_shape)
     s2 = ConvShape(name="conv2", w=pooled.w, h=pooled.h, c=pooled.c,
                    k=k2, r=3, s=3, padding=1)
     conv2 = ConvLayer(s2, uniform_unique_weights(s2.weight_shape, u, density, rng).values)
-    conv2.engine_group_size = 1
     features = s2.output_shape.size
     fc = FullyConnectedLayer(
         10, features,

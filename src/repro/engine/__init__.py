@@ -15,12 +15,11 @@ The engine makes the factorized path the *fast* path, at two scales:
 * **Per network** — :mod:`repro.engine.fusion` stitches every conv and
   FC layer's shard programs (an FC layer runs as a 1x1 conv) into one
   :class:`NetworkProgram` with a preallocated
-  activation-buffer plan, a thread pool fanning each layer's segment
-  scan across filter-group shards, and a sparse-activation gather mode.
-  It is the only image-batch driver: ``ConvLayer.forward_batch`` runs
-  its layer as a one-step program on the same shard programs, so the
-  whole network and the network run a layer at a time are bit-exact
-  against each other.
+  activation-buffer plan and a thread pool fanning each layer's segment
+  scan across filter-group shards.  It is the only image-batch driver:
+  a batch reaches the kernel one way, :func:`compile_network` then
+  :func:`execute_network`, and comes out bit-exact against stacking the
+  engine-free per-image ``Network.forward``.
 
 Typical use::
 

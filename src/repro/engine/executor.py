@@ -53,15 +53,6 @@ window matrix to contiguous int64 in chunks of about
 :data:`COPY_CHUNK_ELEMS` elements (a contiguous int64 matrix is scanned
 in place), so a window matrix of any size and layout runs in constant
 working memory.
-
-**Dropping dead entries** (``scan(keep=)``, the fused executor's
-sparse-activation gather): gather entries whose source activation is
-zero in *every* window are left out of the scan.  A dropped entry adds
-nothing to any prefix, so a boundary at full-stream position ``p``
-reads the compressed prefix at ``kept(p)``, the number of kept entries
-before ``p`` — one remap of the term columns, never a change to a
-single output bit.  Terms that land on position 0 read ``P[0] = 0`` and
-are dropped, and a filter left with no terms writes 0.
 """
 
 from __future__ import annotations
@@ -247,7 +238,6 @@ def _check_operands(
     bases: np.ndarray,
     taps: np.ndarray,
     out: np.ndarray,
-    keep: np.ndarray | None,
 ) -> None:
     """Raise ``ValueError`` unless the kernel may read and write these arrays.
 
@@ -288,44 +278,11 @@ def _check_operands(
         raise ValueError(f"out must be aligned with unit column stride, got strides {out.strides}")
     if not out.flags.writeable:
         raise ValueError("out must be writeable")
-    if keep is not None and (
-        not isinstance(keep, np.ndarray) or keep.dtype != bool or keep.shape != (program.num_entries,)
-    ):
-        raise ValueError(
-            f"keep must be a boolean mask of shape ({program.num_entries},), got "
-            f"{getattr(keep, 'dtype', type(keep).__name__)} {np.shape(keep)}"
-        )
 
 
 def _int64(arr: np.ndarray) -> np.ndarray:
     """``arr`` as an aligned, C-contiguous int64 array (no copy if it is one)."""
     return np.require(arr, np.int64, ("C", "A"))
-
-
-def _drop_dead_entries(
-    gather: np.ndarray, terms: ScanTerms, keep: np.ndarray
-) -> tuple[np.ndarray, ScanTerms]:
-    """The ``keep`` entries of ``gather``, and ``terms`` remapped onto them.
-
-    A boundary at full-stream position ``p`` reads the compressed prefix
-    at the number of kept entries before ``p``; terms that land on
-    position 0 are dropped, and runs left with no terms join the idle
-    rows (see the module docstring).
-    """
-    kept_before = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept_before[1:])
-    mapped = kept_before[terms.cols + 1]  # P[p] of the full stream sits at P[mapped]
-    live = mapped > 0
-    rows = terms.rows
-    runs = np.repeat(np.arange(rows.size), np.diff(terms.run_starts, append=terms.cols.size))
-    counts = np.bincount(runs[live], minlength=rows.size)
-    return gather[keep], ScanTerms(
-        cols=mapped[live] - 1,
-        coefs=terms.coefs[live],
-        run_starts=np.cumsum(counts[counts > 0]) - counts[counts > 0],
-        rows=rows[counts > 0],
-        idle_rows=np.concatenate([terms.idle_rows, rows[counts == 0]]),
-    )
 
 
 def scan(
@@ -334,7 +291,6 @@ def scan(
     bases: np.ndarray,
     taps: np.ndarray,
     out: np.ndarray,
-    keep: np.ndarray | None = None,
 ) -> None:
     """Evaluate ``program`` over windows gathered from ``src`` into ``out``.
 
@@ -351,9 +307,6 @@ def scan(
         out: writeable ``(num_filters, n)`` int64 array with unit column
             stride (a row block of a larger buffer is fine); every row
             is written.
-        keep: optional boolean mask over the program's gather entries;
-            ``False`` entries read an activation that is zero in every
-            window and are left out of the scan.
 
     Raises:
         ValueError: if an operand does not match the program or an
@@ -362,15 +315,13 @@ def scan(
         RuntimeError: if the kernel library cannot be built.
         MemoryError: if the kernel cannot allocate its prefix scratch.
     """
-    _check_operands(program, src, bases, taps, out, keep)
-    gather, terms = program.gather, program.terms
-    if keep is not None and not keep.all():
-        gather, terms = _drop_dead_entries(gather, terms, keep)
+    _check_operands(program, src, bases, taps, out)
+    terms = program.terms
     if terms.idle_rows.size:
         out[terms.idle_rows] = 0
     if not terms.cols.size or not bases.size:
         return
-    offsets = taps[gather]
+    offsets = taps[program.gather]
     bases, cols, coefs, run_starts, rows = map(
         _int64, (bases, terms.cols, terms.coefs, terms.run_starts, terms.rows)
     )

@@ -29,19 +29,14 @@ without returning to per-layer Python dispatch:
   window element (:func:`window_view`, :func:`gather_offsets`), so each
   shard gathers its activations straight from the padded buffer, the
   way the paper's input indirection table addresses the input buffer;
-* pooling is ``size x size`` strided taps over the whole slice;
-* a **sparse-activation gather mode** (``sparse="auto"``, the default)
-  drops gather entries whose source activation is zero in every window
-  of the slice (one ``any()`` over the strided window view) —
-  ReuseSense-style activation reuse layered on UCNN's weight reuse,
-  bit-exact because zeros contribute nothing to int64 sums.
+* pooling is ``size x size`` strided taps over the whole slice.
 
-This executor is the only image-batch driver of the kernel:
-``ConvLayer.forward_batch`` runs a signed-integer, ungrouped layer as a
-one-step :class:`NetworkProgram` on the same shard programs, so
-``Network.forward_batch`` runs the same programs a layer at a time.
-All arithmetic is int64: the output is bit-identical to stacking
-``Network.forward`` per image, for every thread count and sparse mode
+This executor is the kernel's only image-batch driver: an image batch
+reaches :func:`~repro.engine.executor.scan` one way,
+:func:`compile_network` then :func:`execute_network`.  All arithmetic
+is int64: the output is bit-identical to stacking ``Network.forward``
+per image, the engine-free reference that
+``Network.forward_batch(fused=False)`` runs, for every thread count
 (the property suite in ``tests/engine/test_fusion_properties.py`` pins
 this).
 
@@ -49,8 +44,7 @@ Programs are memoized in the process-wide program cache under a
 ``net:...`` key (schema in ``docs/api.md``) covering every layer's
 weights and every lowering parameter, so repeated batches — and serve
 workers answering ``network_forward`` — never re-lower a network they
-have seen.  One-step layer programs stay out of that cache: they are
-assembled per call around the compiled layer's memoized shards.
+have seen.
 """
 
 from __future__ import annotations
@@ -77,9 +71,10 @@ from repro.engine.program import (
 #: per-image footprint of any step, times the slice, stays near it.
 CHUNK_BUDGET_ELEMS = 1_000_000
 
-#: ``sparse="auto"`` probes a layer's activation slice for dead gather
-#: rows only when at least this fraction of its activations is zero.
-SPARSE_AUTO_MIN_ZERO_FRACTION = 0.6
+#: UCNN filter-group size G of every conv and FC layer when
+#: :func:`compile_network` gets ``group_size=None`` (the Table II sweet
+#: spot).
+DEFAULT_GROUP_SIZE = 2
 
 #: Exact error text shared with :class:`repro.core.factorized.FactorizedConv`
 #: for float weights — the fused path and the per-layer factorized path
@@ -176,9 +171,9 @@ class FlattenStep:
 class FallbackStep:
     """A layer the fused engine cannot lower (e.g. a grouped conv).
 
-    The step calls the layer's own ``forward_batch`` — bit-identical to
-    the per-layer path by construction — converting the fused pipeline's
-    channel-major layout at the step boundary.
+    The step calls the layer's own ``forward_batch`` — its per-image
+    reference, bit-identical by construction — converting the fused
+    pipeline's channel-major layout at the step boundary.
     """
 
     name: str
@@ -241,14 +236,9 @@ class NetworkProgram:
         """Steps in the fused pipeline."""
         return len(self.steps)
 
-    def run(
-        self,
-        inputs: np.ndarray,
-        threads: int = 1,
-        sparse: bool | str = "auto",
-    ) -> np.ndarray:
+    def run(self, inputs: np.ndarray, threads: int = 1) -> np.ndarray:
         """Execute over an ``(N, C, H, W)`` batch; see :func:`execute_network`."""
-        return execute_network(self, inputs, threads=threads, sparse=sparse)
+        return execute_network(self, inputs, threads=threads)
 
     def describe(self) -> str:
         """Human-readable step/buffer summary (examples/debugging)."""
@@ -313,7 +303,9 @@ def _lower_layers(
         ReluLayer,
     )
 
-    def shards(weights: np.ndarray, g: int) -> tuple[ShardSpec, ...]:
+    g = DEFAULT_GROUP_SIZE if group_size is None else group_size
+
+    def shards(weights: np.ndarray) -> tuple[ShardSpec, ...]:
         """The compiled layer's shard programs, shared by every network."""
         return compiled_layer_for(
             weights, group_size=g, max_group_size=max_group_size, layer_canonical=layer_canonical
@@ -328,7 +320,6 @@ def _lower_layers(
         out_t = out_shape.as_tuple()
         if isinstance(layer, ConvLayer) and layer.shape.groups == 1:
             weights = _check_weights(layer.name, layer.weights)
-            g = group_size if group_size is not None else layer.engine_group_size
             sh = layer.shape
             descriptors.append(
                 f"conv:{layer.name}:g{g}:st{sh.stride}:p{sh.padding}:"
@@ -336,7 +327,7 @@ def _lower_layers(
             )
             if compile_steps:
                 steps.append(ConvStep(
-                    layer.name, in_t, out_t, sh.r, sh.s, sh.stride, sh.padding, shards(weights, g)
+                    layer.name, in_t, out_t, sh.r, sh.s, sh.stride, sh.padding, shards(weights)
                 ))
         elif isinstance(layer, ConvLayer):
             _check_weights(layer.name, layer.weights)  # same rejection as the fused path
@@ -349,7 +340,6 @@ def _lower_layers(
             # Section IV-E: the FC runs as its 1x1 conv over (N, 1, 1),
             # one window per image.
             weights = _check_weights(layer.name, layer.weights)
-            g = group_size if group_size is not None else ConvLayer.engine_group_size
             descriptors.append(f"fc:{layer.name}:g{g}:{weights_fingerprint(weights)}")
             sh = layer.as_conv_shape()
             flat_t = sh.input_shape.as_tuple()
@@ -357,7 +347,7 @@ def _lower_layers(
                 steps.append(FlattenStep(layer.name, in_t, flat_t))
             if compile_steps:
                 steps.append(ConvStep(
-                    layer.name, flat_t, out_t, sh.r, sh.s, sh.stride, sh.padding, shards(weights, g)
+                    layer.name, flat_t, out_t, sh.r, sh.s, sh.stride, sh.padding, shards(weights)
                 ))
         elif isinstance(layer, ReluLayer):
             steps.append(ReluStep(layer.name, in_t, out_t))
@@ -453,11 +443,7 @@ def compile_network(
             grouped convs and unknown layer types become fallback steps
             running the layer's own batched forward.
         group_size: UCNN G for every conv and FC layer; ``None``
-            (default) uses each conv layer's ``engine_group_size`` — the
-            same choice ``ConvLayer.forward_batch`` makes, so a layer's
-            one-step program and every network containing it share one
-            compiled layer and its shards — and the conv default
-            (``ConvLayer.engine_group_size``, 2) for FC layers.
+            (default) uses :data:`DEFAULT_GROUP_SIZE`.
         max_group_size: innermost chunk limit (Section IV-B).
         layer_canonical: key each conv layer's groups to the layer-wide
             canonical weight order.
@@ -478,35 +464,20 @@ def compile_network(
         RuntimeError: if a conv/FC layer has no weights attached.
     """
     key = network_program_key(network, group_size, max_group_size, layer_canonical)
-    return _cached(
-        key,
-        lambda: _assemble(network, group_size, max_group_size, layer_canonical, key),
-    )
 
+    def lower() -> NetworkProgram:
+        """Lower every layer and plan the buffers: the memo's miss path."""
+        steps, __ = _lower_layers(network, group_size, max_group_size, layer_canonical)
+        return NetworkProgram(
+            name=network.name,
+            input_shape=network.input_shape.as_tuple(),
+            output_shape=network.output_shape.as_tuple(),
+            steps=steps,
+            plan=_plan_buffers(network.input_shape.size, steps),
+            key=key,
+        )
 
-def _assemble(
-    network,
-    group_size: int | None = None,
-    max_group_size: int = DEFAULT_MAX_GROUP_SIZE,
-    layer_canonical: bool = True,
-    key: str | None = None,
-) -> NetworkProgram:
-    """Lower every layer and plan the buffers, outside the program cache.
-
-    :func:`compile_network` memoizes this.  ``ConvLayer.forward_batch``
-    calls it directly for its one-step program: that program compiles
-    nothing of its own (its shards are the memoized compiled layer's),
-    so it takes no program-cache slot and no artifact-store write.
-    """
-    steps, __ = _lower_layers(network, group_size, max_group_size, layer_canonical)
-    return NetworkProgram(
-        name=network.name,
-        input_shape=network.input_shape.as_tuple(),
-        output_shape=network.output_shape.as_tuple(),
-        steps=steps,
-        plan=_plan_buffers(network.input_shape.size, steps),
-        key=key,
-    )
+    return _cached(key, lower)
 
 
 # ----------------------------------------------------------------------
@@ -562,21 +533,6 @@ def gather_offsets(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _offsets(view, slice(0, 3)), _offsets(view, slice(3, 6))
 
 
-def live_taps(
-    src: np.ndarray, r: int, s: int, stride: int, out_hw: tuple[int, int]
-) -> np.ndarray:
-    """Which window elements read a nonzero activation in some window.
-
-    Element ``k`` is live unless it is zero in every window of every
-    image of ``src``, exactly ``any()`` over column ``k`` of the batch's
-    im2col matrices.  The images are OR'd together first, so one
-    ``any()`` over the strided :func:`window_view` of a ``(C, 1, H, W)``
-    mask answers for the whole slice.
-    """
-    nonzero = src.any(axis=1, keepdims=True)
-    return window_view(nonzero, r, s, stride, out_hw).any(axis=(0, 1, 2)).reshape(-1)
-
-
 def _offsets(view: np.ndarray, axes: slice) -> np.ndarray:
     """Flat element offsets of a C-order walk over some axes of ``view``."""
     flat = np.zeros(1, dtype=np.int64)
@@ -610,23 +566,15 @@ def _apply_conv(
     scratch: _Scratch,
     pool: ThreadPoolExecutor | None,
     workers: int,
-    sparse: bool | str,
 ) -> None:
     """Run one conv step: pad, then fan the shards across threads."""
     ns = cur.shape[1]
     src = _padded(step, cur, scratch)
-    geometry = (step.r, step.s, step.stride, step.out_shape[1:])
-    bases, taps = gather_offsets(window_view(src, *geometry))
-    live = None
-    if sparse is True or (
-        sparse == "auto"
-        and 1.0 - np.count_nonzero(cur) / cur.size >= SPARSE_AUTO_MIN_ZERO_FRACTION
-    ):
-        live = live_taps(src, *geometry)
-        if live.all():
-            live = None
+    bases, taps = gather_offsets(
+        window_view(src, step.r, step.s, step.stride, step.out_shape[1:])
+    )
     out2d = out.reshape(step.out_shape[0], ns * step.windows)
-    args = (src, bases, taps, out2d, live)
+    args = (src, bases, taps, out2d)
     if pool is not None and len(step.shards) > 1:
         futures = [
             pool.submit(_run_shard_list, step.shards[slot::workers], *args)
@@ -638,18 +586,10 @@ def _apply_conv(
         _run_shard_list(step.shards, *args)
 
 
-def _run_shard_list(shards, src, bases, taps, out2d, live) -> None:
+def _run_shard_list(shards, src, bases, taps, out2d) -> None:
     """Scan a worker's share of the shards, one after another."""
     for spec in shards:
-        program = spec.program
-        scan(
-            program,
-            src,
-            bases,
-            taps,
-            out2d[spec.row_lo : spec.row_hi],
-            keep=None if live is None else live[program.gather],
-        )
+        scan(spec.program, src, bases, taps, out2d[spec.row_lo : spec.row_hi])
 
 
 def _apply_pool(step: PoolStep, cur: np.ndarray, out: np.ndarray) -> None:
@@ -693,7 +633,6 @@ def execute_network(
     program: NetworkProgram,
     inputs: np.ndarray,
     threads: int = 1,
-    sparse: bool | str = "auto",
 ) -> np.ndarray:
     """Execute a fused network program over a batch of images.
 
@@ -705,11 +644,6 @@ def execute_network(
             across its filter-group shards.  Output is bit-identical for
             every thread count (shards own disjoint output rows and the
             per-row arithmetic never changes).
-        sparse: sparse-activation gather mode per conv step — ``"auto"``
-            (default) compresses when a layer's activation slice is at
-            least :data:`SPARSE_AUTO_MIN_ZERO_FRACTION` zero, ``True``
-            always compresses, ``False`` never does.  All modes are
-            bit-identical.
 
     Returns:
         ``(N, *program.output_shape)`` int64 outputs, bit-identical to
@@ -717,11 +651,8 @@ def execute_network(
 
     Raises:
         ValueError: on shape mismatch, an empty batch, float inputs
-            (the :class:`FactorizedConv` message), unsigned inputs, or
-            a bad ``sparse`` mode.
+            (the :class:`FactorizedConv` message), or unsigned inputs.
     """
-    if sparse not in (False, True, "auto"):
-        raise ValueError(f"sparse must be False, True, or 'auto', got {sparse!r}")
     inputs = np.asarray(inputs)
     expected = program.input_shape
     batch_shape = "(N, " + ", ".join(str(d) for d in expected) + ")"
@@ -758,7 +689,7 @@ def execute_network(
             for i, step in enumerate(program.steps):
                 nxt = scratch.slot_view((i + 1) % 2, step.out_shape, ns)
                 if isinstance(step, ConvStep):
-                    _apply_conv(step, cur, nxt, scratch, pool, workers, sparse)
+                    _apply_conv(step, cur, nxt, scratch, pool, workers)
                 elif isinstance(step, ReluStep):
                     np.maximum(cur, 0, out=nxt)
                 elif isinstance(step, PoolStep):

@@ -234,9 +234,7 @@ def _fused_measured_point(
 
     small = shape.with_input(min(shape.h, 16), min(shape.w, 16))
     weights = uniform_weight_provider(num_unique, density, tag="fig11")(small)
-    layer = ConvLayer(small, weights)
-    layer.engine_group_size = group_size
-    network = Network(f"fig11-fused-G{group_size}", small.input_shape, [layer])
+    network = Network(f"fig11-fused-G{group_size}", small.input_shape, [ConvLayer(small, weights)])
     program = compile_network(network, group_size=group_size)
     rng = stable_rng("fig11-fused-images", small.name, group_size, density)
     images = rng.integers(-128, 129, size=(batch, *small.input_shape.as_tuple()))

@@ -33,10 +33,10 @@ class Layer:
     def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
         """Compute outputs for a batch of inputs stacked on axis 0.
 
-        The default runs :meth:`forward` per item; layers with a
-        batch-efficient path (notably :class:`ConvLayer` through the
-        compiled engine) override this.  Results are always bit-identical
-        to the per-item loop.
+        The default runs :meth:`forward` per item; elementwise and
+        reshaping layers, and :class:`FullyConnectedLayer`'s int64
+        matmul, override this with batch-wide equivalents.  Results are
+        always bit-identical to the per-item loop.
 
         Raises:
             ValueError: on an empty batch (output dtype would be a guess).
@@ -108,47 +108,6 @@ class ConvLayer(Layer):
                 f"layer {self.name!r}: expected input {sh.input_shape.as_tuple()}, got {inputs.shape}"
             )
         return reference.conv2d_grouped(inputs, self.weights, sh.groups, sh.stride, sh.padding)
-
-    #: Filter-group size used when the batched path lowers the layer
-    #: through :mod:`repro.engine` (the Table II sweet spot).
-    engine_group_size: int = 2
-
-    def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
-        """Batched forward through the compiled engine when possible.
-
-        Signed-integer, ungrouped layers run as a one-step
-        :class:`~repro.engine.fusion.NetworkProgram` through
-        :func:`~repro.engine.fusion.execute_network`.  The one-step
-        program is assembled per call outside the program cache, on the
-        same memoized shard programs every fused network containing this
-        layer uses.  Grouped, float, or unsigned layers and inputs fall
-        back to the per-image dense reference.  Both paths are
-        bit-identical to stacking :meth:`forward` per image.
-        """
-        inputs = np.asarray(inputs)
-        sh = self.shape
-        batch_shape = "(N, " + ", ".join(str(d) for d in sh.input_shape.as_tuple()) + ")"
-        if inputs.ndim != 4 or inputs.shape[1:] != sh.input_shape.as_tuple():
-            raise ValueError(
-                f"layer {self.name!r}: expected batch {batch_shape}, got {inputs.shape}"
-            )
-        if inputs.shape[0] == 0:
-            raise ValueError(
-                f"layer {self.name!r}: empty batch (N=0) is not supported; "
-                f"expected {batch_shape} with N >= 1"
-            )
-        # The engine computes in int64; the per-image reference only
-        # promotes kind-'i' operands, so restrict the fast path to
-        # signed ints — anything else (float, unsigned with its wraparound
-        # semantics) falls back to the loop to keep bit-identity.  The
-        # guard runs before any compile, so a fused fallback step calling
-        # this method cannot recurse.
-        if sh.groups != 1 or self.weights.dtype.kind != "i" or inputs.dtype.kind != "i":
-            return super().forward_batch(inputs)
-        from repro.engine.fusion import _assemble
-        from repro.nn.network import Network
-
-        return _assemble(Network(self.name, sh.input_shape, [self])).run(inputs)
 
     def output_shape(self, input_shape: TensorShape) -> TensorShape:
         if input_shape.as_tuple() != self.shape.input_shape.as_tuple():

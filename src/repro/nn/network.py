@@ -67,21 +67,17 @@ class Network:
         inputs: np.ndarray,
         fused: bool = False,
         threads: int = 1,
-        sparse: bool | str = "auto",
     ) -> np.ndarray:
         """Run inference over a batch of images at once.
 
         With ``fused=False`` (default), each layer's ``forward_batch``
-        runs in turn; convolutional layers with signed-integer weights
-        run as one-step programs through the fused executor
-        (:mod:`repro.engine`), one layer at a time.  With ``fused=True``
-        the whole network is lowered into one memoized
-        :class:`~repro.engine.fusion.NetworkProgram` — intermediates
-        live in preallocated reused buffers, each conv layer's segment
-        scan fans out across ``threads`` workers, and zero activations
-        can be skipped (``sparse``).  Both paths share each conv layer's
-        compiled shard programs and are bit-identical to stacking
-        :meth:`forward` per image.
+        runs in turn: the dense reference, which never touches
+        :mod:`repro.engine`, so it is an independent oracle for the
+        engine.  With ``fused=True`` the whole network is lowered into
+        one memoized :class:`~repro.engine.fusion.NetworkProgram` —
+        intermediates live in preallocated reused buffers and each conv
+        layer's segment scan fans out across ``threads`` workers.  Both
+        paths are bit-identical to stacking :meth:`forward` per image.
 
         Args:
             inputs: ``(N, C, H, W)`` batch matching the input shape.
@@ -89,9 +85,6 @@ class Network:
             threads: worker threads for the fused executor (ignored when
                 ``fused=False``); output is bit-identical for every
                 thread count.
-            sparse: fused-path sparse-activation gather mode (``False``
-                / ``True`` / ``"auto"``; see
-                :func:`repro.engine.execute_network`).
 
         Returns:
             ``(N, *output_shape)`` stacked int64 outputs.
@@ -116,7 +109,7 @@ class Network:
             from repro.engine import compile_network, execute_network
 
             program = compile_network(self)
-            return execute_network(program, inputs, threads=threads, sparse=sparse)
+            return execute_network(program, inputs, threads=threads)
         out = inputs
         for layer in self.layers:
             out = layer.forward_batch(out)

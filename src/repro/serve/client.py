@@ -174,7 +174,9 @@ class AsyncServeClient:
         than an exception.
 
         Raises:
-            ConnectionError: if the connection dropped before the reply.
+            ConnectionError: if the connection dropped before the reply,
+                or had already dropped: once the reply reader has stopped,
+                nothing would resolve the reply, so nothing is written.
         """
         self._next_id += 1
         rid = self._next_id
@@ -182,6 +184,8 @@ class AsyncServeClient:
         self._pending[rid] = future
         try:
             async with self._write_lock:
+                if self._reader_task.done():
+                    raise ConnectionError("connection closed before the request was sent")
                 self._writer.write(
                     _wire_request(rid, endpoint, kwargs or {}, priority, self._secret))
                 await self._writer.drain()

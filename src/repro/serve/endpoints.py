@@ -248,7 +248,6 @@ def network_forward(
     seed: int = 0,
     batch: int = 4,
     threads: int = 1,
-    sparse: str = "auto",
 ) -> dict:
     """Run a synthetic network through the fused engine, end to end.
 
@@ -256,25 +255,23 @@ def network_forward(
     INQ-like synthetic weights, lowers it through
     :func:`repro.engine.compile_network`, executes a seeded image batch
     with the fused executor, and verifies bit-identity against
-    ``Network.forward_batch`` — the same executor run a layer at a time,
-    each conv layer as a one-step program on the shard programs the
-    whole-network program already compiled, and the FC layer (a 1x1
-    conv step in the fused program) as its int64 matmul reference.
+    ``Network.forward_batch`` — the dense reference (per-image im2col
+    convolutions and the FC's int64 matmul), which never touches the
+    engine, so a wrong program reads ``parity: false``.
 
     Args:
         c/size: input channels and spatial extent.
         k1/k2: filter counts of the two conv layers.
         classes: output features of the final FC layer.
         u: unique-weight alphabet size.
-        group_size: UCNN filter-group size G for the conv layers.
+        group_size: UCNN filter-group size G of both convs and the FC.
         density: weight density.
         seed: RNG seed for weights and activations.
         batch: images in the batch.
         threads: fused-executor worker threads.
-        sparse: sparse-activation gather mode ("auto", "always", "never").
 
     Returns:
-        dict with parity against the layer-at-a-time run, an output checksum
+        dict with parity against the dense reference, an output checksum
         (stable across runs), the fused program's geometry (steps,
         shards, cache key), and the batch/thread configuration.
     """
@@ -294,17 +291,12 @@ def network_forward(
     from repro.nn.tensor import ConvShape, TensorShape
     from repro.quant.distributions import uniform_unique_weights
 
-    sparse_mode = {"auto": "auto", "always": True, "never": False}.get(sparse)
-    if sparse_mode is None:
-        raise ValueError(f"sparse must be 'auto', 'always', or 'never', got {sparse!r}")
     rng = np.random.default_rng(seed)
     s1 = ConvShape(name="conv1", w=size, h=size, c=c, k=k1, r=3, s=3, padding=1)
     conv1 = ConvLayer(s1, uniform_unique_weights(s1.weight_shape, u, density, rng).values)
-    conv1.engine_group_size = group_size
     pooled = MaxPoolLayer(2, 2).output_shape(s1.output_shape)
     s2 = ConvShape(name="conv2", w=pooled.w, h=pooled.h, c=pooled.c, k=k2, r=3, s=3, padding=1)
     conv2 = ConvLayer(s2, uniform_unique_weights(s2.weight_shape, u, density, rng).values)
-    conv2.engine_group_size = group_size
     features = s2.output_shape.size
     fc = FullyConnectedLayer(
         classes, features,
@@ -316,7 +308,7 @@ def network_forward(
     ])
     images = rng.integers(-16, 17, size=(batch, c, size, size))
     program = compile_network(network, group_size=group_size)
-    fused = execute_network(program, images, threads=threads, sparse=sparse_mode)
+    fused = execute_network(program, images, threads=threads)
     reference = network.forward_batch(images)
     return {
         "parity": bool(np.array_equal(fused, reference)),
@@ -329,7 +321,6 @@ def network_forward(
         "program_key": program.key,
         "batch": int(batch),
         "threads": int(threads),
-        "sparse": sparse,
     }
 
 

@@ -93,6 +93,29 @@ class TestCompile:
             program = compile_network(net, group_size=g)
             assert np.array_equal(execute_network(program, x), ref)
 
+    def test_default_group_size_is_the_engine_constant(self, rng):
+        """``group_size=None`` lowers every conv and FC layer with G = 2.
+
+        The key's prefix reads ``g*``, but its digest embeds each
+        layer's effective G, so it matches an explicit ``group_size=2``
+        and the two programs share every shard program.
+        """
+        from repro.engine.fusion import DEFAULT_GROUP_SIZE
+
+        net = small_network(rng)
+
+        def digest(**kwargs):
+            return network_program_key(net, **kwargs).rsplit(":", 1)[1]
+
+        assert DEFAULT_GROUP_SIZE == 2
+        assert digest() == digest(group_size=2) != digest(group_size=4)
+        default, explicit = compile_network(net), compile_network(net, group_size=2)
+        pairs = [(a, b) for a, b in zip(default.steps, explicit.steps) if isinstance(a, ConvStep)]
+        assert [a.name for a, __ in pairs] == ["c1", "c2", "fc"]
+        for a, b in pairs:
+            assert len(a.shards) == len(b.shards)
+            assert all(x.program is y.program for x, y in zip(a.shards, b.shards))
+
     def test_shards_partition_is_disjoint_and_exhaustive(self, rng):
         net = small_network(rng)
         program = compile_network(net)
@@ -207,11 +230,6 @@ class TestErrors:
         with pytest.raises(ValueError, match="unsigned activations"):
             net.forward_batch(x, fused=True)
 
-    def test_bad_sparse_mode_rejected(self, rng):
-        net = small_network(rng)
-        with pytest.raises(ValueError, match="sparse must be"):
-            net.forward_batch(batch_for(net, rng), fused=True, sparse="sometimes")
-
     def test_shape_and_empty_batch_messages_name_flat_shape(self, rng):
         net = small_network(rng)
         program = compile_network(net)
@@ -245,81 +263,29 @@ class TestExecution:
         for threads in (1, 2, 4, 8):
             assert np.array_equal(execute_network(program, x, threads=threads), first)
 
-    def test_sparse_modes_are_bit_identical(self, rng):
+    def test_unfused_forward_batch_never_reaches_the_engine(self, rng):
+        """``forward_batch(fused=False)`` is the dense reference: no compile, no scan."""
+        from repro.engine import executor, program, program_cache_info
+
         net = small_network(rng)
         x = batch_for(net, rng)
-        x[rng.random(x.shape) < 0.7] = 0  # engage the auto threshold
-        ref = stacked_forward(net, x)
-        for sparse in (False, True, "auto"):
-            assert np.array_equal(net.forward_batch(x, fused=True, sparse=sparse), ref)
-
-    def test_sparse_trailing_dead_segment_keeps_last_live_entry(self):
-        """A pass whose tail entries are all dead must not lose the last
-        live one.
-
-        When every entry after some segment is dropped by the sparse
-        gather, that segment's end maps onto the end of the compressed
-        stream, and the last live segment must still read the full
-        prefix there.  This exact shape — stride 2, no padding, 95%-zero
-        activations — produces a shard program with a dead tail; an
-        earlier executor that clamped the mapped end one entry short
-        returned a silently wrong output on it.
-        """
-        rng = np.random.default_rng(16)
-        c, size, k = int(rng.integers(1, 5)), int(rng.integers(5, 8)), int(rng.integers(1, 6))
-        padding, stride = int(rng.integers(0, 2)), int(rng.integers(1, 3))
-        assert (c, size, k, padding, stride) == (3, 6, 5, 0, 2)
-        shape = ConvShape(name="c1", w=size, h=size, c=c, k=k, r=3, s=3,
-                          stride=stride, padding=padding)
-        weights = rng.integers(-3, 4, size=shape.weight_shape).astype(np.int64)
-        net = Network("tail", TensorShape(c, size, size), [ConvLayer(shape, weights)])
-        x = rng.integers(-8, 9, size=(1, c, size, size)).astype(np.int64)
-        x[rng.random(x.shape) < 0.95] = 0
-        ref = stacked_forward(net, x)
-        program = compile_network(net)
-        for sparse in (True, "auto"):
-            assert np.array_equal(execute_network(program, x, sparse=sparse), ref)
-
-    def test_sparse_live_taps_match_im2col_columns(self, rng, monkeypatch):
-        """The sparse gather keeps exactly the taps some window reads as nonzero.
-
-        On a padded, stride-2, non-square layer, a window element is live
-        iff its im2col row is nonzero for some image of the batch; each
-        shard's ``keep`` mask is that mask at its gather entries.
-        """
-        from repro.engine import fusion
-        from repro.nn.reference import im2col
-
-        shape = ConvShape(name="c", w=9, h=7, c=3, k=5, r=3, s=2, stride=2, padding=2)
-        weights = rng.integers(-3, 4, size=shape.weight_shape).astype(np.int64)
-        net = Network("live", TensorShape(3, 7, 9), [ConvLayer(shape, weights)])
-        x = np.zeros((3, 3, 7, 9), dtype=np.int64)
-        x[0, 0, 0, 0] = 5  # top-left corner: two of channel 0's taps see it
-        x[2, 1, 6, 8] = -2  # bottom-right corner, another image and channel
-        x[1, 2, 3, 4] = 7
-        expected = np.logical_or.reduce([im2col(img, 3, 2, 2, 2).any(axis=1) for img in x])
-        assert expected.any() and not expected.all()
-        calls = []
-        real_scan = fusion.scan
-
-        def recording_scan(program, src, bases, taps, out, keep=None):
-            calls.append((program, keep))
-            real_scan(program, src, bases, taps, out, keep=keep)
-
-        monkeypatch.setattr(fusion, "scan", recording_scan)
-        program = compile_network(net)
-        out = execute_network(program, x, sparse=True)
-        assert np.array_equal(out, stacked_forward(net, x))
-        assert len(calls) == len(program.steps[0].shards)
-        for shard_program, keep in calls:
-            assert np.array_equal(keep, expected[shard_program.gather])
+        expected = net.forward_batch(x, fused=True)
+        before = program_cache_info()
+        with (
+            mock.patch.object(program, "compile_layer", side_effect=AssertionError("compiled")),
+            mock.patch.object(executor, "_native_scan", side_effect=AssertionError("scanned")),
+        ):
+            out = net.forward_batch(x)
+        after = program_cache_info()
+        assert np.array_equal(out, expected)
+        assert (after["entries"], after["hits"], after["misses"]) == (
+            before["entries"], before["hits"], before["misses"])
 
     def test_all_zero_batch(self, rng):
         net = small_network(rng)
         x = np.zeros((3, *net.input_shape.as_tuple()), dtype=np.int64)
         ref = stacked_forward(net, x)
-        for sparse in (False, True, "auto"):
-            assert np.array_equal(net.forward_batch(x, fused=True, sparse=sparse), ref)
+        assert np.array_equal(net.forward_batch(x, fused=True), ref)
 
     def test_tiny_budget_forces_multi_slice_execution(self, rng, monkeypatch):
         from repro.engine import fusion
@@ -389,40 +355,24 @@ class TestColdCompile:
 
 
 class TestSharedShards:
-    """One compiled layer backs its one-step program and every network."""
+    """A compiled layer's shard programs, shared by every network built from it."""
 
-    def test_layer_at_a_time_run_compiles_nothing_the_fused_run_did_not(self, rng):
-        from repro.engine import executor, fusion, program, program_cache_info
-        from repro.nn import reference
-
+    def test_networks_built_from_one_layer_share_its_shard_programs(self, rng):
         net = small_network(rng)
-        x = batch_for(net, rng)
-        fused = compile_network(net)
-        expected = execute_network(fused, x)
-        before = program_cache_info()
-        with (
-            mock.patch.object(executor, "telescope", wraps=executor.telescope) as telescope,
-            mock.patch.object(program, "compile_layer", wraps=program.compile_layer) as compile_layer,
-            mock.patch.object(reference, "im2col", wraps=reference.im2col) as im2col,
-        ):
-            out = net.forward_batch(x)
-        after = program_cache_info()
-        assert np.array_equal(out, expected)
-        assert telescope.call_count == 0
-        assert compile_layer.call_count == 0
-        assert im2col.call_count == 0
-        # One-step programs are assembled outside the program cache.
-        assert (after["entries"], after["misses"]) == (before["entries"], before["misses"])
-        conv_steps = [s for s in fused.steps if isinstance(s, ConvStep)]
-        # The FC lowers to a conv step too; a layer at a time it runs
-        # the int64 matmul reference, so only the convs have one-step programs.
-        assert [s.name for s in conv_steps] == ["c1", "c2", "fc"]
-        for step in conv_steps[:2]:
-            layer = net.find(step.name)
-            (own,) = fusion._assemble(Network(layer.name, layer.shape.input_shape, [layer])).steps
-            assert len(own.shards) == len(step.shards)
-            for mine, theirs in zip(own.shards, step.shards):
+        conv1, fc = net.find("c1"), net.layers[-1]
+        alone = Network("c1-alone", net.input_shape, [conv1])
+        relu = Network("c1-relu", net.input_shape, [conv1, ReluLayer("r")])
+        fc_alone = Network("fc-alone", TensorShape(fc.in_features, 1, 1), [fc])
+        full = {step.name: step for step in compile_network(net).steps if isinstance(step, ConvStep)}
+        for other in (alone, relu, fc_alone):
+            program = compile_network(other)
+            assert program is not compile_network(net)
+            step = program.steps[0]
+            assert len(step.shards) == len(full[step.name].shards)
+            for mine, theirs in zip(step.shards, full[step.name].shards):
                 assert mine.program is theirs.program
+        x = batch_for(net, rng)
+        assert np.array_equal(execute_network(compile_network(alone), x), stacked_forward(alone, x))
 
     def test_racing_first_callers_all_get_valid_shards(self, rng):
         """Concurrent first reads of ``CompiledLayer.shards``: any winner is exact."""
@@ -472,19 +422,51 @@ class TestServeEndpoint:
         assert first["out_checksum"] == again["out_checksum"]
         assert first["program_key"].startswith("net:")
 
-    def test_network_forward_threads_and_sparse_do_not_change_bits(self):
+    def test_network_forward_threads_do_not_change_bits(self):
         from repro.serve.endpoints import resolve
 
         base = resolve("network_forward")()
-        threaded = resolve("network_forward")(threads=4, sparse="always")
+        threaded = resolve("network_forward")(threads=4)
         assert threaded["parity"] is True
         assert threaded["out_checksum"] == base["out_checksum"]
 
-    def test_network_forward_rejects_bad_sparse(self):
+    def test_network_forward_parity_catches_a_wrong_program(self, monkeypatch):
+        """The served parity checks the engine against the dense reference.
+
+        Every conv step's scan adds 1 to one output; FC steps (one
+        window per image, so ``out.shape[1]`` is the batch) stay exact.
+        A reference that ran the same scans would agree with the engine.
+        """
+        from repro.engine import fusion
         from repro.serve.endpoints import resolve
 
-        with pytest.raises(ValueError, match="sparse must be"):
-            resolve("network_forward")(sparse="maybe")
+        batch = 4
+        real_scan = fusion.scan
+
+        def wrong_conv_scan(program, src, bases, taps, out):
+            real_scan(program, src, bases, taps, out)
+            if out.shape[1] > batch:
+                out[0, 0] += 1
+
+        monkeypatch.setattr(fusion, "scan", wrong_conv_scan)
+        assert resolve("network_forward")(seed=3, batch=batch)["parity"] is False
+
+    def test_network_forward_parity_catches_a_wrong_fc_step(self, monkeypatch):
+        """The FC's reference is the int64 matmul, so a wrong FC scan reads false too."""
+        from repro.engine import fusion
+        from repro.serve.endpoints import resolve
+
+        batch = 4
+        assert resolve("network_forward")(seed=3, batch=batch)["parity"] is True
+        real_scan = fusion.scan
+
+        def wrong_fc_scan(program, src, bases, taps, out):
+            real_scan(program, src, bases, taps, out)
+            if out.shape[1] == batch:
+                out[0, 0] += 1
+
+        monkeypatch.setattr(fusion, "scan", wrong_fc_scan)
+        assert resolve("network_forward")(seed=3, batch=batch)["parity"] is False
 
 
 class TestFig11FusedSeries:

@@ -1,15 +1,15 @@
-"""Hypothesis properties: fused ≡ per-layer engine ≡ dense.
+"""Hypothesis properties: fused engine ≡ dense reference.
 
 The fused whole-network executor must be *bit-identical* to the
-per-layer ``forward_batch`` path and to stacking the dense per-image
-``forward`` — across group sizes 1..8 (including ragged ``K % G``
-layers), non-square windows, padding 0..2 and stride 1..3 (so output
-widths that are not a multiple of the kernel's four-window blocks, and
-blocks that straddle output rows and images), FC layers with or
-without a preceding flatten and sometimes a second FC after the first,
-zero-heavy activations that trip the sparse-gather path, every thread
-count, and repeated runs.  Thread shards own disjoint output rows, so bit-identity across
-thread counts is a hard determinism contract, not a tolerance.
+layer-at-a-time ``forward_batch`` reference and to stacking the dense
+per-image ``forward`` — across group sizes 1..8 (including ragged
+``K % G`` layers), non-square windows, padding 0..2 and stride 1..3 (so
+output widths that are not a multiple of the kernel's four-window
+blocks, and blocks that straddle output rows and images), FC layers
+with or without a preceding flatten and sometimes a second FC after the
+first, zero-heavy activations, every thread count, and repeated runs.
+Thread shards own disjoint output rows, so bit-identity across thread
+counts is a hard determinism contract, not a tolerance.
 """
 
 import numpy as np
@@ -43,7 +43,7 @@ def _network_case(draw):
     padding = draw(st.integers(min_value=0, max_value=2))
     stride = draw(st.integers(min_value=1, max_value=3))
     # Zero-heavy weights exercise dead segments and empty groups;
-    # zero-heavy activations exercise the sparse gather path.
+    # zero-heavy activations leave whole windows and taps at zero.
     weight_zero_frac = draw(st.sampled_from([0.0, 0.3, 0.9]))
     act_zero_frac = draw(st.sampled_from([0.0, 0.5, 0.95]))
 
@@ -52,9 +52,7 @@ def _network_case(draw):
                           stride=stride, padding=padding)
         weights = rng.integers(-3, 4, size=shape.weight_shape).astype(np.int64)
         weights[rng.random(weights.shape) < weight_zero_frac] = 0
-        layer = ConvLayer(shape, weights)
-        layer.engine_group_size = group_size
-        return layer
+        return ConvLayer(shape, weights)
 
     layers = [conv("c1", size, size, c, k1)]
     shape = layers[0].shape.output_shape
@@ -86,29 +84,28 @@ def _network_case(draw):
     images = rng.integers(-8, 9, size=(n, c, size, size)).astype(np.int64)
     images[rng.random(images.shape) < act_zero_frac] = 0
     threads = draw(st.sampled_from([1, 2, 8]))
-    sparse = draw(st.sampled_from([False, True, "auto"]))
-    return network, group_size, images, threads, sparse
+    return network, group_size, images, threads
 
 
 @settings(max_examples=40, deadline=None)
 @given(_network_case())
 def test_fused_equals_per_layer_equals_dense(case):
-    network, group_size, images, threads, sparse = case
+    network, group_size, images, threads = case
     per_layer = network.forward_batch(images)
     dense = np.stack([network.forward(img) for img in images])
     assert np.array_equal(per_layer, dense)
     program = compile_network(network, group_size=group_size)
-    fused = execute_network(program, images, threads=threads, sparse=sparse)
+    fused = execute_network(program, images, threads=threads)
     assert np.array_equal(fused, per_layer)
 
 
 @settings(max_examples=15, deadline=None)
 @given(_network_case())
 def test_fused_is_deterministic_across_thread_counts(case):
-    network, group_size, images, __, sparse = case
+    network, group_size, images, __ = case
     program = compile_network(network, group_size=group_size)
     runs = [
-        execute_network(program, images, threads=threads, sparse=sparse)
+        execute_network(program, images, threads=threads)
         for threads in (1, 2, 8, 2, 1)
     ]
     for out in runs[1:]:

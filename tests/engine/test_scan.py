@@ -47,7 +47,7 @@ WINDOW_COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11)
 def _wrapping_case(rng, k=5, n=40, windows=9):
     weights = rng.choice(BIG_WEIGHTS, size=(k, n))
     acts = rng.choice(BIG_ACTS, size=(windows, n))
-    acts[:, : n // 4] = 0  # dead columns, so the sparse gather compresses
+    acts[:, : n // 4] = 0  # dead columns: entries that add nothing to any prefix
     return weights, acts
 
 
@@ -66,20 +66,22 @@ class TestWrapAround:
             out = execute_program(program, acts)
             assert np.array_equal(out, weights @ acts.T), f"{windows} windows"
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_execute_network_equals_wrapping_dense(self, rng, sparse):
+    @pytest.mark.parametrize("g", [1, 2, 5])
+    def test_execute_network_equals_wrapping_dense(self, rng, g):
+        """Wrapping sums stay exact however the five filters share shard programs."""
         shape = ConvShape(name="c", w=6, h=6, c=2, k=5, r=3, s=3, padding=1)
         weights = rng.choice(BIG_WEIGHTS, size=shape.weight_shape)
         net = Network("wrap", TensorShape(2, 6, 6), [ConvLayer(shape, weights), ReluLayer()])
         images = rng.choice(BIG_ACTS, size=(3, 2, 6, 6))
-        images[:, 0] = 0  # a dead channel engages the sparse gather
+        images[:, 0] = 0  # a dead channel
         flat = weights.reshape(shape.k, -1)
         dense = np.stack([
             np.maximum(flat @ im2col(img, 3, 3, 1, 1), 0).reshape(shape.k, 6, 6) for img in images
         ])
-        program = compile_network(net, group_size=2)
+        program = compile_network(net, group_size=g)
+        assert len(program.steps[0].shards) == -(-shape.k // g)
         for threads in (1, 2):
-            out = execute_network(program, images, threads=threads, sparse=sparse)
+            out = execute_network(program, images, threads=threads)
             assert np.array_equal(out, dense)
 
 
@@ -166,15 +168,19 @@ class TestKernelEdges:
         assert np.array_equal(fused, np.stack([net.forward(img) for img in x]))
         assert not fused[:, 1].any()
 
-    def test_sparse_drops_terms_landing_on_position_zero(self):
-        """A filter reading only dead entries maps every term to P[0]."""
+    def test_filter_reading_only_zero_activations_writes_zero(self):
+        """Live weights over dead activations sum to exactly zero.
+
+        Filter 0 weighs only channels 0-2, which are zero in every image;
+        filter 1 shares its G=2 shard program and reads the live channels.
+        """
         weights = np.array([[1, 2, 3, 0, 0, 0], [0, 0, 0, 4, -5, 6]], dtype=np.int64)
         shape = ConvShape(name="c", w=1, h=1, c=6, k=2, r=1, s=1)
         net = Network("dead", TensorShape(6, 1, 1), [ConvLayer(shape, weights.reshape(2, 6, 1, 1))])
         images = np.array([[0, 0, 0, 1, 2, 3], [0, 0, 0, -4, 5, 7]], dtype=np.int64)
         program = compile_network(net)  # G=2: both filters share one shard program
         assert len(program.steps[0].shards) == 1
-        out = execute_network(program, images.reshape(2, 6, 1, 1), sparse=True)
+        out = execute_network(program, images.reshape(2, 6, 1, 1))
         assert np.array_equal(out.reshape(2, 2), images @ weights.T)
         assert not out[:, 0].any()
 
@@ -333,23 +339,20 @@ class TestBoundaryChecks:
         with pytest.raises(ValueError, match="unit column stride"):
             executor.scan(program, src, bases, taps, bad)
 
+    def test_out_may_be_a_column_block_of_a_wider_buffer(self, case, monkeypatch):
+        """The kernel steps ``out``'s rows by its row stride and writes only its columns."""
+        program, src, bases, taps, __ = case
+        monkeypatch.undo()
+        wide = np.full((4, 10), -7, dtype=np.int64)
+        executor.scan(program, src, bases, taps, wide[:, 2:8])
+        assert np.array_equal(wide[:, 2:8], executor.execute_program(program, src))
+        assert (wide[:, :2] == -7).all() and (wide[:, 8:] == -7).all()
+
     def test_read_only_out(self, case):
         program, src, bases, taps, out = case
         out.setflags(write=False)
         with pytest.raises(ValueError, match="writeable"):
             executor.scan(program, src, bases, taps, out)
-
-    @pytest.mark.parametrize("edit", ["short", "long", "int"])
-    def test_keep_of_the_wrong_length_or_dtype(self, case, edit):
-        program, src, bases, taps, out = case
-        entries = program.num_entries
-        keep = {
-            "short": np.ones(entries - 1, dtype=bool),
-            "long": np.ones(entries + 1, dtype=bool),
-            "int": np.ones(entries, dtype=np.int64),
-        }[edit]
-        with pytest.raises(ValueError, match="keep must be a boolean mask"):
-            executor.scan(program, src, bases, taps, out, keep=keep)
 
 
 def _kernel_copy(tmp_path: Path) -> Path:

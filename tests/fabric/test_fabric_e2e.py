@@ -160,6 +160,46 @@ class TestFailover:
         assert stats["membership"]["ring_nodes"] == ["w1"]
         assert stats["forward_errors"] >= 1  # the eager eviction happened
 
+    def test_next_forward_to_a_killed_worker_evicts_it_on_the_spot(self, tmp_path):
+        """The pooled connection's EOF evicts the worker, not the reaper.
+
+        The heartbeat timeout here outlasts the test, so only a forward
+        that finds the connection to ``w0`` closed can evict it; the
+        request then moves to ``w1`` without waiting for any timeout.
+        """
+        fe = FrontendHandle(FrontendConfig(
+            port=0, heartbeat_timeout=30.0, auth_secret=SECRET))
+        fe.start()
+        workers = []
+        try:
+            for i in range(2):
+                worker = WorkerNode(worker_config(tmp_path, f"w{i}"),
+                                    "127.0.0.1", fe.port, worker_id=f"w{i}")
+                workers.append(worker.start())
+            with ServeClient("127.0.0.1", fe.port, secret=SECRET) as client:
+                for i in range(64):  # pools the front-end's connection to w0
+                    kwargs = dict(network="lenet", layer_index=0, group_size=2,
+                                  density=0.5, num_unique=17 + i)
+                    if client.send("runtime_point", kwargs).worker == "w0":
+                        break
+                else:
+                    pytest.fail("no request routed to w0")
+                kill_worker(workers[0])
+                started = time.monotonic()
+                response = client.send("runtime_point", kwargs)
+            assert time.monotonic() - started < 5.0
+            assert response.ok and response.worker == "w1"
+            membership = fe.stats()["membership"]
+            assert membership["eviction_reasons"] == {"connection": 1}
+            assert membership["ring_nodes"] == ["w1"]
+        finally:
+            for worker in workers:
+                try:
+                    worker.stop()
+                except Exception:
+                    pass
+            fe.stop()
+
     def test_silently_dead_worker_is_reaped_without_traffic(self, cluster):
         """No requests in flight: the heartbeat reaper must notice."""
         fe, workers = cluster

@@ -92,9 +92,7 @@ class TestForward:
         ref = np.stack([net.forward(img) for img in batch])
         assert np.array_equal(net.forward_batch(batch), ref)
         for threads in (1, 2, 8):
-            for sparse in (False, True, "auto"):
-                fused = net.forward_batch(batch, fused=True, threads=threads, sparse=sparse)
-                assert np.array_equal(fused, ref)
+            assert np.array_equal(net.forward_batch(batch, fused=True, threads=threads), ref)
 
     def test_forward_batch_fused_float_weights_raise_factorized_message(self, rng):
         net = tiny_network()
@@ -115,7 +113,7 @@ class TestForward:
         full = net.forward_batch(batch)
         assert np.array_equal(full, np.stack([net.forward(img) for img in batch]))
         monkeypatch.setattr(fusion, "CHUNK_BUDGET_ELEMS", 1)
-        assert np.array_equal(net.forward_batch(batch), full)
+        assert np.array_equal(net.forward_batch(batch, fused=True), full)
 
 
 class TestIntrospection:

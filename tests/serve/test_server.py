@@ -269,6 +269,76 @@ class TestCacheBehaviour:
         assert stats["coalesced"] + stats["hits"] == 5
 
 
+class TestAsyncClient:
+    def test_send_after_the_server_hung_up_fails_fast(self, tmp_path):
+        """Once the client has read EOF, ``send`` raises instead of hanging.
+
+        Nothing reads replies after EOF, so a request written then would
+        wait forever; a fabric front-end pooling this client would stall
+        each forward to a dead worker until its timeout.
+        """
+        import asyncio
+
+        from repro.serve import AsyncServeClient
+
+        handle = ServerHandle(make_config(tmp_path)).start()
+
+        async def scenario():
+            client = await AsyncServeClient.connect(port=handle.port)
+            try:
+                assert (await client.request("ping")).value == {"pong": None}
+                await asyncio.to_thread(handle.stop)  # drops open connections
+                await asyncio.wait_for(client._reader_task, timeout=5.0)  # EOF seen
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(client.send("ping"), timeout=1.0)
+            finally:
+                await client.aclose()
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            handle.stop()
+
+    def test_requests_in_flight_at_hang_up_fail(self):
+        """A reply the server will never send fails its awaiter at EOF."""
+        import asyncio
+
+        from repro.serve import AsyncServeClient
+
+        async def read_one_line_then_hang_up(reader, writer):
+            await reader.readline()
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(read_one_line_then_hang_up, "127.0.0.1", 0)
+            client = await AsyncServeClient.connect(port=server.sockets[0].getsockname()[1])
+            try:
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(client.send("ping"), timeout=5.0)
+                assert client._pending == {}
+            finally:
+                await client.aclose()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_send_after_aclose_fails_fast(self, server):
+        import asyncio
+
+        from repro.serve import AsyncServeClient
+
+        async def scenario():
+            client = await AsyncServeClient.connect(port=server.port)
+            assert (await client.request("ping")).value == {"pong": None}
+            await client.aclose()
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(client.send("ping"), timeout=1.0)
+            assert client._pending == {}
+
+        asyncio.run(scenario())
+
+
 class TestStats:
     def test_counters_add_up(self, server):
         mix = default_mix(25)
