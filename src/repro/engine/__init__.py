@@ -3,20 +3,21 @@
 The engine makes the factorized path the *fast* path, at two scales:
 
 * **Per layer** — an offline compiler (:mod:`repro.engine.program`)
-  lowers each :class:`~repro.core.hierarchical.FilterGroupTables` into a
-  flat table program — gather indices, per-level segment boundaries,
-  weight/MAC schedules — and the segment-scan kernel
+  lowers a layer's :class:`~repro.core.hierarchical.FilterGroupTables`
+  into one flat table program — gather indices, per-level segment
+  boundaries, weight/MAC schedules — and the segment-scan kernel
   (:mod:`repro.engine.executor`) evaluates the program over all windows
-  and all filter groups of a layer at once, gathering each window's
-  activations by offset from wherever they lie (a window matrix, or
-  a zero-padded activation tensor), bit-exact against both the
-  per-entry walk and the dense im2col reference.
+  and all filter groups of a layer, one group's prefix sum at a time,
+  gathering each window's activations by offset from wherever they lie
+  (a window matrix, or a zero-padded activation tensor), bit-exact
+  against both the per-entry walk and the dense im2col reference.
 
 * **Per network** — :mod:`repro.engine.fusion` stitches every conv and
-  FC layer's shard programs (an FC layer runs as a 1x1 conv) into one
-  :class:`NetworkProgram` with a preallocated
-  activation-buffer plan and a thread pool fanning each layer's segment
-  scan across filter-group shards.  It is the only image-batch driver:
+  FC layer's program (an FC layer runs as a 1x1 conv) into one
+  :class:`NetworkProgram` with a preallocated activation-buffer plan
+  and a thread pool splitting each layer's windows across threads,
+  each thread scanning its own output columns.  It is the only
+  image-batch driver:
   a batch reaches the kernel one way, :func:`compile_network` then
   :func:`execute_network`, and comes out bit-exact against stacking the
   engine-free per-image ``Network.forward``.

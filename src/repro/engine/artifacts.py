@@ -70,7 +70,6 @@ from repro.engine.fusion import (
 from repro.engine.program import (
     CompiledLayer,
     SegmentPass,
-    ShardSpec,
     TableProgram,
     cached_programs,
     seed_program_cache,
@@ -88,7 +87,7 @@ MANIFEST_MAGIC = b"RPROGMAN"
 
 #: Envelope layout version.  Bump on any layout change; a mismatch is a
 #: clean :class:`ArtifactError`, never a misparse.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Serialized kind tags, one per program class.
 KIND_TABLE = "table_program"
@@ -414,11 +413,7 @@ def _enc_step(step: object, w: _ArrayWriter) -> dict:
             "step": "conv", "name": step.name,
             "in_shape": list(step.in_shape), "out_shape": list(step.out_shape),
             "r": step.r, "s": step.s, "stride": step.stride, "padding": step.padding,
-            "shards": [
-                {"program": _enc_table_program(spec.program, w),
-                 "row_lo": int(spec.row_lo), "row_hi": int(spec.row_hi)}
-                for spec in step.shards
-            ],
+            "program": _enc_table_program(step.program, w),
         }
     if isinstance(step, ReluStep):
         return {"step": "relu", "name": step.name,
@@ -447,12 +442,7 @@ def _dec_step(node: dict, r: _ArrayReader) -> object:
             name=name, in_shape=in_shape, out_shape=out_shape,
             r=int(node["r"]), s=int(node["s"]),
             stride=int(node["stride"]), padding=int(node["padding"]),
-            shards=tuple(
-                ShardSpec(
-                    program=_dec_table_program(spec["program"], r),
-                    row_lo=int(spec["row_lo"]), row_hi=int(spec["row_hi"]))
-                for spec in node["shards"]
-            ),
+            program=_dec_table_program(node["program"], r),
         )
     if tag == "relu":
         return ReluStep(name=name, in_shape=in_shape, out_shape=out_shape)
@@ -476,7 +466,6 @@ def _enc_network_program(p: NetworkProgram, w: _ArrayWriter) -> dict:
             "slot_elems": [int(plan.slot_elems[0]), int(plan.slot_elems[1])],
             "pad_elems": int(plan.pad_elems),
             "per_image_cost": int(plan.per_image_cost),
-            "max_shards": int(plan.max_shards),
         },
         "key": p.key,
     }
@@ -493,7 +482,6 @@ def _dec_network_program(node: dict, r: _ArrayReader) -> NetworkProgram:
         plan=BufferPlan(
             slot_elems=(lo, hi), pad_elems=int(plan["pad_elems"]),
             per_image_cost=int(plan["per_image_cost"]),
-            max_shards=int(plan["max_shards"]),
         ),
         key=node.get("key"),
     )

@@ -1,9 +1,9 @@
-"""The segment-scan kernel: every UCNN level from one prefix sum.
+"""The segment-scan kernel: every UCNN level from one prefix sum per group.
 
 :func:`scan` is the engine's only segment scan.  Every driver calls it:
 :func:`execute_program` (one program over a window matrix),
 :func:`repro.engine.fusion.execute_network` (an image batch, one call
-per filter-group shard) and
+per block of windows) and
 :meth:`repro.core.factorized.FactorizedConv.forward` (one image).  It
 never sees a window matrix: tap ``k`` of window ``w`` is
 ``src.flat[bases[w] + taps[k]]``, so a convolution hands it the padded
@@ -12,12 +12,13 @@ offset per window element, and the kernel reads each activation where
 it lies, the way the paper's input indirection table addresses the
 input buffer.  One call into a small C kernel (``_scan.c`` next to this
 module) walks the program the way the paper's processing element walks
-its indirection table: per window it streams the activations named by
-``taps[program.gather]`` into a running prefix sum ``P`` (``P[i]`` =
-sum of the first ``i`` entries) and folds every run's telescoped terms,
-``coef * P[col]``, straight into the output row, whatever the program's
-group size G.  Windows go four at a time so their serial adds overlap,
-and nothing window-sized is materialized beyond the output.
+its indirection tables, one filter group at a time: per window it
+streams the group's activations, named by ``taps[program.gather]``,
+into a running prefix sum ``P`` (``P[i]`` = sum of the group's first
+``i`` entries) and folds each of its runs' telescoped terms,
+``coef * P[col]``, straight into the output row, whatever the group
+size G.  Windows go four at a time so their serial adds overlap; the
+only scratch is their four prefixes of one group.
 
 The terms are the program's :class:`ScanTerms`, derived once by
 :func:`telescope` and cached on the program.  For a filter whose run
@@ -28,24 +29,27 @@ covers segments ``a..b-1`` with start offsets ``p_s`` and weights
         = -w_a * P[p_a] + sum_{a<s<b} (w_{s-1} - w_s) * P[p_s] + w_{b-1} * P[p_b]
 
 so every level reads the same scan, with one multiply per boundary where
-its weight changes.  The kernel computes in ``uint64_t``, which wraps
-mod 2**64 exactly like numpy's int64, and the identity holds mod 2**64,
-so outputs are bit-identical to the per-entry walk and the dense matmul
-even when the running prefix wraps.
+its weight changes.  A run's coefficients sum to zero, so the entries
+before its group cancel and ``P`` may restart at each group.  The
+kernel computes in ``uint64_t``, which wraps mod 2**64 exactly like
+numpy's int64, and the identity holds mod 2**64, so outputs are
+bit-identical to the per-entry walk and the dense matmul even when the
+running prefix wraps.
 
 **Building the kernel.**  The first :func:`scan` in a process compiles
 ``_scan.c`` with the system ``cc`` and :data:`KERNEL_CFLAGS` into
 ``__pycache__/_scan.<digest>.so`` next to the source, named by a
 SHA-256 of source and flags, and loads it through :mod:`ctypes`, which
-releases the GIL for the call, so threads scanning different shards
+releases the GIL for the call, so threads scanning different windows
 overlap.  Later processes load the cached library without compiling; a
 package directory that is not writable makes each process build into a
 private temporary directory instead.  If ``cc`` is missing or fails,
 that first :func:`scan` raises :class:`RuntimeError` carrying the
 command and its error output.  The kernel does no bounds checking:
 :func:`scan` proves every read in bounds first (``bases`` and ``taps``
-non-negative, ``max(bases) + max(taps) < src.size``), and gather
-indices were bounds-checked when the program was built.
+non-negative, ``max(bases) + max(taps) < src.size``), gather indices
+were bounds-checked when the program was built, and :func:`telescope`
+keeps every term inside its run's group.
 
 :func:`execute_program` is the trivial case, a window-major matrix with
 ``bases = w * N`` and ``taps = arange(N)``.  It copies a caller's
@@ -71,9 +75,13 @@ import numpy as np
 
 from repro.engine.program import TableProgram
 
-#: :func:`execute_program` copies a caller's window matrix to contiguous
-#: int64 in chunks of about this many elements (~8 MiB).
+#: :func:`execute_program` copies window matrices, and :func:`scan`
+#: gathers offsets (one kernel call per chunk of whole groups), in
+#: chunks of about this many elements (~8 MiB).
 COPY_CHUNK_ELEMS = 1_000_000
+
+#: Windows the kernel scans side by side (``LANES`` in ``_scan.c``).
+LANES = 4
 
 #: The kernel's C source, and the fixed flags it is compiled with.
 KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
@@ -83,9 +91,8 @@ _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 #: ``ucnn_scan``'s C signature, in argument order.
 _KERNEL_ARGTYPES = (
     _PTR, _PTR, _I64,  # src, bases, n
-    _PTR, _I64,  # taps[gather], entries
-    _PTR, _PTR,  # cols, coefs
-    _PTR, _PTR, _I64, _I64,  # run_starts, rows, runs, terms
+    _PTR, _PTR, _PTR, _I64,  # taps[gather], group_entries, group_runs, groups
+    _PTR, _PTR, _PTR, _PTR,  # cols, coefs, run_starts, rows
     _PTR, _I64,  # out, out row stride in elements
 )
 
@@ -172,20 +179,23 @@ def _native_scan():
 
 @dataclass(frozen=True)
 class ScanTerms:
-    """A program's segment sums, telescoped onto prefix-sum boundaries.
+    """A program's segment sums, telescoped onto each group's prefix sum.
 
-    Each term reads the prefix sum ``P`` at one boundary and scales it
-    by its coefficient (the identity in the module docstring); the terms
-    of one run add up to its filter's output.  Terms at position 0
-    (``P[0] = 0``) and terms with a zero coefficient are dropped.
+    Each term reads the prefix sum ``P`` of its run's filter group at one
+    boundary and scales it by its coefficient (the identity in the
+    module docstring); the terms of one run add up to its filter's
+    output.  Terms at a group's first position (``P[0] = 0``) and terms
+    with a zero coefficient are dropped.
 
     Attributes:
-        cols: column of the scanned buffer each term reads (``P[p]``
+        cols: column of the group's prefix each term reads (``P[p]``
             sits in column ``p - 1``), ascending within each run.
         coefs: int64 coefficient of each term.
-        run_starts: first term of each run — strictly ascending, since
-            runs left with no terms are dropped.
-        rows: output row written by each run.
+        run_starts: fenceposts of each run's terms (runs left with no
+            terms are dropped).
+        rows: output row written by each run, group after group.
+        group_entries: fenceposts of each non-empty group's entries.
+        group_runs: fenceposts of each group's runs.
         idle_rows: output rows no term reaches (all-zero filters and
             groups with no entries); the executor writes them as 0.
     """
@@ -194,13 +204,25 @@ class ScanTerms:
     coefs: np.ndarray
     run_starts: np.ndarray
     rows: np.ndarray
+    group_entries: np.ndarray
+    group_runs: np.ndarray
     idle_rows: np.ndarray
 
 
 def telescope(program: TableProgram) -> ScanTerms:
-    """Derive a program's :class:`ScanTerms` from its segment passes."""
+    """Derive a program's :class:`ScanTerms` from its segment passes.
+
+    A run belongs to the group where its first segment starts (every
+    non-empty group starts a level-0 run); the group ends where the next
+    one starts.
+
+    Raises:
+        ValueError: if a nonzero term lies outside its run's group, so
+            no program, forged or corrupt, makes the kernel read outside
+            its prefix scratch.
+    """
     empty = np.zeros(0, dtype=np.int64)
-    positions, coefs, runs, rows = [empty], [empty], [empty], []
+    positions, coefs, runs, firsts, rows = [empty], [empty], [empty], [empty], []
     for p in program.passes:
         if not p.filter_ids.size:
             continue
@@ -215,19 +237,35 @@ def telescope(program: TableProgram) -> ScanTerms:
         positions += [p.seg_starts[first:], bounds[ends]]
         coefs += [before - w, p.weights[ends - 1]]
         runs += [run, np.arange(p.filter_ids.size) + len(rows)]
+        firsts.append(p.seg_starts[p.filter_starts])
         rows += p.filter_ids.tolist()
-    position, coef, run = (np.concatenate(a) for a in (positions, coefs, runs))
-    keep = (position != 0) & (coef != 0)
-    position, coef, run = position[keep], coef[keep], run[keep]
-    order = np.lexsort((position, run))
-    counts = np.bincount(run, minlength=len(rows))
-    live = counts > 0
+    position, coef, run, first = (  # int64 whatever a decoded program carries: the kernel's words
+        np.concatenate(a).astype(np.int64, copy=False) for a in (positions, coefs, runs, firsts)
+    )
     rows = np.asarray(rows, dtype=np.int64)
+    starts = np.unique(first)
+    group_entries = np.append(starts, program.num_entries)
+    group = np.searchsorted(starts, first)
+    # Zero terms go first: a run may end on a weight-0 dead-coverage
+    # segment whose end boundary lies in a later group.
+    keep = coef != 0
+    position, coef, run = position[keep], coef[keep], run[keep]
+    col = position - first[run]
+    outside = (col < 0) | (col > np.diff(group_entries)[group[run]])
+    if outside.any():
+        raise ValueError(f"a term at entry {position[outside][0]} lies outside its run's group")
+    keep = col > 0
+    order = np.lexsort((col[keep], run[keep], group[run[keep]]))
+    col, coef, run = col[keep][order], coef[keep][order], run[keep][order]
+    first_terms = np.flatnonzero(np.diff(run, prepend=-1))
+    live = run[first_terms]  # runs with terms, group after group
     return ScanTerms(
-        cols=position[order] - 1,
-        coefs=coef[order],
-        run_starts=np.cumsum(counts[live]) - counts[live],
+        cols=col - 1,
+        coefs=coef,
+        run_starts=np.append(first_terms, col.size),
         rows=rows[live],
+        group_entries=group_entries,
+        group_runs=np.searchsorted(group[live], np.arange(starts.size + 1)),
         idle_rows=np.setdiff1d(np.arange(program.num_filters), rows[live]),
     )
 
@@ -305,15 +343,17 @@ def scan(
             (``N == program.filter_size``), ``>= 0``, with
             ``max(bases) + max(taps) < src.size``.
         out: writeable ``(num_filters, n)`` int64 array with unit column
-            stride (a row block of a larger buffer is fine); every row
-            is written.
+            stride (a row or column block of a larger buffer is fine);
+            every row is written.
 
     Raises:
-        ValueError: if an operand does not match the program or an
-            offset reads outside ``src`` (checked before the native
-            call, which does no bounds checking).
+        ValueError: if an operand does not match the program, an
+            offset reads outside ``src``, or a term lies outside its
+            run's group (checked before the native call, which does no
+            bounds checking).
         RuntimeError: if the kernel library cannot be built.
-        MemoryError: if the kernel cannot allocate its prefix scratch.
+        MemoryError: if the kernel cannot allocate its prefix scratch,
+            ``4 * entries * 8`` bytes for the widest group in a chunk.
     """
     _check_operands(program, src, bases, taps, out)
     terms = program.terms
@@ -321,19 +361,25 @@ def scan(
         out[terms.idle_rows] = 0
     if not terms.cols.size or not bases.size:
         return
-    offsets = taps[program.gather]
-    bases, cols, coefs, run_starts, rows = map(
-        _int64, (bases, terms.cols, terms.coefs, terms.run_starts, terms.rows)
-    )
-    status = _native_scan()(
-        src.ctypes.data, bases.ctypes.data, bases.size,
-        offsets.ctypes.data, offsets.size,
-        cols.ctypes.data, coefs.ctypes.data,
-        run_starts.ctypes.data, rows.ctypes.data, rows.size, cols.size,
-        out.ctypes.data, out.strides[0] // out.itemsize,
-    )
-    if status:
-        raise MemoryError(f"scan kernel: no memory for the prefixes of {offsets.size} entries")
+    bases = _int64(bases)
+    entries, runs = terms.group_entries, terms.group_runs
+    # A chunk of whole groups ends at the first group boundary at or past
+    # each multiple of COPY_CHUNK_ELEMS entries.
+    marks = np.arange(entries[0] + COPY_CHUNK_ELEMS, entries[-1], COPY_CHUNK_ELEMS)
+    cuts = np.unique(np.concatenate(([0], np.searchsorted(entries, marks), [entries.size - 1])))
+    kernel = _native_scan()
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        offsets = taps[program.gather[entries[a] : entries[b]]]
+        status = kernel(
+            src.ctypes.data, bases.ctypes.data, bases.size,
+            offsets.ctypes.data, entries[a:].ctypes.data, runs[a:].ctypes.data, b - a,
+            terms.cols.ctypes.data, terms.coefs.ctypes.data,
+            terms.run_starts.ctypes.data, terms.rows.ctypes.data,
+            out.ctypes.data, out.strides[0] // out.itemsize,
+        )
+        if status:
+            widest = np.diff(entries[a : b + 1]).max()
+            raise MemoryError(f"scan kernel: no memory for four prefixes of {widest} entries")
 
 
 def execute_program(program: TableProgram, windows: np.ndarray) -> np.ndarray:

@@ -6,18 +6,20 @@ one artifact that the fused executor (:func:`execute_network`) walks
 without returning to per-layer Python dispatch:
 
 * every convolutional layer becomes a :class:`ConvStep` holding the
-  layer's filter-group shard programs — split once per compiled layer
-  (``CompiledLayer.shards``) and shared by every network built from
-  it — so a thread pool can fan each layer's work out.  A fully
-  connected layer lowers the same way, as the paper runs it (Section
-  IV-E): a 1x1, stride-1, unpadded conv over an ``(N, 1, 1)`` input,
-  one window per image, after a :class:`FlattenStep` when its input is
-  not already ``(N, 1, 1)``.  Each shard is
-  one call of the engine's only segment-scan kernel,
-  :func:`repro.engine.executor.scan`: one native pass per window that
-  gathers, keeps the running prefix sum and folds the telescoped terms
-  into the shard's output rows, whatever the group size (the call
-  releases the GIL, so shards genuinely overlap);
+  layer's one table program (``CompiledLayer.program``, shared by every
+  network built from the layer).  A fully connected layer lowers the
+  same way, as the paper runs it (Section IV-E): a 1x1, stride-1,
+  unpadded conv over an ``(N, 1, 1)`` input, one window per image,
+  after a :class:`FlattenStep` when its input is not already
+  ``(N, 1, 1)``.  The program runs on the engine's only segment-scan
+  kernel, :func:`repro.engine.executor.scan`: one native pass per
+  window that walks the filter groups, gathers, keeps each group's
+  running prefix sum and folds the telescoped terms into the output
+  rows, whatever the group size.  A step's windows split across up to
+  ``threads`` (at most :data:`MAX_THREADS`) threads in whole blocks of
+  the kernel's four windows, each thread scanning its own output
+  columns (the call releases the GIL, so the threads genuinely
+  overlap);
 * intermediate activations live in two ping-pong buffers sized by an
   :class:`BufferPlan` at compile time — no per-layer allocation, and no
   per-layer ``(N, C, H, W) <-> (C, N, H, W)`` transposes: the fused
@@ -26,8 +28,8 @@ without returning to per-layer Python dispatch:
 * no window is unrolled: a conv step zero-pads the image slice once (or
   reads the activation slot itself when ``padding == 0``) and hands the
   kernel one base offset per output position and one element offset per
-  window element (:func:`window_view`, :func:`gather_offsets`), so each
-  shard gathers its activations straight from the padded buffer, the
+  window element (:func:`window_view`, :func:`gather_offsets`), so the
+  kernel gathers its activations straight from the padded buffer, the
   way the paper's input indirection table addresses the input buffer;
 * pooling is ``size x size`` strided taps over the whole slice.
 
@@ -42,7 +44,7 @@ this).
 
 Programs are memoized in the process-wide program cache under a
 ``net:...`` key (schema in ``docs/api.md``) covering every layer's
-weights and every lowering parameter, so repeated batches — and serve
+weights and group size, so repeated batches — and serve
 workers answering ``network_forward`` — never re-lower a network they
 have seen.
 """
@@ -56,11 +58,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
-from repro.engine.executor import scan
+from repro.engine.executor import LANES, scan
 from repro.engine.program import (
-    DEFAULT_NETWORK_SHARDS,
-    ShardSpec,
+    TableProgram,
     _cached,
     compiled_layer_for,
     weights_fingerprint,
@@ -75,6 +75,10 @@ CHUNK_BUDGET_ELEMS = 1_000_000
 #: :func:`compile_network` gets ``group_size=None`` (the Table II sweet
 #: spot).
 DEFAULT_GROUP_SIZE = 2
+
+#: Most threads one :func:`execute_network` call scans with, whatever
+#: ``threads`` it is given.
+MAX_THREADS = 8
 
 #: Exact error text shared with :class:`repro.core.factorized.FactorizedConv`
 #: for float weights — the fused path and the per-layer factorized path
@@ -92,7 +96,7 @@ _FLOAT_INPUTS_MSG = (
 
 @dataclass(frozen=True, eq=False)
 class ConvStep:
-    """A convolutional layer lowered into sharded segment-scan programs.
+    """A convolutional layer lowered into its segment-scan program.
 
     Attributes:
         name: source layer name.
@@ -100,8 +104,8 @@ class ConvStep:
         out_shape: ``(K, out_h, out_w)`` output shape per image.
         r, s, stride, padding: convolution geometry (``r`` along width,
             ``s`` along height, matching :func:`repro.nn.reference.im2col`).
-        shards: the layer's :class:`ShardSpec` sequence (disjoint,
-            exhaustive output rows).
+        program: the layer's :class:`~repro.engine.program.TableProgram`
+            (its ``gather`` holds window element indices).
     """
 
     name: str
@@ -111,12 +115,7 @@ class ConvStep:
     s: int
     stride: int
     padding: int
-    shards: tuple[ShardSpec, ...]
-
-    @property
-    def entries(self) -> int:
-        """Total gather entries across shards (per window)."""
-        return sum(spec.program.num_entries for spec in self.shards)
+    program: TableProgram
 
     @property
     def windows(self) -> int:
@@ -194,17 +193,15 @@ class BufferPlan:
         slot_elems: ping-pong activation buffer sizes — step ``i`` reads
             slot ``i % 2`` and writes slot ``(i + 1) % 2``.
         pad_elems: largest zero-padded activation tensor of any conv
-            step with ``padding > 0`` (the buffer its shards gather from).
+            step with ``padding > 0`` (the buffer its scan gathers from).
         per_image_cost: slicing unit — the largest per-image buffer (an
             activation slot or the pad buffer); slices are sized so this
             stays near :data:`CHUNK_BUDGET_ELEMS`.
-        max_shards: most shards in any conv step (bounds useful threads).
     """
 
     slot_elems: tuple[int, int]
     pad_elems: int
     per_image_cost: int
-    max_shards: int
 
     def images_per_slice(self) -> int:
         """Images per execution slice under :data:`CHUNK_BUDGET_ELEMS`."""
@@ -249,15 +246,14 @@ class NetworkProgram:
         for step in self.steps:
             if isinstance(step, ConvStep):
                 lines.append(
-                    f"  conv {step.name!r}: {len(step.shards)} shard(s), "
-                    f"{step.entries} entries x {step.windows} windows -> {step.out_shape}"
+                    f"  conv {step.name!r}: {step.program.num_groups} group(s), "
+                    f"{step.program.num_entries} entries x {step.windows} windows -> {step.out_shape}"
                 )
             else:
                 kind = type(step).__name__.replace("Step", "").lower()
                 lines.append(f"  {kind} {step.name!r}: {step.in_shape} -> {step.out_shape}")
         lines.append(
-            f"  buffers: slots {self.plan.slot_elems}, pad {self.plan.pad_elems} "
-            f"elems/image; up to {self.plan.max_shards} shards per conv step"
+            f"  buffers: slots {self.plan.slot_elems}, pad {self.plan.pad_elems} elems/image"
         )
         return "\n".join(lines)
 
@@ -281,11 +277,7 @@ def _check_weights(layer_name: str, weights: np.ndarray) -> np.ndarray:
 
 
 def _lower_layers(
-    network,
-    group_size: int | None,
-    max_group_size: int,
-    layer_canonical: bool,
-    compile_steps: bool = True,
+    network, group_size: int | None, compile_steps: bool = True
 ) -> tuple[tuple, list[str]]:
     """Lower every layer into steps; returns (steps, key descriptors).
 
@@ -305,11 +297,9 @@ def _lower_layers(
 
     g = DEFAULT_GROUP_SIZE if group_size is None else group_size
 
-    def shards(weights: np.ndarray) -> tuple[ShardSpec, ...]:
-        """The compiled layer's shard programs, shared by every network."""
-        return compiled_layer_for(
-            weights, group_size=g, max_group_size=max_group_size, layer_canonical=layer_canonical
-        ).shards
+    def program(weights: np.ndarray) -> TableProgram:
+        """The compiled layer's one program, shared by every network."""
+        return compiled_layer_for(weights, group_size=g).program
 
     steps: list = []
     descriptors: list[str] = []
@@ -327,7 +317,7 @@ def _lower_layers(
             )
             if compile_steps:
                 steps.append(ConvStep(
-                    layer.name, in_t, out_t, sh.r, sh.s, sh.stride, sh.padding, shards(weights)
+                    layer.name, in_t, out_t, sh.r, sh.s, sh.stride, sh.padding, program(weights)
                 ))
         elif isinstance(layer, ConvLayer):
             _check_weights(layer.name, layer.weights)  # same rejection as the fused path
@@ -347,7 +337,7 @@ def _lower_layers(
                 steps.append(FlattenStep(layer.name, in_t, flat_t))
             if compile_steps:
                 steps.append(ConvStep(
-                    layer.name, flat_t, out_t, sh.r, sh.s, sh.stride, sh.padding, shards(weights)
+                    layer.name, flat_t, out_t, sh.r, sh.s, sh.stride, sh.padding, program(weights)
                 ))
         elif isinstance(layer, ReluLayer):
             steps.append(ReluStep(layer.name, in_t, out_t))
@@ -381,72 +371,51 @@ def _lower_layers(
 def _plan_buffers(input_elems: int, steps: tuple) -> BufferPlan:
     """Size every reused buffer of the fused executor (per-image units)."""
     slot_elems = [input_elems, 0]
-    pad = max_shards = 0
+    pad = 0
     for i, step in enumerate(steps):
         out_elems = int(np.prod(step.out_shape))
         slot = (i + 1) % 2
         slot_elems[slot] = max(slot_elems[slot], out_elems)
-        if isinstance(step, ConvStep):
-            if step.padding:
-                c, h, w = step.in_shape
-                pad = max(pad, c * (h + 2 * step.padding) * (w + 2 * step.padding))
-            max_shards = max(max_shards, len(step.shards))
+        if isinstance(step, ConvStep) and step.padding:
+            c, h, w = step.in_shape
+            pad = max(pad, c * (h + 2 * step.padding) * (w + 2 * step.padding))
     return BufferPlan(
         slot_elems=(slot_elems[0], slot_elems[1]),
         pad_elems=pad,
         per_image_cost=max(pad, *slot_elems),
-        max_shards=max_shards,
     )
 
 
-def network_program_key(
-    network,
-    group_size: int | None = None,
-    max_group_size: int = DEFAULT_MAX_GROUP_SIZE,
-    layer_canonical: bool = True,
-) -> str:
+def network_program_key(network, group_size: int | None = None) -> str:
     """Program-cache key of a fused network (``net:...`` schema).
 
     The digest covers the input shape and one descriptor per layer —
-    conv/FC descriptors embed the weight fingerprint and every lowering
-    parameter, so the key rotates on any weight or parameter change.
+    conv/FC descriptors embed the weight fingerprint and the group size,
+    so the key rotates on any weight or group-size change.
     """
-    __, descriptors = _lower_layers(
-        network, group_size, max_group_size, layer_canonical, compile_steps=False
-    )
+    __, descriptors = _lower_layers(network, group_size, compile_steps=False)
     digest = hashlib.sha256()
     digest.update(repr(network.input_shape.as_tuple()).encode())
     for d in descriptors:
         digest.update(d.encode())
         digest.update(b"\x00")
     g = group_size if group_size is not None else "*"
-    return (
-        f"net:g{g}:m{max_group_size}:c{int(layer_canonical)}:s{DEFAULT_NETWORK_SHARDS}:"
-        f"{digest.hexdigest()}"
-    )
+    return f"net:g{g}:{digest.hexdigest()}"
 
 
-def compile_network(
-    network,
-    group_size: int | None = None,
-    max_group_size: int = DEFAULT_MAX_GROUP_SIZE,
-    layer_canonical: bool = True,
-) -> NetworkProgram:
+def compile_network(network, group_size: int | None = None) -> NetworkProgram:
     """Lower a whole :class:`~repro.nn.network.Network`, memoized.
 
     Args:
         network: the network; every conv/FC layer must have (signed)
             integer weights attached.  Ungrouped conv layers and FC
             layers (as 1x1 convs) lower into their compiled layer's
-            shared shard programs (at most
-            :data:`DEFAULT_NETWORK_SHARDS`, the thread fan-out ceiling);
-            grouped convs and unknown layer types become fallback steps
-            running the layer's own batched forward.
+            shared program (:func:`compiled_layer_for` with its default
+            chunk limit and layer-wide canonical order); grouped convs
+            and unknown layer types become fallback steps running the
+            layer's own batched forward.
         group_size: UCNN G for every conv and FC layer; ``None``
             (default) uses :data:`DEFAULT_GROUP_SIZE`.
-        max_group_size: innermost chunk limit (Section IV-B).
-        layer_canonical: key each conv layer's groups to the layer-wide
-            canonical weight order.
 
     Returns:
         the memoized :class:`NetworkProgram`; repeated calls with
@@ -463,11 +432,11 @@ def compile_network(
             weights.
         RuntimeError: if a conv/FC layer has no weights attached.
     """
-    key = network_program_key(network, group_size, max_group_size, layer_canonical)
+    key = network_program_key(network, group_size)
 
     def lower() -> NetworkProgram:
         """Lower every layer and plan the buffers: the memo's miss path."""
-        steps, __ = _lower_layers(network, group_size, max_group_size, layer_canonical)
+        steps, __ = _lower_layers(network, group_size)
         return NetworkProgram(
             name=network.name,
             input_shape=network.input_shape.as_tuple(),
@@ -567,29 +536,29 @@ def _apply_conv(
     pool: ThreadPoolExecutor | None,
     workers: int,
 ) -> None:
-    """Run one conv step: pad, then fan the shards across threads."""
-    ns = cur.shape[1]
+    """Run one conv step: pad, then split its windows across threads.
+
+    The windows split into at most ``workers`` runs of whole
+    :data:`~repro.engine.executor.LANES`-window blocks; each run is one
+    :func:`scan` into its own column block of ``out``, and the calling
+    thread scans the first.
+    """
     src = _padded(step, cur, scratch)
     bases, taps = gather_offsets(
         window_view(src, step.r, step.s, step.stride, step.out_shape[1:])
     )
-    out2d = out.reshape(step.out_shape[0], ns * step.windows)
-    args = (src, bases, taps, out2d)
-    if pool is not None and len(step.shards) > 1:
-        futures = [
-            pool.submit(_run_shard_list, step.shards[slot::workers], *args)
-            for slot in range(min(workers, len(step.shards)))
-        ]
-        for future in futures:
-            future.result()
-    else:
-        _run_shard_list(step.shards, *args)
-
-
-def _run_shard_list(shards, src, bases, taps, out2d) -> None:
-    """Scan a worker's share of the shards, one after another."""
-    for spec in shards:
-        scan(spec.program, src, bases, taps, out2d[spec.row_lo : spec.row_hi])
+    n = bases.size
+    out2d = out.reshape(step.out_shape[0], n)
+    blocks = -(-n // LANES)
+    parts = min(workers, blocks)
+    cuts = [min(n, LANES * (blocks * i // parts)) for i in range(parts + 1)]
+    futures = [
+        pool.submit(scan, step.program, src, bases[a:b], taps, out2d[:, a:b])
+        for a, b in zip(cuts[1:-1], cuts[2:])
+    ]
+    scan(step.program, src, bases[: cuts[1]], taps, out2d[:, : cuts[1]])
+    for future in futures:
+        future.result()
 
 
 def _apply_pool(step: PoolStep, cur: np.ndarray, out: np.ndarray) -> None:
@@ -640,10 +609,11 @@ def execute_network(
         program: the compiled :class:`NetworkProgram`.
         inputs: ``(N, C, H, W)`` batch of **signed** integer activation
             tensors matching ``program.input_shape``.
-        threads: worker threads fanning each conv layer's segment scan
-            across its filter-group shards.  Output is bit-identical for
-            every thread count (shards own disjoint output rows and the
-            per-row arithmetic never changes).
+        threads: threads splitting each conv step's windows, at most
+            :data:`MAX_THREADS`; a step with fewer four-window blocks
+            than threads runs on fewer.  Output is bit-identical for
+            every thread count (each thread writes its own output
+            columns, and the per-window arithmetic never changes).
 
     Returns:
         ``(N, *program.output_shape)`` int64 outputs, bit-identical to
@@ -677,9 +647,9 @@ def execute_network(
     n = inputs.shape[0]
     out = np.empty((n,) + program.output_shape, dtype=np.int64)
     slice_n = min(n, program.plan.images_per_slice())
-    workers = max(1, min(int(threads), max(1, program.plan.max_shards)))
+    workers = max(1, min(int(threads), MAX_THREADS))
     scratch = _Scratch(program.plan, slice_n)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else None
     try:
         for lo in range(0, n, slice_n):
             block = inputs[lo : lo + slice_n]

@@ -6,7 +6,8 @@ magnitude slower than the dense matmul it is meant to beat.  This module
 lowers each table — offline, once per layer — into a **table program**:
 a handful of flat integer arrays that the segment-scan kernel
 (:mod:`repro.engine.executor`) evaluates over *all* windows and *all*
-filter groups of a layer in one native call.
+filter groups of a layer, one group's table at a time.  A layer has
+exactly one program (:attr:`CompiledLayer.program`), whatever runs it.
 
 The lowering rests on one identity.  Within a level-``g`` segment of the
 hierarchical traversal, filter ``g``'s weight is constant (the segment is
@@ -36,8 +37,8 @@ slice — so each level's partition covers the whole concatenated stream.
 The executor never sums those partitions one by one: on first
 execution a program derives its telescoped scan terms (cached on the
 object, never serialized), which rewrite every level's segment sums as
-weighted reads of one prefix sum over the gathered stream (see
-:mod:`repro.engine.executor`).
+weighted reads of one prefix sum per group of the gathered stream
+(see :mod:`repro.engine.executor`).
 
 Compilation is pure bookkeeping: it never re-orders the tables and
 reads no event accounting.  The op counts the simulators and the
@@ -69,12 +70,6 @@ from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
 
 if TYPE_CHECKING:
     from repro.engine.executor import ScanTerms
-
-#: Filter-group shards a compiled layer is split into for the fused
-#: executor (:attr:`CompiledLayer.shards`).  Shards execute independently
-#: (disjoint output rows), so this bounds the thread fan-out of one
-#: layer's segment scan; it is the ``s<shards>`` field of ``net:`` keys.
-DEFAULT_NETWORK_SHARDS = 8
 
 
 @dataclass(frozen=True)
@@ -197,28 +192,9 @@ class TableProgram:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True, eq=False)
-class ShardSpec:
-    """One filter-group shard of a conv layer's fused program.
-
-    Attributes:
-        program: the shard's compiled :class:`TableProgram` (its
-            ``gather`` holds absolute window element indices, so every
-            shard reads the same windows).
-        row_lo: first output row (int) this shard owns.
-        row_hi: one past the last output row this shard owns.  The
-            kernel writes every row in between, zeroing the rows of
-            all-zero filters (output buffers are reused).
-    """
-
-    program: TableProgram
-    row_lo: int
-    row_hi: int
-
-
 @dataclass(frozen=True)
 class CompiledLayer:
-    """A layer's filter-group tables, lowered into programs on first read.
+    """A layer's filter-group tables, lowered into its program on first read.
 
     Attributes:
         groups: the hierarchical tables, one per filter group.
@@ -233,41 +209,16 @@ class CompiledLayer:
 
     @cached_property
     def program(self) -> TableProgram:
-        """The whole-layer :class:`TableProgram` over every group.
+        """The layer's one :class:`TableProgram`, over every group.
 
-        Built on first read and kept on the object (never serialized).
-        The fused executor never reads it — it runs :attr:`shards` — so
-        only callers that execute the layer as one window-matrix program
-        (``FactorizedConv``, :func:`~repro.engine.executor.execute_program`
-        callers) pay for this second lowering of the groups.  Racing
-        first callers build identical programs; either may win.
+        Built on first read and kept on the object (never serialized):
+        every driver runs it — fused network steps, ``FactorizedConv``
+        and :func:`~repro.engine.executor.execute_program` callers — so
+        every network lowered from this layer shares it and its cached
+        :attr:`TableProgram.terms`.  Racing first callers build
+        identical programs; either may win.
         """
         return compile_layer(self.groups, key=self.key)
-
-    @cached_property
-    def shards(self) -> tuple[ShardSpec, ...]:
-        """The groups split into the fused executor's shard programs.
-
-        At most :data:`DEFAULT_NETWORK_SHARDS` contiguous, balanced
-        shards, compiled on first use and kept on the object (never
-        serialized): every fused network lowered from this layer shares
-        these programs and their cached :attr:`TableProgram.terms`.
-        Racing first callers build identical shards; either may win.
-        """
-        groups = self.groups
-        row_offsets = np.zeros(len(groups) + 1, dtype=np.int64)
-        np.cumsum([t.num_filters for t in groups], out=row_offsets[1:])
-        n_shards = max(1, min(DEFAULT_NETWORK_SHARDS, len(groups)))
-        bounds = np.linspace(0, len(groups), n_shards + 1).astype(int)
-        return tuple(
-            ShardSpec(
-                program=compile_layer(groups[a:b]),
-                row_lo=int(row_offsets[a]),
-                row_hi=int(row_offsets[b]),
-            )
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if a != b
-        )
 
 
 def _segment_starts(boundary_idx: np.ndarray) -> np.ndarray:

@@ -272,8 +272,8 @@ def network_forward(
 
     Returns:
         dict with parity against the dense reference, an output checksum
-        (stable across runs), the fused program's geometry (steps,
-        shards, cache key), and the batch/thread configuration.
+        (stable across runs), the fused program's step count and cache
+        key, and the batch/thread configuration.
     """
     import hashlib
 
@@ -315,9 +315,6 @@ def network_forward(
         "out_shape": list(fused.shape),
         "out_checksum": hashlib.sha256(np.ascontiguousarray(fused).tobytes()).hexdigest()[:16],
         "steps": program.num_steps,
-        "conv_shards": [
-            len(step.shards) for step in program.steps if hasattr(step, "shards")
-        ],
         "program_key": program.key,
         "batch": int(batch),
         "threads": int(threads),

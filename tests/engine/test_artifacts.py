@@ -107,7 +107,8 @@ class TestRoundTrip:
                          ("ConvStep", "fc1"), ("ConvStep", "fc2")]
         for mine, theirs in zip(program.steps, again.steps):
             assert mine.in_shape == theirs.in_shape and mine.out_shape == theirs.out_shape
-        assert [s.entries for s in again.steps[2:]] == [s.entries for s in program.steps[2:]]
+        entries = [[s.program.num_entries for s in p.steps[2:]] for p in (program, again)]
+        assert entries[0] == entries[1]
         batch = rng.integers(-16, 17, size=(3, 2, 6, 6))
         assert np.array_equal(again.run(batch), np.stack([net.forward(x) for x in batch]))
 

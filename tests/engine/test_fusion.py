@@ -2,11 +2,15 @@
 
 The property suite (``test_fusion_properties.py``) pins the math; this
 file pins the machinery around it — compilation and memoization, the
-``net:`` key schema, shard partitioning with empty groups, error-message
-contracts shared with :class:`FactorizedConv`, fallback steps, buffer
-slicing, and the serve endpoint riding on top.
+``net:`` key schema, one program per layer, how a step's windows split
+across threads and the thread ceiling, error-message contracts shared
+with :class:`FactorizedConv`, fallback steps, buffer slicing, and the
+serve endpoint riding on top.
 """
 
+import re
+from collections import Counter
+from concurrent.futures import Future
 from unittest import mock
 
 import numpy as np
@@ -52,6 +56,24 @@ def small_network(rng, c=3, size=10, k1=6, k2=5, classes=4):
     ])
 
 
+def weighted_lenet(seed=7):
+    """The zoo's LeNet with U=17, 90%-dense weights on every weighted layer."""
+    from repro.nn.zoo import lenet_cifar10
+    from repro.quant.distributions import uniform_unique_weights
+
+    net = lenet_cifar10()
+    weight_rng = np.random.default_rng(seed)
+    for layer in net.layers:
+        if isinstance(layer, ConvLayer):
+            shape = layer.shape.weight_shape
+        elif isinstance(layer, FullyConnectedLayer):
+            shape = (layer.out_features, layer.in_features)
+        else:
+            continue
+        layer.set_weights(uniform_unique_weights(shape, 17, 0.9, weight_rng).values)
+    return net
+
+
 def batch_for(network, rng, n=4):
     return rng.integers(-8, 9, size=(n, *network.input_shape.as_tuple())).astype(np.int64)
 
@@ -77,7 +99,7 @@ class TestCompile:
     def test_key_schema_and_rotation(self, rng):
         net = small_network(rng)
         key = network_program_key(net)
-        assert key.startswith("net:g*:m16:c1:s8:")
+        assert re.fullmatch(r"net:g\*:[0-9a-f]{64}", key)
         assert key == compile_network(net).key
         # Any lowering parameter rotates the key prefix...
         assert network_program_key(net, group_size=4).startswith("net:g4:")
@@ -98,7 +120,7 @@ class TestCompile:
 
         The key's prefix reads ``g*``, but its digest embeds each
         layer's effective G, so it matches an explicit ``group_size=2``
-        and the two programs share every shard program.
+        and the two programs share every layer's program.
         """
         from repro.engine.fusion import DEFAULT_GROUP_SIZE
 
@@ -113,26 +135,7 @@ class TestCompile:
         pairs = [(a, b) for a, b in zip(default.steps, explicit.steps) if isinstance(a, ConvStep)]
         assert [a.name for a, __ in pairs] == ["c1", "c2", "fc"]
         for a, b in pairs:
-            assert len(a.shards) == len(b.shards)
-            assert all(x.program is y.program for x, y in zip(a.shards, b.shards))
-
-    def test_shards_partition_is_disjoint_and_exhaustive(self, rng):
-        net = small_network(rng)
-        program = compile_network(net)
-        conv_steps = [s for s in program.steps if isinstance(s, ConvStep)]
-        assert conv_steps, "network should lower conv steps"
-        for step in conv_steps:
-            rows = []
-            for spec in step.shards:
-                assert spec.row_lo < spec.row_hi
-                rows.extend(range(spec.row_lo, spec.row_hi))
-            assert rows == list(range(step.out_shape[0]))
-
-    def test_shard_count_is_capped_by_group_count(self, rng):
-        net = small_network(rng, k1=4)  # G=2 -> only 2 groups in conv1
-        program = compile_network(net)
-        first_conv = next(s for s in program.steps if isinstance(s, ConvStep))
-        assert len(first_conv.shards) == 2
+            assert a.program is b.program
 
     def test_grouped_conv_lowers_to_fallback(self, rng):
         sg = ConvShape(name="gc", w=6, h=6, c=2, k=4, r=3, s=3, groups=2, padding=1)
@@ -175,7 +178,7 @@ class TestCompile:
         fc_step = program.steps[2]
         assert fc_step.in_shape == (n, 1, 1) and fc_step.out_shape == (6, 1, 1)
         assert (fc_step.r, fc_step.s, fc_step.stride, fc_step.padding, fc_step.windows) == (1, 1, 1, 0, 1)
-        assert len(fc_step.shards) == 2  # ceil(6 / G=4) groups
+        assert fc_step.program.num_groups == 2  # ceil(6 / G=4) groups
         x = rng.integers(-8, 9, size=(5, 2, 5, 5)).astype(np.int64)
         assert np.array_equal(execute_network(program, x, threads=2), stacked_forward(net, x))
 
@@ -187,7 +190,7 @@ class TestCompile:
     def test_describe_mentions_every_step(self, rng):
         net = small_network(rng)
         text = compile_network(net).describe()
-        assert "NetworkProgram" in text and "shard(s)" in text
+        assert "NetworkProgram" in text and "group(s)" in text
         for layer in net.layers:
             assert repr(layer.name) in text
 
@@ -314,25 +317,110 @@ class TestExecution:
         assert np.array_equal(net.forward_batch(x, fused=True), stacked_forward(net, x))
 
 
-class TestColdCompile:
-    """A cold fused compile lowers each filter group once and counts no events."""
+class _InlinePool:
+    """A ``ThreadPoolExecutor`` stand-in: records its size and submissions, runs them inline."""
 
-    def test_lenet_lowers_every_weighted_layer_into_its_shards_only(self, rng):
+    def __init__(self, pools, max_workers):
+        self.max_workers = max_workers
+        self.submitted = []  # the program of each submitted scan
+        pools.append(self)
+
+    def submit(self, fn, program, *args):
+        self.submitted.append(program)
+        future = Future()
+        future.set_result(fn(program, *args))
+        return future
+
+    def shutdown(self, wait=True):
+        pass
+
+
+class TestThreads:
+    """Threads split a step's windows into column blocks of whole four-window blocks."""
+
+    def test_each_thread_scans_its_own_column_block(self, rng, monkeypatch):
+        from repro.engine import fusion
+
+        net = weighted_lenet()
+        x = rng.integers(-16, 17, size=(5, 3, 32, 32))  # the FC steps see 5 windows
+        program = compile_network(net)
+        real_apply, real_scan = fusion._apply_conv, fusion.scan
+        current, calls = {}, {}
+
+        def apply_conv(step, cur, out, *args):
+            current["step"], current["out"] = step, out
+            calls[step.name] = []
+            real_apply(step, cur, out, *args)
+
+        def spy_scan(prog, src, bases, taps, out):
+            step, whole = current["step"], current["out"]
+            assert prog is step.program
+            column = (out.ctypes.data - whole.ctypes.data) // out.itemsize
+            calls[step.name].append((column, out.shape, out.strides[0] // out.itemsize))
+            real_scan(prog, src, bases, taps, out)
+
+        monkeypatch.setattr(fusion, "_apply_conv", apply_conv)
+        monkeypatch.setattr(fusion, "scan", spy_scan)
+        assert np.array_equal(execute_network(program, x, threads=2), stacked_forward(net, x))
+        steps = [s for s in program.steps if isinstance(s, ConvStep)]
+        assert list(calls) == [s.name for s in steps]
+        for step in steps:
+            columns = len(x) * step.windows
+            made = calls[step.name]
+            assert len(made) == min(2, -(-columns // 4)), step.name
+            for column, shape, row_stride in made:
+                assert shape[0] == step.out_shape[0] and row_stride == columns
+                assert column % 4 == 0
+            covered = sorted(c for column, shape, __ in made for c in range(column, column + shape[1]))
+            assert covered == list(range(columns)), step.name
+
+    def test_threads_racing_the_first_scans_of_fresh_programs_agree(self, rng):
+        """Eight threads share each step's program before its terms are cached."""
+        import sys
+
+        net = small_network(rng)
+        x = batch_for(net, rng, n=16)
+        clear_program_cache()  # fresh programs: no thread finds terms cached
+        program = compile_network(net)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = execute_network(program, x, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(out, stacked_forward(net, x))
+
+    @pytest.mark.parametrize("caller", ["execute_network", "network_forward"])
+    def test_thread_count_is_capped(self, rng, monkeypatch, caller):
+        """``threads`` may come off the wire: one pool, at most 8 threads a step."""
+        from repro.engine import fusion
+        from repro.serve.endpoints import resolve
+
+        pools = []
+        monkeypatch.setattr(
+            fusion, "ThreadPoolExecutor", lambda max_workers: _InlinePool(pools, max_workers)
+        )
+        if caller == "execute_network":
+            net = small_network(rng)
+            x = batch_for(net, rng, n=6)
+            out = execute_network(compile_network(net), x, threads=10**6)
+            assert np.array_equal(out, stacked_forward(net, x))
+        else:
+            assert resolve("network_forward")(threads=10**6)["parity"] is True
+        (pool,) = pools
+        assert 1 <= pool.max_workers <= fusion.MAX_THREADS == 8
+        scans = Counter(map(id, pool.submitted))  # scans submitted per step
+        assert scans and max(scans.values()) <= 7
+
+
+class TestColdCompile:
+    """A cold fused compile lowers each weighted layer once and counts no events."""
+
+    def test_lenet_lowers_every_weighted_layer_once(self, rng):
         from repro.core.hierarchical import FilterGroupTables
         from repro.engine import program
-        from repro.nn.zoo import lenet_cifar10
-        from repro.quant.distributions import uniform_unique_weights
 
-        net = lenet_cifar10()
-        weight_rng = np.random.default_rng(7)
-        for layer in net.layers:
-            if isinstance(layer, ConvLayer):
-                shape = layer.shape.weight_shape
-            elif isinstance(layer, FullyConnectedLayer):
-                shape = (layer.out_features, layer.in_features)
-            else:
-                continue
-            layer.set_weights(uniform_unique_weights(shape, 17, 0.9, weight_rng).values)
+        net = weighted_lenet()
         clear_program_cache()
         with (
             mock.patch.object(
@@ -344,8 +432,8 @@ class TestColdCompile:
         assert stats.call_count == 0
         conv_steps = [s for s in fused.steps if isinstance(s, ConvStep)]
         assert [s.name for s in conv_steps] == ["conv1", "conv2", "conv3", "ip1", "ip2"]
-        # 8 shards each for conv1-3 and ip1, 5 for ip2's ceil(10 / 2) groups.
-        assert compile_layer.call_count == sum(len(s.shards) for s in conv_steps) == 37
+        assert compile_layer.call_count == 5  # one program per weighted layer
+        assert [s.program.num_groups for s in conv_steps] == [16, 16, 32, 32, 5]
         assert {type(s).__name__ for s in fused.steps} == {
             "ConvStep", "ReluStep", "PoolStep", "FlattenStep"}
         x = rng.integers(-16, 17, size=(3, 3, 32, 32))
@@ -354,10 +442,10 @@ class TestColdCompile:
             assert np.array_equal(execute_network(fused, x, threads=threads), ref)
 
 
-class TestSharedShards:
-    """A compiled layer's shard programs, shared by every network built from it."""
+class TestSharedPrograms:
+    """A compiled layer's program, shared by every network built from it."""
 
-    def test_networks_built_from_one_layer_share_its_shard_programs(self, rng):
+    def test_networks_built_from_one_layer_share_its_program(self, rng):
         net = small_network(rng)
         conv1, fc = net.find("c1"), net.layers[-1]
         alone = Network("c1-alone", net.input_shape, [conv1])
@@ -367,15 +455,12 @@ class TestSharedShards:
         for other in (alone, relu, fc_alone):
             program = compile_network(other)
             assert program is not compile_network(net)
-            step = program.steps[0]
-            assert len(step.shards) == len(full[step.name].shards)
-            for mine, theirs in zip(step.shards, full[step.name].shards):
-                assert mine.program is theirs.program
+            assert program.steps[0].program is full[program.steps[0].name].program
         x = batch_for(net, rng)
         assert np.array_equal(execute_network(compile_network(alone), x), stacked_forward(alone, x))
 
-    def test_racing_first_callers_all_get_valid_shards(self, rng):
-        """Concurrent first reads of ``CompiledLayer.shards``: any winner is exact."""
+    def test_racing_first_callers_all_get_valid_programs(self, rng):
+        """Concurrent first reads of ``CompiledLayer.program``: any winner is exact."""
         import dataclasses
         import sys
         import threading
@@ -384,16 +469,13 @@ class TestSharedShards:
 
         weights = rng.integers(-3, 4, size=(24, 18)).astype(np.int64)
         windows = rng.integers(-9, 10, size=(5, 18))
-        layer = dataclasses.replace(compiled_layer_for(weights, group_size=2))  # no shards yet
+        layer = dataclasses.replace(compiled_layer_for(weights, group_size=2))  # no program yet
         results = []
         gate = threading.Barrier(8, timeout=10.0)
 
         def worker():
             gate.wait()
-            out = np.empty((24, 5), dtype=np.int64)
-            for spec in layer.shards:
-                out[spec.row_lo : spec.row_hi] = spec.program.run(windows)
-            results.append(out)
+            results.append(layer.program.run(windows))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -409,7 +491,7 @@ class TestSharedShards:
         assert len(results) == 8
         for out in results:
             assert np.array_equal(out, weights @ windows.T)
-        assert layer.shards is layer.shards
+        assert layer.program is layer.program
 
 
 class TestServeEndpoint:

@@ -8,8 +8,11 @@ output widths that are not a multiple of the kernel's four-window
 blocks, and blocks that straddle output rows and images), FC layers
 with or without a preceding flatten and sometimes a second FC after the
 first, zero-heavy activations, every thread count, and repeated runs.
-Thread shards own disjoint output rows, so bit-identity across thread
-counts is a hard determinism contract, not a tolerance.
+Threads split a step's windows in whole four-window blocks, each
+writing its own output columns; batches of one to four images give
+steps fewer blocks than threads, and three threads cut the blocks
+unevenly.  Bit-identity across thread counts is a hard determinism
+contract, not a tolerance.
 """
 
 import numpy as np
@@ -80,10 +83,12 @@ def _network_case(draw):
             weights[rng.random(weights.shape) < weight_zero_frac] = 0
             layers.append(FullyConnectedLayer(k, n, weights, name=f"fc{i}"))
     network = Network("prop", TensorShape(c, size, size), layers)
+    # One to four images: an FC step is then one four-window block, fewer
+    # blocks than threads.
     n = draw(st.integers(min_value=1, max_value=4))
     images = rng.integers(-8, 9, size=(n, c, size, size)).astype(np.int64)
     images[rng.random(images.shape) < act_zero_frac] = 0
-    threads = draw(st.sampled_from([1, 2, 8]))
+    threads = draw(st.sampled_from([1, 2, 3, 8]))
     return network, group_size, images, threads
 
 
@@ -106,7 +111,7 @@ def test_fused_is_deterministic_across_thread_counts(case):
     program = compile_network(network, group_size=group_size)
     runs = [
         execute_network(program, images, threads=threads)
-        for threads in (1, 2, 8, 2, 1)
+        for threads in (1, 2, 3, 8, 2, 1)
     ]
     for out in runs[1:]:
         assert np.array_equal(out, runs[0])

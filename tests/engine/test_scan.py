@@ -1,12 +1,13 @@
 """Tests for the shared segment-scan kernel (repro.engine.executor.scan).
 
-The kernel reads every UCNN level from one prefix sum through
-telescoped coefficients, in one native call per program.  These tests
-pin what that arithmetic changes: exactness when the running prefix
-wraps past 2**63 (for every tail length of the kernel's four-window
-blocks), how much work it does per window, the checks that run before
-the unchecked native call, and how the kernel library is built and
-cached.
+The kernel reads every UCNN level from one prefix sum per filter group
+through telescoped coefficients, in one native call per group-aligned
+chunk of a program.  These tests pin what that arithmetic changes:
+exactness when the running prefix wraps past 2**63 (for every tail
+length of the kernel's four-window blocks), how much work it does per
+window, how a program's groups bound and chunk its scan, the checks
+that run before the unchecked native call, and how the kernel library
+is built and cached.
 """
 
 import ctypes
@@ -68,7 +69,7 @@ class TestWrapAround:
 
     @pytest.mark.parametrize("g", [1, 2, 5])
     def test_execute_network_equals_wrapping_dense(self, rng, g):
-        """Wrapping sums stay exact however the five filters share shard programs."""
+        """Wrapping sums stay exact however the five filters share filter groups."""
         shape = ConvShape(name="c", w=6, h=6, c=2, k=5, r=3, s=3, padding=1)
         weights = rng.choice(BIG_WEIGHTS, size=shape.weight_shape)
         net = Network("wrap", TensorShape(2, 6, 6), [ConvLayer(shape, weights), ReluLayer()])
@@ -79,7 +80,7 @@ class TestWrapAround:
             np.maximum(flat @ im2col(img, 3, 3, 1, 1), 0).reshape(shape.k, 6, 6) for img in images
         ])
         program = compile_network(net, group_size=g)
-        assert len(program.steps[0].shards) == -(-shape.k // g)
+        assert program.steps[0].program.num_groups == -(-shape.k // g)
         for threads in (1, 2):
             out = execute_network(program, images, threads=threads)
             assert np.array_equal(out, dense)
@@ -97,8 +98,8 @@ def _nonzero_stretches(p):
 
 #: ``ucnn_scan``'s arguments, in the order of its C signature.
 KERNEL_ARGS = (
-    "src", "bases", "n", "taps", "entries", "cols", "coefs",
-    "run_starts", "rows", "runs", "terms", "out", "out_stride",
+    "src", "bases", "n", "taps", "group_entries", "group_runs", "groups",
+    "cols", "coefs", "run_starts", "rows", "out", "out_stride",
 )
 
 
@@ -111,8 +112,8 @@ def _int64_at(address: int, count: int) -> np.ndarray:
 def kernel_calls(monkeypatch):
     """Record every native kernel call as a name -> argument dict.
 
-    ``bases`` and ``taps`` are recorded as the offsets the kernel
-    reads, not as pointers.
+    ``bases``, ``taps``, ``group_entries`` and ``group_runs`` are
+    recorded as the values the kernel reads, not as pointers.
     """
     real = executor._native_scan()
     calls = []
@@ -120,7 +121,10 @@ def kernel_calls(monkeypatch):
     def recorder(*args):
         call = dict(zip(KERNEL_ARGS, args, strict=True))
         call["bases"] = _int64_at(call["bases"], call["n"])
-        call["taps"] = _int64_at(call["taps"], call["entries"])
+        for name in ("group_entries", "group_runs"):
+            call[name] = _int64_at(call[name], call["groups"] + 1)
+        entries = call["group_entries"]
+        call["taps"] = _int64_at(call["taps"], int(entries[-1] - entries[0]))
         calls.append(call)
         return real(*args)
 
@@ -140,7 +144,8 @@ class TestReuseInvariant:
     @pytest.mark.parametrize("g", [1, 2, 4])
     def test_kernel_runs_one_scan_and_boundary_terms_only(self, rng, g, kernel_calls):
         weights = rng.choice(np.array([-3, -1, 0, 2, 4]), size=(8, 60))
-        program = compiled_layer_for(weights, group_size=g).program
+        compiled = compiled_layer_for(weights, group_size=g)
+        program = compiled.program
         terms = program.terms
         bound = sum(int(p.mac_mask.sum()) + _nonzero_stretches(p) for p in program.passes)
         assert terms.cols.size < weights.size
@@ -151,9 +156,12 @@ class TestReuseInvariant:
         assert call["n"] == 11
         assert np.array_equal(call["bases"], np.arange(11) * 60)  # window w starts at w * N
         assert np.array_equal(call["taps"], program.gather)  # taps = arange(N)
-        assert call["entries"] == program.num_entries
-        assert call["terms"] == terms.cols.size <= bound
-        assert call["runs"] == terms.rows.size
+        sizes = [t.num_entries for t in compiled.groups if t.num_entries]
+        assert call["groups"] == len(sizes)
+        assert call["group_entries"][0] == 0
+        assert np.array_equal(np.diff(call["group_entries"]), sizes)
+        assert call["group_runs"][0] == 0 and call["group_runs"][-1] == terms.rows.size
+        assert terms.run_starts[-1] == terms.cols.size <= bound
 
 
 class TestKernelEdges:
@@ -172,17 +180,83 @@ class TestKernelEdges:
         """Live weights over dead activations sum to exactly zero.
 
         Filter 0 weighs only channels 0-2, which are zero in every image;
-        filter 1 shares its G=2 shard program and reads the live channels.
+        filter 1 shares its G=2 group and reads the live channels.
         """
         weights = np.array([[1, 2, 3, 0, 0, 0], [0, 0, 0, 4, -5, 6]], dtype=np.int64)
         shape = ConvShape(name="c", w=1, h=1, c=6, k=2, r=1, s=1)
         net = Network("dead", TensorShape(6, 1, 1), [ConvLayer(shape, weights.reshape(2, 6, 1, 1))])
         images = np.array([[0, 0, 0, 1, 2, 3], [0, 0, 0, -4, 5, 7]], dtype=np.int64)
-        program = compile_network(net)  # G=2: both filters share one shard program
-        assert len(program.steps[0].shards) == 1
+        program = compile_network(net)  # G=2: both filters share one group
+        assert program.steps[0].program.num_groups == 1
         out = execute_network(program, images.reshape(2, 6, 1, 1))
         assert np.array_equal(out.reshape(2, 2), images @ weights.T)
         assert not out[:, 0].any()
+
+
+class TestGroups:
+    """The prefix restarts at each filter group, which bounds what a scan reads."""
+
+    def test_a_run_reaching_into_the_next_group_is_rejected(self, rng, monkeypatch):
+        weights = rng.choice(np.array([-3, -1, 2, 4]), size=(4, 30))  # no zero weights
+        program = compiled_layer_for(weights, group_size=2).program
+        level1 = program.passes[1]
+        assert level1.filter_ids.size == 2  # one level-1 run per group
+        # Drop the second group's level-1 run, so the first one runs on
+        # through the second group's segments.
+        forged = dataclasses.replace(program, passes=(program.passes[0], dataclasses.replace(
+            level1, filter_starts=level1.filter_starts[:1], filter_ids=level1.filter_ids[:1])))
+
+        def no_native_call():
+            raise AssertionError("the native kernel ran on a forged program")
+
+        executor._native_scan()  # build before the guard replaces the loader
+        monkeypatch.setattr(executor, "_native_scan", no_native_call)
+        with pytest.raises(ValueError, match="lies outside its run's group"):
+            execute_program(forged, rng.integers(-9, 10, size=(5, 30)))
+
+    def test_terms_are_int64_whatever_the_program_dtypes(self, rng):
+        """A decoded program may carry any integer dtype; the kernel reads 8-byte words."""
+        weights = rng.integers(-3, 4, size=(6, 30))
+        program = compiled_layer_for(weights, group_size=2).program
+        narrowed = dataclasses.replace(program, passes=tuple(
+            dataclasses.replace(p, seg_starts=p.seg_starts.astype(np.uint64),
+                                weights=p.weights.astype(np.int32),
+                                filter_starts=p.filter_starts.astype(np.int32))
+            for p in program.passes))
+        terms = narrowed.terms
+        for field in dataclasses.fields(terms):
+            assert getattr(terms, field.name).dtype == np.int64, field.name
+        windows = rng.integers(-9, 10, size=(7, 30))
+        assert np.array_equal(execute_program(narrowed, windows), weights @ windows.T)
+
+    @pytest.mark.parametrize("chunk", [1, 100])
+    def test_offsets_are_gathered_in_group_aligned_chunks(
+        self, rng, monkeypatch, kernel_calls, chunk
+    ):
+        """One kernel call per chunk of whole groups; the calls tile the program."""
+        weights = rng.choice(np.array([-3, -1, 0, 2, 4]), size=(12, 40))
+        compiled = compiled_layer_for(weights, group_size=1)
+        program = compiled.program
+        bounds = np.cumsum([0] + [t.num_entries for t in compiled.groups])
+        monkeypatch.setattr(executor, "COPY_CHUNK_ELEMS", chunk)
+        src = rng.integers(-9, 10, size=(7, 40))
+        out = np.empty((12, 7), dtype=np.int64)
+        taps = np.arange(40, dtype=np.int64)
+        executor.scan(program, src, np.arange(7, dtype=np.int64) * 40, taps, out)
+        assert np.array_equal(out, weights @ src.T)
+        if chunk == 1:
+            assert len(kernel_calls) == 12  # every group is its own chunk
+        else:
+            assert 1 < len(kernel_calls) < 12
+        assert all(call["groups"] >= 1 for call in kernel_calls)
+        seen = [kernel_calls[0]["group_entries"][:1]]
+        seen += [call["group_entries"][1:] for call in kernel_calls]
+        assert np.array_equal(np.concatenate(seen), bounds)
+        assert np.array_equal(np.concatenate([c["taps"] for c in kernel_calls]), program.gather)
+        for call in kernel_calls:
+            entries, runs = call["group_entries"], call["group_runs"]
+            first, last = np.searchsorted(bounds, entries[[0, -1]])
+            assert np.array_equal(runs, program.terms.group_runs[first : last + 1])
 
 
 class TestConstructionBounds:
