@@ -71,6 +71,11 @@ from repro.engine import table_program_for
 program = table_program_for(tables)
 print("\ncompiled table program (the engine's lowering of the same tables):")
 print("  " + program.describe().replace("\n", "\n  "))
+# One term per level boundary where a filter's weight changes: the
+# engine multiplies exactly where the PE does.
+print(f"  multiplies per window: {program.cols.size} engine terms, "
+      f"{ucnn_trace.multiplies} in the lane simulator")
+assert program.cols.size == ucnn_trace.multiplies == 6
 assert np.array_equal(program.run_window(inputs), ucnn_trace.outputs)
 print("  single-window engine run matches the lane simulator: "
       f"k1 = {program.run_window(inputs)[0]}, k2 = {program.run_window(inputs)[1]}")

@@ -4,8 +4,9 @@ The engine makes the factorized path the *fast* path, at two scales:
 
 * **Per layer** — an offline compiler (:mod:`repro.engine.program`)
   lowers a layer's :class:`~repro.core.hierarchical.FilterGroupTables`
-  into one flat table program — gather indices, per-level segment
-  boundaries, weight/MAC schedules — and the segment-scan kernel
+  into one flat table program — gather indices, and per filter one run
+  of telescoped terms, a coefficient per level boundary where its weight
+  changes — and the segment-scan kernel
   (:mod:`repro.engine.executor`) evaluates the program over all windows
   and all filter groups of a layer, one group's prefix sum at a time,
   gathering each window's activations by offset from wherever they lie
@@ -53,12 +54,10 @@ from repro.engine.fusion import (
 )
 from repro.engine.program import (
     CompiledLayer,
-    SegmentPass,
     TableProgram,
     cached_programs,
     clear_program_cache,
     compile_layer,
-    compile_tables,
     compiled_layer_for,
     get_artifact_tier,
     layer_program_key,
@@ -73,13 +72,11 @@ from repro.engine.program import (
 __all__ = [
     "CompiledLayer",
     "NetworkProgram",
-    "SegmentPass",
     "TableProgram",
     "cached_programs",
     "clear_program_cache",
     "compile_layer",
     "compile_network",
-    "compile_tables",
     "compiled_layer_for",
     "execute_network",
     "execute_program",

@@ -59,7 +59,6 @@ import numpy as np
 
 from repro.core.hierarchical import FilterGroupTables
 from repro.engine.fusion import (
-    BufferPlan,
     ConvStep,
     FallbackStep,
     FlattenStep,
@@ -68,8 +67,8 @@ from repro.engine.fusion import (
     ReluStep,
 )
 from repro.engine.program import (
+    KERNEL_ARRAYS,
     CompiledLayer,
-    SegmentPass,
     TableProgram,
     cached_programs,
     seed_program_cache,
@@ -87,7 +86,7 @@ MANIFEST_MAGIC = b"RPROGMAN"
 
 #: Envelope layout version.  Bump on any layout change; a mismatch is a
 #: clean :class:`ArtifactError`, never a misparse.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Serialized kind tags, one per program class.
 KIND_TABLE = "table_program"
@@ -277,44 +276,16 @@ class _ArrayReader:
 # ----------------------------------------------------------------------
 
 
-def _enc_pass(p: SegmentPass, w: _ArrayWriter) -> dict:
-    # mac_mask is weights != 0 by construction; recomputed on decode.
-    return {
-        "level": int(p.level),
-        "seg_starts": w.add(p.seg_starts),
-        "weights": w.add(p.weights),
-        "filter_starts": w.add(p.filter_starts),
-        "filter_ids": w.add(p.filter_ids),
-    }
-
-
-def _dec_pass(node: dict, r: _ArrayReader) -> SegmentPass:
-    weights = r.get(node["weights"])
-    return SegmentPass(
-        level=int(node["level"]),
-        seg_starts=r.get(node["seg_starts"]),
-        weights=weights,
-        mac_mask=weights != 0,
-        filter_starts=r.get(node["filter_starts"]),
-        filter_ids=r.get(node["filter_ids"]),
-    )
-
-
 def _enc_table_program(p: TableProgram, w: _ArrayWriter) -> dict:
-    return {
-        "gather": w.add(p.gather),
-        "passes": [_enc_pass(sp, w) for sp in p.passes],
-        "num_filters": int(p.num_filters),
-        "filter_size": int(p.filter_size),
-        "num_groups": int(p.num_groups),
-        "key": p.key,
-    }
+    node = {name: w.add(getattr(p, name)) for name in KERNEL_ARRAYS}
+    node.update(num_filters=int(p.num_filters), filter_size=int(p.filter_size),
+                num_groups=int(p.num_groups), key=p.key)
+    return node
 
 
 def _dec_table_program(node: dict, r: _ArrayReader) -> TableProgram:
     return TableProgram(
-        gather=r.get(node["gather"]),
-        passes=tuple(_dec_pass(sp, r) for sp in node["passes"]),
+        **{name: r.get(node[name]) for name in KERNEL_ARRAYS},
         num_filters=int(node["num_filters"]),
         filter_size=int(node["filter_size"]),
         num_groups=int(node["num_groups"]),
@@ -456,33 +427,21 @@ def _dec_step(node: dict, r: _ArrayReader) -> object:
 
 
 def _enc_network_program(p: NetworkProgram, w: _ArrayWriter) -> dict:
-    plan = p.plan
     return {
         "name": p.name,
         "input_shape": list(p.input_shape),
         "output_shape": list(p.output_shape),
         "steps": [_enc_step(s, w) for s in p.steps],
-        "plan": {
-            "slot_elems": [int(plan.slot_elems[0]), int(plan.slot_elems[1])],
-            "pad_elems": int(plan.pad_elems),
-            "per_image_cost": int(plan.per_image_cost),
-        },
         "key": p.key,
     }
 
 
 def _dec_network_program(node: dict, r: _ArrayReader) -> NetworkProgram:
-    plan = node["plan"]
-    lo, hi = (int(v) for v in plan["slot_elems"])
     return NetworkProgram(
         name=str(node["name"]),
         input_shape=_shape3(node["input_shape"]),
         output_shape=_shape3(node["output_shape"]),
         steps=tuple(_dec_step(s, r) for s in node["steps"]),
-        plan=BufferPlan(
-            slot_elems=(lo, hi), pad_elems=int(plan["pad_elems"]),
-            per_image_cost=int(plan["per_image_cost"]),
-        ),
         key=node.get("key"),
     )
 

@@ -14,27 +14,19 @@ input buffer.  One call into a small C kernel (``_scan.c`` next to this
 module) walks the program the way the paper's processing element walks
 its indirection tables, one filter group at a time: per window it
 streams the group's activations, named by ``taps[program.gather]``,
-into a running prefix sum ``P`` (``P[i]`` = sum of the group's first
-``i`` entries) and folds each of its runs' telescoped terms,
-``coef * P[col]``, straight into the output row, whatever the group
-size G.  Windows go four at a time so their serial adds overlap; the
-only scratch is their four prefixes of one group.
+into a running prefix sum ``S`` (``S[i]`` = sum of the group's first
+``i + 1`` entries) and folds each of its runs' telescoped terms,
+``coefs[t] * S[cols[t]]``, straight into the run's output row, whatever
+the group size G.  Windows go four at a time so their serial adds
+overlap; the only scratch is their four prefixes of one group.
 
-The terms are the program's :class:`ScanTerms`, derived once by
-:func:`telescope` and cached on the program.  For a filter whose run
-covers segments ``a..b-1`` with start offsets ``p_s`` and weights
-``w_s``, the segment sums telescope:
-
-    out = sum_s w_s * (P[p_{s+1}] - P[p_s])
-        = -w_a * P[p_a] + sum_{a<s<b} (w_{s-1} - w_s) * P[p_s] + w_{b-1} * P[p_b]
-
-so every level reads the same scan, with one multiply per boundary where
-its weight changes.  A run's coefficients sum to zero, so the entries
-before its group cancel and ``P`` may restart at each group.  The
-kernel computes in ``uint64_t``, which wraps mod 2**64 exactly like
-numpy's int64, and the identity holds mod 2**64, so outputs are
-bit-identical to the per-entry walk and the dense matmul even when the
-running prefix wraps.
+The terms are the program itself (:class:`~repro.engine.program.TableProgram`,
+built by :func:`~repro.engine.program.compile_layer`): one per level
+boundary whose weight differs from the next one, with coefficient
+``w_i - w_{i+1}``.  The kernel computes in ``uint64_t``, which wraps
+mod 2**64 exactly like numpy's int64, and the identity holds mod 2**64,
+so outputs are bit-identical to the per-entry walk and the dense matmul
+even when the running prefix wraps.
 
 **Building the kernel.**  The first :func:`scan` in a process compiles
 ``_scan.c`` with the system ``cc`` and :data:`KERNEL_CFLAGS` into
@@ -47,9 +39,9 @@ private temporary directory instead.  If ``cc`` is missing or fails,
 that first :func:`scan` raises :class:`RuntimeError` carrying the
 command and its error output.  The kernel does no bounds checking:
 :func:`scan` proves every read in bounds first (``bases`` and ``taps``
-non-negative, ``max(bases) + max(taps) < src.size``), gather indices
-were bounds-checked when the program was built, and :func:`telescope`
-keeps every term inside its run's group.
+non-negative, ``max(bases) + max(taps) < src.size``), and every index
+inside the program (gather, fenceposts, rows, and each term's column
+within its group) was checked when the program was built or decoded.
 
 :func:`execute_program` is the trivial case, a window-major matrix with
 ``bases = w * N`` and ``taps = arange(N)``.  It copies a caller's
@@ -68,7 +60,6 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -177,99 +168,6 @@ def _native_scan():
     return _kernel_entry
 
 
-@dataclass(frozen=True)
-class ScanTerms:
-    """A program's segment sums, telescoped onto each group's prefix sum.
-
-    Each term reads the prefix sum ``P`` of its run's filter group at one
-    boundary and scales it by its coefficient (the identity in the
-    module docstring); the terms of one run add up to its filter's
-    output.  Terms at a group's first position (``P[0] = 0``) and terms
-    with a zero coefficient are dropped.
-
-    Attributes:
-        cols: column of the group's prefix each term reads (``P[p]``
-            sits in column ``p - 1``), ascending within each run.
-        coefs: int64 coefficient of each term.
-        run_starts: fenceposts of each run's terms (runs left with no
-            terms are dropped).
-        rows: output row written by each run, group after group.
-        group_entries: fenceposts of each non-empty group's entries.
-        group_runs: fenceposts of each group's runs.
-        idle_rows: output rows no term reaches (all-zero filters and
-            groups with no entries); the executor writes them as 0.
-    """
-
-    cols: np.ndarray
-    coefs: np.ndarray
-    run_starts: np.ndarray
-    rows: np.ndarray
-    group_entries: np.ndarray
-    group_runs: np.ndarray
-    idle_rows: np.ndarray
-
-
-def telescope(program: TableProgram) -> ScanTerms:
-    """Derive a program's :class:`ScanTerms` from its segment passes.
-
-    A run belongs to the group where its first segment starts (every
-    non-empty group starts a level-0 run); the group ends where the next
-    one starts.
-
-    Raises:
-        ValueError: if a nonzero term lies outside its run's group, so
-            no program, forged or corrupt, makes the kernel read outside
-            its prefix scratch.
-    """
-    empty = np.zeros(0, dtype=np.int64)
-    positions, coefs, runs, firsts, rows = [empty], [empty], [empty], [empty], []
-    for p in program.passes:
-        if not p.filter_ids.size:
-            continue
-        first = int(p.filter_starts[0])  # earlier segments belong to no run
-        ends = np.append(p.filter_starts[1:], p.num_segments)
-        w = p.weights[first:]
-        before = np.zeros_like(w)  # weight of the preceding segment in the run
-        before[1:] = w[:-1]
-        before[p.filter_starts - first] = 0
-        run = np.repeat(np.arange(p.filter_ids.size), ends - p.filter_starts) + len(rows)
-        bounds = np.append(p.seg_starts, program.num_entries)
-        positions += [p.seg_starts[first:], bounds[ends]]
-        coefs += [before - w, p.weights[ends - 1]]
-        runs += [run, np.arange(p.filter_ids.size) + len(rows)]
-        firsts.append(p.seg_starts[p.filter_starts])
-        rows += p.filter_ids.tolist()
-    position, coef, run, first = (  # int64 whatever a decoded program carries: the kernel's words
-        np.concatenate(a).astype(np.int64, copy=False) for a in (positions, coefs, runs, firsts)
-    )
-    rows = np.asarray(rows, dtype=np.int64)
-    starts = np.unique(first)
-    group_entries = np.append(starts, program.num_entries)
-    group = np.searchsorted(starts, first)
-    # Zero terms go first: a run may end on a weight-0 dead-coverage
-    # segment whose end boundary lies in a later group.
-    keep = coef != 0
-    position, coef, run = position[keep], coef[keep], run[keep]
-    col = position - first[run]
-    outside = (col < 0) | (col > np.diff(group_entries)[group[run]])
-    if outside.any():
-        raise ValueError(f"a term at entry {position[outside][0]} lies outside its run's group")
-    keep = col > 0
-    order = np.lexsort((col[keep], run[keep], group[run[keep]]))
-    col, coef, run = col[keep][order], coef[keep][order], run[keep][order]
-    first_terms = np.flatnonzero(np.diff(run, prepend=-1))
-    live = run[first_terms]  # runs with terms, group after group
-    return ScanTerms(
-        cols=col - 1,
-        coefs=coef,
-        run_starts=np.append(first_terms, col.size),
-        rows=rows[live],
-        group_entries=group_entries,
-        group_runs=np.searchsorted(group[live], np.arange(starts.size + 1)),
-        idle_rows=np.setdiff1d(np.arange(program.num_filters), rows[live]),
-    )
-
-
 def _check_operands(
     program: TableProgram,
     src: np.ndarray,
@@ -347,22 +245,20 @@ def scan(
             every row is written.
 
     Raises:
-        ValueError: if an operand does not match the program, an
-            offset reads outside ``src``, or a term lies outside its
-            run's group (checked before the native call, which does no
-            bounds checking).
+        ValueError: if an operand does not match the program or an
+            offset reads outside ``src`` (checked before the native
+            call, which does no bounds checking).
         RuntimeError: if the kernel library cannot be built.
         MemoryError: if the kernel cannot allocate its prefix scratch,
             ``4 * entries * 8`` bytes for the widest group in a chunk.
     """
     _check_operands(program, src, bases, taps, out)
-    terms = program.terms
-    if terms.idle_rows.size:
-        out[terms.idle_rows] = 0
-    if not terms.cols.size or not bases.size:
+    if program.idle_rows.size:
+        out[program.idle_rows] = 0
+    if not program.cols.size or not bases.size:
         return
     bases = _int64(bases)
-    entries, runs = terms.group_entries, terms.group_runs
+    entries, runs = program.group_entries, program.group_runs
     # A chunk of whole groups ends at the first group boundary at or past
     # each multiple of COPY_CHUNK_ELEMS entries.
     marks = np.arange(entries[0] + COPY_CHUNK_ELEMS, entries[-1], COPY_CHUNK_ELEMS)
@@ -373,8 +269,8 @@ def scan(
         status = kernel(
             src.ctypes.data, bases.ctypes.data, bases.size,
             offsets.ctypes.data, entries[a:].ctypes.data, runs[a:].ctypes.data, b - a,
-            terms.cols.ctypes.data, terms.coefs.ctypes.data,
-            terms.run_starts.ctypes.data, terms.rows.ctypes.data,
+            program.cols.ctypes.data, program.coefs.ctypes.data,
+            program.run_starts.ctypes.data, program.rows.ctypes.data,
             out.ctypes.data, out.strides[0] // out.itemsize,
         )
         if status:

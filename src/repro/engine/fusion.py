@@ -54,6 +54,7 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -65,6 +66,7 @@ from repro.engine.program import (
     compiled_layer_for,
     weights_fingerprint,
 )
+from repro.nn.tensor import conv_output_hw, pool_output_hw
 
 #: Memory budget (int64 elements, ~8 MiB) of one image slice's working
 #: set: :meth:`BufferPlan.images_per_slice` sizes slices so the largest
@@ -194,14 +196,18 @@ class BufferPlan:
             slot ``i % 2`` and writes slot ``(i + 1) % 2``.
         pad_elems: largest zero-padded activation tensor of any conv
             step with ``padding > 0`` (the buffer its scan gathers from).
-        per_image_cost: slicing unit — the largest per-image buffer (an
-            activation slot or the pad buffer); slices are sized so this
-            stays near :data:`CHUNK_BUDGET_ELEMS`.
     """
 
     slot_elems: tuple[int, int]
     pad_elems: int
-    per_image_cost: int
+
+    @property
+    def per_image_cost(self) -> int:
+        """Slicing unit: the largest per-image buffer (a slot or the pad).
+
+        Slices are sized so this stays near :data:`CHUNK_BUDGET_ELEMS`.
+        """
+        return max(self.pad_elems, *self.slot_elems)
 
     def images_per_slice(self) -> int:
         """Images per execution slice under :data:`CHUNK_BUDGET_ELEMS`."""
@@ -217,16 +223,27 @@ class NetworkProgram:
         input_shape: per-image ``(C, H, W)`` the program accepts.
         output_shape: per-image output shape it produces.
         steps: the lowered step sequence, execution order.
-        plan: the :class:`BufferPlan` sizing every reused buffer.
         key: program-cache key (``net:...`` schema in ``docs/api.md``).
+
+    Construction checks that the steps fit together (see
+    :func:`_check_steps`), so a program that exists, compiled or
+    decoded, runs without a shape error.
     """
 
     name: str
     input_shape: tuple[int, int, int]
     output_shape: tuple[int, int, int]
     steps: tuple
-    plan: BufferPlan
     key: str | None = None
+
+    def __post_init__(self):
+        """Reject steps whose shapes or programs disagree (see :func:`_check_steps`)."""
+        _check_steps(self.input_shape, self.output_shape, self.steps)
+
+    @cached_property
+    def plan(self) -> BufferPlan:
+        """The :class:`BufferPlan` sizing every reused buffer, derived from the steps."""
+        return _plan_buffers(int(np.prod(self.input_shape)), self.steps)
 
     @property
     def num_steps(self) -> int:
@@ -368,6 +385,52 @@ def _lower_layers(
     return tuple(steps), descriptors
 
 
+def _check_steps(input_shape: tuple, output_shape: tuple, steps: tuple) -> None:
+    """Raise ``ValueError`` unless ``steps`` chain ``input_shape`` to ``output_shape``.
+
+    Each step must read the shape the one before it wrote, and write the
+    shape its own geometry gives: a conv step's program must read
+    windows of ``C*r*s`` and write ``K`` rows over
+    :func:`~repro.nn.tensor.conv_output_hw` positions, a max or average
+    pool step's output follows the ceil-mode
+    :func:`~repro.nn.tensor.pool_output_hw`, a flatten writes
+    ``(C*H*W, 1, 1)`` and a ReLU its input shape.  A fallback step runs
+    its live layer and is taken at its word.
+    """
+    shape = tuple(input_shape)
+    for step in steps:
+        if tuple(step.in_shape) != shape:
+            raise ValueError(f"step {step.name!r} reads {tuple(step.in_shape)}, but gets {shape}")
+        c, h, w = shape
+        if isinstance(step, ConvStep):
+            program = step.program
+            if program.filter_size != step.filter_size:
+                raise ValueError(
+                    f"conv step {step.name!r}: its program reads windows of "
+                    f"{program.filter_size}, not C*r*s = {step.filter_size}"
+                )
+            hw = conv_output_hw(h, w, step.r, step.s, step.stride, step.padding)
+            expected = (program.num_filters, *hw)
+        elif isinstance(step, PoolStep):
+            if step.kind not in ("max", "avg"):
+                raise ValueError(f"pool step {step.name!r}: unknown kind {step.kind!r}")
+            expected = (c, *pool_output_hw(h, w, step.size, step.stride))
+        elif isinstance(step, FlattenStep):
+            expected = (c * h * w, 1, 1)
+        elif isinstance(step, ReluStep):
+            expected = shape
+        else:  # FallbackStep
+            expected = tuple(step.out_shape)
+        if tuple(step.out_shape) != expected:
+            raise ValueError(
+                f"step {step.name!r} writes {tuple(step.out_shape)}, but its geometry gives "
+                f"{expected}"
+            )
+        shape = expected
+    if shape != tuple(output_shape):
+        raise ValueError(f"the steps end at {shape}, not the output shape {tuple(output_shape)}")
+
+
 def _plan_buffers(input_elems: int, steps: tuple) -> BufferPlan:
     """Size every reused buffer of the fused executor (per-image units)."""
     slot_elems = [input_elems, 0]
@@ -379,11 +442,7 @@ def _plan_buffers(input_elems: int, steps: tuple) -> BufferPlan:
         if isinstance(step, ConvStep) and step.padding:
             c, h, w = step.in_shape
             pad = max(pad, c * (h + 2 * step.padding) * (w + 2 * step.padding))
-    return BufferPlan(
-        slot_elems=(slot_elems[0], slot_elems[1]),
-        pad_elems=pad,
-        per_image_cost=max(pad, *slot_elems),
-    )
+    return BufferPlan(slot_elems=(slot_elems[0], slot_elems[1]), pad_elems=pad)
 
 
 def network_program_key(network, group_size: int | None = None) -> str:
@@ -442,7 +501,6 @@ def compile_network(network, group_size: int | None = None) -> NetworkProgram:
             input_shape=network.input_shape.as_tuple(),
             output_shape=network.output_shape.as_tuple(),
             steps=steps,
-            plan=_plan_buffers(network.input_shape.size, steps),
             key=key,
         )
 

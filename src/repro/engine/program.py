@@ -3,49 +3,44 @@
 The per-entry walk of :meth:`FilterGroupTables.execute` is the *semantic*
 ground truth for UCNN's datapath, but as a Python loop it is orders of
 magnitude slower than the dense matmul it is meant to beat.  This module
-lowers each table — offline, once per layer — into a **table program**:
-a handful of flat integer arrays that the segment-scan kernel
-(:mod:`repro.engine.executor`) evaluates over *all* windows and *all*
-filter groups of a layer, one group's table at a time.  A layer has
-exactly one program (:attr:`CompiledLayer.program`), whatever runs it.
+lowers a layer's tables — offline, once per layer — into a **table
+program**: the flat integer arrays that the segment-scan kernel
+(:mod:`repro.engine.executor`) reads as it walks each filter group's
+table over *all* windows of a layer.  A layer has exactly one program
+(:attr:`CompiledLayer.program`), whatever runs it.
 
-The lowering rests on one identity.  Within a level-``g`` segment of the
-hierarchical traversal, filter ``g``'s weight is constant (the segment is
-by construction a run of constant rank), so the walk's running-sum /
-MAC-at-boundary structure collapses to
+The lowering rests on one identity.  Let ``S[i]`` be the running sum of
+a group's first ``i + 1`` gathered activations (the PE's accumulator,
+restarted at each group).  Filter ``L``'s level-``L`` boundaries are the
+entries ``e_0 < ... < e_m`` whose ``transitions[L]`` bit is set (``e_m``
+is the group's last entry), and its weight over the segment ending at
+``e_i`` is the constant ``w_i = filters[L, iit[e_i]]``, so the walk's
+MAC-at-boundary structure telescopes:
 
-    out[g] = sum over level-g segments of  w_g(segment) * segment_sum
+    out[L] = sum_i w_i * (S[e_i] - S[e_{i-1}])
+           = sum_i (w_i - w_{i+1}) * S[e_i]        (w_{m+1} = 0)
 
-Innermost chunking (``max_group_size``) and the skip-entry machinery only
-change *when* partial sums are folded, never their value, so the program
-needs just:
+One *term* ``coefs[t] * S[cols[t]]`` per boundary whose weight differs
+from the next one; a filter's terms form its *run*.  Innermost chunking
+(``max_group_size``) and the skip-entry machinery only change *when*
+partial sums are folded, never their value, so the program ignores
+them.  The program holds exactly what the kernel reads:
 
-* ``gather`` — the concatenated iiT address streams of every group
-  (windows are gathered through it in one shot);
-* per level, the **segment boundaries** (`seg_starts`) partitioning the
-  gathered stream, the **weight schedule** (one weight per segment) and
-  the **MAC mask** (segments whose weight is non-zero — the MACs the
-  datapath actually dispatches; zero-weight segments multiply by zero and
-  exist only so the partition stays exhaustive);
-* per level, the **filter reduction boundaries** (`filter_starts`,
-  `filter_ids`) that fold per-segment products into per-filter outputs.
+* ``gather`` — the concatenated iiT address streams of the non-empty
+  groups, with ``group_entries`` fenceposting each group's slice;
+* ``cols`` / ``coefs`` — each term's prefix column and coefficient,
+  ``run_starts`` fenceposting each run's terms, ``rows`` the output row
+  of each run and ``group_runs`` fenceposting each group's runs.
 
-Groups that do not reach a level (the ragged last group when ``K % G``)
-are covered by *dead segments* — weight-zero segments spanning their
-slice — so each level's partition covers the whole concatenated stream.
-
-The executor never sums those partitions one by one: on first
-execution a program derives its telescoped scan terms (cached on the
-object, never serialized), which rewrite every level's segment sums as
-weighted reads of one prefix sum per group of the gathered stream
-(see :mod:`repro.engine.executor`).
+Filters with no terms (all-zero filters, and every filter of a group
+with no entries) are the program's :attr:`TableProgram.idle_rows`,
+which execution writes as 0.
 
 Compilation is pure bookkeeping: it never re-orders the tables and
 reads no event accounting.  The op counts the simulators and the
 regress digest report stay on :meth:`FilterGroupTables.stats`, which
 the lowering never calls; the test suite pins that compiling a group
-leaves them unchanged and that the program's MAC schedule agrees with
-them.
+leaves them unchanged and that its terms stay within the walk's MACs.
 
 Programs are memoized in a process-wide cache keyed by
 ``(weights fingerprint, G, max_group_size, layer_canonical)`` (schema in
@@ -60,7 +55,6 @@ from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -68,86 +62,81 @@ from repro.core.activation_groups import canonical_weight_order
 from repro.core.hierarchical import FilterGroupTables, build_filter_group_tables
 from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
 
-if TYPE_CHECKING:
-    from repro.engine.executor import ScanTerms
-
-
-@dataclass(frozen=True)
-class SegmentPass:
-    """One level of the segment scan, fused across all groups.
-
-    Attributes:
-        level: hierarchy level g (0-based; level g serves filter g of
-            each group that has one).
-        seg_starts: segment start offsets into the program's gathered
-            stream, strictly ascending, covering it exhaustively.
-        weights: the weight MACed at the end of each segment (0 for dead
-            coverage segments and zero-weight boundaries).
-        mac_mask: ``weights != 0`` — the MACs the datapath dispatches.
-        filter_starts: offsets into ``seg_starts`` where each output
-            filter's run of segments begins.
-        filter_ids: output row written by each filter run.
-    """
-
-    level: int
-    seg_starts: np.ndarray
-    weights: np.ndarray
-    mac_mask: np.ndarray
-    filter_starts: np.ndarray
-    filter_ids: np.ndarray
-
-    @property
-    def num_segments(self) -> int:
-        """Segments scanned in this pass (including dead coverage)."""
-        return int(self.seg_starts.size)
+#: The program arrays ``ucnn_scan`` reads, all cast to int64 on construction.
+KERNEL_ARRAYS = ("gather", "cols", "coefs", "run_starts", "rows", "group_entries", "group_runs")
 
 
 @dataclass(frozen=True)
 class TableProgram:
-    """A compiled segment-scan program for one or more filter groups.
+    """A layer's filter groups compiled into the scan kernel's terms.
 
     Attributes:
         gather: concatenated iiT address streams (indices into a
-            flattened window) of every group, traversal order.
-        passes: one fused :class:`SegmentPass` per hierarchy level.
+            flattened window) of every non-empty group, traversal order.
+        cols: column of its group's prefix ``S`` each term reads,
+            ascending within each run.
+        coefs: coefficient of each term.
+        run_starts: fenceposts of each run's terms (one run per filter
+            with terms).
+        rows: output row written by each run, group after group.
+        group_entries: fenceposts of each non-empty group's slice of
+            ``gather``.
+        group_runs: fenceposts of each non-empty group's runs.
         num_filters: total output rows K (sum of group sizes).
         filter_size: flattened window length N every group shares.
-        num_groups: filter groups fused into this program.
+        num_groups: filter groups compiled into this program (empty
+            ones included).
         key: program-cache key when the program came from the cache.
+
+    Construction casts the seven arrays to int64 (the kernel reads
+    8-byte words) and checks every index in them, so a program that
+    exists, compiled or decoded, is safe for the unchecked kernel.
     """
 
     gather: np.ndarray
-    passes: tuple[SegmentPass, ...]
+    cols: np.ndarray
+    coefs: np.ndarray
+    run_starts: np.ndarray
+    rows: np.ndarray
+    group_entries: np.ndarray
+    group_runs: np.ndarray
     num_filters: int
     filter_size: int
     num_groups: int
     key: str | None = None
 
     def __post_init__(self):
-        """Bounds-check every index array once, so execution need not."""
-        entries = self.num_entries
-        if self.gather.size and not (
-            0 <= self.gather.min() and self.gather.max() < self.filter_size
-        ):
+        """Cast the kernel's arrays to int64 and bounds-check every index once."""
+        for name in KERNEL_ARRAYS:
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+            object.__setattr__(self, name, arr)
+        gather, entries = self.gather, self.group_entries
+        if gather.size and not (0 <= gather.min() and gather.max() < self.filter_size):
             raise ValueError(f"gather indices fall outside [0, {self.filter_size})")
-        for p in self.passes:
-            starts = p.seg_starts
-            if p.weights.shape != starts.shape or p.mac_mask.shape != starts.shape:
-                raise ValueError(f"pass {p.level}: weights do not match its segments")
-            if starts.size and not (
-                starts[0] == 0 and starts[-1] < entries and np.all(starts[1:] > starts[:-1])
-            ):
-                raise ValueError(
-                    f"pass {p.level}: seg_starts must rise strictly from 0 within [0, {entries})"
-                )
-            fs = p.filter_starts
-            if fs.shape != p.filter_ids.shape:
-                raise ValueError(f"pass {p.level}: filter_starts and filter_ids differ in size")
-            if fs.size and not (
-                0 <= fs[0] and fs[-1] < starts.size and np.all(fs[1:] > fs[:-1])
-                and 0 <= p.filter_ids.min() and p.filter_ids.max() < self.num_filters
-            ):
-                raise ValueError(f"pass {p.level}: filter_starts or filter_ids out of range")
+        _check_fenceposts("group_entries", entries, gather.size, strict=True)
+        runs = self.rows.size
+        if self.group_runs.size != entries.size:
+            raise ValueError(
+                f"group_runs has {self.group_runs.size} fenceposts, group_entries {entries.size}"
+            )
+        _check_fenceposts("group_runs", self.group_runs, runs, strict=False)
+        if self.run_starts.size != runs + 1:
+            raise ValueError(f"run_starts has {self.run_starts.size} fenceposts for {runs} run(s)")
+        _check_fenceposts("run_starts", self.run_starts, self.cols.size, strict=True)
+        if self.coefs.shape != self.cols.shape:
+            raise ValueError(f"coefs has {self.coefs.size} terms, cols {self.cols.size}")
+        if runs and not (0 <= self.rows.min() and self.rows.max() < self.num_filters):
+            raise ValueError(f"rows fall outside [0, {self.num_filters})")
+        group = np.repeat(np.arange(entries.size - 1), np.diff(self.group_runs))
+        width = np.repeat(np.diff(entries)[group], np.diff(self.run_starts))
+        outside = (self.cols < 0) | (self.cols >= width)
+        if outside.any():
+            t = int(np.flatnonzero(outside)[0])
+            raise ValueError(
+                f"term {t} reads column {self.cols[t]}, outside its group of {width[t]} entries"
+            )
 
     @property
     def num_entries(self) -> int:
@@ -155,15 +144,9 @@ class TableProgram:
         return int(self.gather.size)
 
     @cached_property
-    def terms(self) -> ScanTerms:
-        """The kernel's telescoped :class:`~repro.engine.executor.ScanTerms`.
-
-        Derived on first execution and kept on the object (never
-        serialized); racing first callers compute identical arrays.
-        """
-        from repro.engine.executor import telescope
-
-        return telescope(self)
+    def idle_rows(self) -> np.ndarray:
+        """Output rows no run writes; execution writes them as 0."""
+        return np.setdiff1d(np.arange(self.num_filters), self.rows)
 
     def run(self, windows: np.ndarray) -> np.ndarray:
         """Execute over ``(n, N)`` integer windows; returns ``(K, n)``."""
@@ -180,16 +163,23 @@ class TableProgram:
 
     def describe(self) -> str:
         """Human-readable one-glance summary (examples/debugging)."""
-        lines = [
+        return (
             f"TableProgram: {self.num_groups} group(s), {self.num_filters} filter(s), "
-            f"{self.num_entries} gathered entries over windows of {self.filter_size}"
-        ]
-        for p in self.passes:
-            lines.append(
-                f"  pass level {p.level}: {p.num_segments} segments, "
-                f"{int(p.mac_mask.sum())} MACs, {p.filter_ids.size} filter(s)"
-            )
-        return "\n".join(lines)
+            f"{self.num_entries} gathered entries over windows of {self.filter_size}\n"
+            f"  {self.rows.size} run(s) of {self.cols.size} term(s), "
+            f"{self.idle_rows.size} idle row(s)"
+        )
+
+
+def _check_fenceposts(name: str, posts: np.ndarray, end: int, strict: bool) -> None:
+    """Raise ``ValueError`` unless ``posts`` rises from 0 to ``end``."""
+    steps = np.diff(posts)
+    if not (
+        posts.size and posts[0] == 0 and posts[-1] == end
+        and (steps > 0 if strict else steps >= 0).all()
+    ):
+        rises = "rise strictly" if strict else "rise"
+        raise ValueError(f"{name} must {rises} from 0 to {end}")
 
 
 @dataclass(frozen=True)
@@ -214,24 +204,18 @@ class CompiledLayer:
         Built on first read and kept on the object (never serialized):
         every driver runs it — fused network steps, ``FactorizedConv``
         and :func:`~repro.engine.executor.execute_program` callers — so
-        every network lowered from this layer shares it and its cached
-        :attr:`TableProgram.terms`.  Racing first callers build
-        identical programs; either may win.
+        every network lowered from this layer shares it.  Racing first
+        callers build identical programs; either may win.
         """
         return compile_layer(self.groups, key=self.key)
 
 
-def _segment_starts(boundary_idx: np.ndarray) -> np.ndarray:
-    """Segment start offsets from boundary (segment *end*) indices."""
-    starts = np.empty(boundary_idx.size, dtype=np.int64)
-    if boundary_idx.size:
-        starts[0] = 0
-        starts[1:] = boundary_idx[:-1] + 1
-    return starts
-
-
 def compile_layer(groups: Sequence[FilterGroupTables], key: str | None = None) -> TableProgram:
-    """Lower a sequence of filter-group tables into one fused program.
+    """Lower a sequence of filter-group tables into one program.
+
+    Each filter's run holds one term per level boundary whose weight
+    differs from the next boundary's (the identity in the module
+    docstring), its columns group-local and ascending.
 
     Args:
         groups: the layer's :class:`FilterGroupTables`, all built over
@@ -255,70 +239,37 @@ def compile_layer(groups: Sequence[FilterGroupTables], key: str | None = None) -
             raise ValueError(
                 f"filter size mismatch across groups: {tables.filter_size} != {filter_size}"
             )
-    offsets = np.zeros(len(groups), dtype=np.int64)
-    np.cumsum([t.num_entries for t in groups[:-1]], out=offsets[1:])
-    filter_offsets = np.zeros(len(groups), dtype=np.int64)
-    np.cumsum([t.num_filters for t in groups[:-1]], out=filter_offsets[1:])
-    num_filters = int(sum(t.num_filters for t in groups))
-    if any(t.num_entries for t in groups):
-        gather = np.concatenate([t.iit for t in groups if t.num_entries]).astype(np.int64)
-    else:
-        gather = np.zeros(0, dtype=np.int64)
-
-    passes: list[SegmentPass] = []
-    max_levels = max(t.num_filters for t in groups)
-    for level in range(max_levels):
-        starts_parts: list[np.ndarray] = []
-        weight_parts: list[np.ndarray] = []
-        filter_starts: list[int] = []
-        filter_ids: list[int] = []
-        pos = 0
-        for gi, tables in enumerate(groups):
-            if tables.num_entries == 0:
-                continue  # zero-width slice: nothing to cover, outputs stay 0
-            off = int(offsets[gi])
-            if tables.num_filters > level:
-                boundary_idx = np.flatnonzero(tables.transitions[level])
-                starts = _segment_starts(boundary_idx) + off
-                weights = tables.filters[level, tables.iit[boundary_idx]].astype(np.int64)
-                filter_starts.append(pos)
-                filter_ids.append(int(filter_offsets[gi]) + level)
-                starts_parts.append(starts)
-                weight_parts.append(weights)
-                pos += starts.size
-            else:
-                # Dead coverage: this group has no filter at this level,
-                # but the reduceat partition must still span its slice.
-                # Weight 0 makes its contribution vanish exactly.
-                starts_parts.append(np.array([off], dtype=np.int64))
-                weight_parts.append(np.zeros(1, dtype=np.int64))
-                pos += 1
-        if not filter_ids:
-            continue
-        weights = np.concatenate(weight_parts)
-        passes.append(
-            SegmentPass(
-                level=level,
-                seg_starts=np.concatenate(starts_parts),
-                weights=weights,
-                mac_mask=weights != 0,
-                filter_starts=np.asarray(filter_starts, dtype=np.int64),
-                filter_ids=np.asarray(filter_ids, dtype=np.int64),
-            )
-        )
+    first_rows = np.cumsum([0] + [t.num_filters for t in groups])
+    live = [(int(row), t) for row, t in zip(first_rows, groups) if t.num_entries]
+    empty = np.zeros(0, dtype=np.int64)
+    cols, coefs, rows = [empty], [empty], [empty]
+    for first_row, tables in live:
+        level, entry = np.nonzero(tables.transitions)  # filter by filter, entries ascending
+        weight = tables.filters[level, tables.iit[entry]].astype(np.int64)
+        following = np.append(weight[1:], 0)
+        following[np.append(level[1:] != level[:-1], True)] = 0  # w_{m+1} = 0
+        coef = weight - following
+        keep = coef != 0
+        cols.append(entry[keep])
+        coefs.append(coef[keep])
+        rows.append(level[keep] + first_row)
+    term_rows = np.concatenate(rows)
+    run_starts = np.append(np.flatnonzero(np.diff(term_rows, prepend=-1)), term_rows.size)
+    run_rows = term_rows[run_starts[:-1]]
+    run_group = np.searchsorted([row for row, __ in live], run_rows, side="right") - 1
     return TableProgram(
-        gather=gather,
-        passes=tuple(passes),
-        num_filters=num_filters,
+        gather=np.concatenate([empty] + [t.iit for __, t in live]),
+        cols=np.concatenate(cols),
+        coefs=np.concatenate(coefs),
+        run_starts=run_starts,
+        rows=run_rows,
+        group_entries=np.cumsum([0] + [t.num_entries for __, t in live]),
+        group_runs=np.searchsorted(run_group, np.arange(len(live) + 1)),
+        num_filters=int(first_rows[-1]),
         filter_size=filter_size,
         num_groups=len(groups),
         key=key,
     )
-
-
-def compile_tables(tables: FilterGroupTables, key: str | None = None) -> TableProgram:
-    """Lower one filter group's tables into a program (rows = G)."""
-    return compile_layer([tables], key=key)
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +471,7 @@ def compiled_layer_for(
 def table_program_for(tables: FilterGroupTables) -> TableProgram:
     """The memoized compiled program of one filter group's tables."""
     key = table_program_key(tables)
-    return _cached(key, lambda: compile_tables(tables, key=key))
+    return _cached(key, lambda: compile_layer([tables], key=key))
 
 
 def set_artifact_tier(tier: object | None) -> object | None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn import reference
-from repro.nn.tensor import ConvShape, TensorShape
+from repro.nn.tensor import ConvShape, TensorShape, pool_output_hw
 
 
 class Layer:
@@ -144,9 +144,7 @@ class _PoolGeometry:
     stride: int
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
-        out_h = max(1, -(-(h - self.size) // self.stride) + 1)
-        out_w = max(1, -(-(w - self.size) // self.stride) + 1)
-        return out_h, out_w
+        return pool_output_hw(h, w, self.size, self.stride)
 
 
 class MaxPoolLayer(Layer):

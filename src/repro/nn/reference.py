@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import conv_output_hw
+from repro.nn.tensor import conv_output_hw, pool_output_hw
 
 
 def pad_input(inputs: np.ndarray, padding: int) -> np.ndarray:
@@ -167,8 +167,7 @@ def maxpool2d(inputs: np.ndarray, size: int, stride: int) -> np.ndarray:
     3x3/stride-2 pool of a 32x32 map yields 16x16.
     """
     c, h, w = inputs.shape
-    out_h = max(1, -(-(h - size) // stride) + 1)
-    out_w = max(1, -(-(w - size) // stride) + 1)
+    out_h, out_w = pool_output_hw(h, w, size, stride)
     out = np.empty((c, out_h, out_w), dtype=inputs.dtype)
     for y in range(out_h):
         for x in range(out_w):
@@ -180,8 +179,7 @@ def maxpool2d(inputs: np.ndarray, size: int, stride: int) -> np.ndarray:
 def avgpool2d(inputs: np.ndarray, size: int, stride: int) -> np.ndarray:
     """Average pooling (integer inputs use floor division)."""
     c, h, w = inputs.shape
-    out_h = max(1, -(-(h - size) // stride) + 1)
-    out_w = max(1, -(-(w - size) // stride) + 1)
+    out_h, out_w = pool_output_hw(h, w, size, stride)
     integer = inputs.dtype.kind == "i"
     out = np.empty((c, out_h, out_w), dtype=np.int64 if integer else inputs.dtype)
     for y in range(out_h):

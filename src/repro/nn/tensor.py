@@ -43,6 +43,19 @@ def conv_output_hw(h: int, w: int, r: int, s: int, stride: int = 1, padding: int
     return out_h, out_w
 
 
+def pool_output_hw(h: int, w: int, size: int, stride: int) -> tuple[int, int]:
+    """Return the output ``(H', W')`` of ``size x size`` pooling.
+
+    Follows the ceil-mode (Caffe) convention, at least one output::
+
+        H' = max(1, ceil((H - size) / stride) + 1)
+    """
+    return (
+        max(1, -(-(h - size) // stride) + 1),
+        max(1, -(-(w - size) // stride) + 1),
+    )
+
+
 @dataclass(frozen=True)
 class TensorShape:
     """A ``(C, H, W)`` activation tensor shape."""

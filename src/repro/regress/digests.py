@@ -6,13 +6,13 @@ assertions (which raise) or wall-clock ratios (which are machine-local
 and can never be golden).  This module gives the engine its own
 reference entry: it compiles pinned synthetic layers, executes their
 table programs (and one small fused network) over seeded inputs, and
-records the results as **exact integers and checksums** — program
-geometry, weight-schedule sums, output sums, and a SHA-256 over the
+records the results as **exact integers and checksums** — table
+geometry, boundary-weight sums, output sums, and a SHA-256 over the
 output bytes.
 
 All arithmetic on this path is int64, so the digest is bit-reproducible
 across machines, and the reference diffs *exactly* — a single-unit
-(1-ulp) perturbation anywhere in a compiled weight table changes
+(1-ulp) perturbation of any weight the compile reads changes
 ``weights_sum``/``output_sum``/``output_sha256`` and shows up in the
 drift report by name.
 """
@@ -53,6 +53,30 @@ def _array_sha256(values: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def _table_geometry(groups) -> tuple[list[int], list[int], int]:
+    """Segments and MACs per level, and the boundary weight sum, of a layer's tables.
+
+    Filter ``L`` of a group ends one level-``L`` segment at each entry
+    whose ``transitions[L]`` bit is set, and MACs its weight there when
+    that weight is non-zero.  A non-empty group with no filter ``L``
+    (the ragged last group) counts one segment at level ``L``; groups
+    with no entries count nothing.
+    """
+    live = [t for t in groups if t.num_entries]
+    levels = max((t.num_filters for t in live), default=0)
+    segments = np.zeros(levels, dtype=np.int64)
+    macs = np.zeros(levels, dtype=np.int64)
+    weights_sum = 0
+    for tables in live:
+        level, entry = np.nonzero(tables.transitions)
+        weight = tables.filters[level, tables.iit[entry]]
+        segments += np.bincount(level, minlength=levels)
+        segments[tables.num_filters :] += 1
+        macs += np.bincount(level[weight != 0], minlength=levels)
+        weights_sum += int(weight.sum())
+    return segments.tolist(), macs.tolist(), weights_sum
+
+
 def _layer_digest(shape: ConvShape, group_size: int, provider) -> dict:
     """Compile one (shape, G) cell and digest its program + outputs."""
     weights = provider(shape)
@@ -62,15 +86,16 @@ def _layer_digest(shape: ConvShape, group_size: int, provider) -> dict:
     rng = stable_rng("regress-windows", shape.name, group_size)
     windows = rng.integers(-64, 65, size=(DIGEST_WINDOWS, flat_len))
     out = execute_program(program, windows)
+    segments, macs, weights_sum = _table_geometry(compiled.groups)
     return {
         "shape": shape.name,
         "group_size": group_size,
         "num_groups": program.num_groups,
         "num_filters": program.num_filters,
         "gather_entries": program.num_entries,
-        "segments_per_level": [p.num_segments for p in program.passes],
-        "macs_per_level": [int(p.mac_mask.sum()) for p in program.passes],
-        "weights_sum": int(sum(int(p.weights.sum()) for p in program.passes)),
+        "segments_per_level": segments,
+        "macs_per_level": macs,
+        "weights_sum": weights_sum,
         "multiplies": int(sum(t.stats().multiplies for t in compiled.groups)),
         "output_sum": int(out.sum()),
         "output_sha256": _array_sha256(out),

@@ -230,7 +230,6 @@ def factorize(
             "windows": int(windows.shape[0]),
             "parity": bool(np.array_equal(engine_out, dense)),
             "program_entries": conv.program.num_entries,
-            "passes": len(conv.program.passes),
         },
     }
 
@@ -374,6 +373,5 @@ def engine_forward(
         "out_shape": list(out.shape),
         "out_checksum": hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()[:16],
         "program_entries": conv.program.num_entries,
-        "passes": len(conv.program.passes),
         "multiply_savings": counts.multiply_savings,
     }

@@ -5,6 +5,8 @@ truncation, version bump, or stale-fingerprint path must be a clean
 :class:`ArtifactError` — never a crash, never a wrong result.
 """
 
+import copy
+import dataclasses
 import json
 import struct
 import tempfile
@@ -42,6 +44,33 @@ def _network():
     network_forward(seed=5, batch=1)
     progs = cached_programs()
     return next(v for k, v in progs.items() if k.startswith("net:"))
+
+
+def _lenet():
+    """The zoo's LeNet with U=17, 90%-dense weights on every weighted layer."""
+    from repro.nn.layers import ConvLayer, FullyConnectedLayer
+    from repro.nn.zoo import lenet_cifar10
+    from repro.quant.distributions import uniform_unique_weights
+
+    net = lenet_cifar10()
+    rng = np.random.default_rng(11)
+    for layer in net.layers:
+        if isinstance(layer, ConvLayer):
+            shape = layer.shape.weight_shape
+        elif isinstance(layer, FullyConnectedLayer):
+            shape = (layer.out_features, layer.in_features)
+        else:
+            continue
+        layer.set_weights(uniform_unique_weights(shape, 17, 0.9, rng).values)
+    return net
+
+
+def _forged(program, **fields):
+    """A copy of ``program`` with ``fields`` swapped in, skipping its construction checks."""
+    forged = copy.copy(program)
+    for name, value in fields.items():
+        object.__setattr__(forged, name, value)
+    return forged
 
 
 # One envelope reused by the hypothesis corruption tests.
@@ -216,13 +245,67 @@ class TestRejection:
             steps=program.steps + (FallbackStep(
                 name="opaque", layer=object(),
                 in_shape=program.output_shape, out_shape=program.output_shape),),
-            plan=program.plan, key=program.key)
+            key=program.key)
         with pytest.raises(A.ArtifactError, match="fallback"):
             A.serialize_program(bad)
 
-    def test_unkeyed_program_rejected(self):
-        import dataclasses
+    def test_net_steps_that_disagree_are_rejected_at_decode(self):
+        """LeNet with conv1's program swapped for conv2's is a clean ArtifactError.
 
+        Execution would fail on every request (conv2's program reads
+        windows of 800, conv1's taps are 75), so a prewarmed store must
+        never install it.
+        """
+        program = compile_network(_lenet())
+        steps = {s.name: s for s in program.steps}
+        swapped = tuple(
+            dataclasses.replace(s, program=steps["conv2"].program) if s.name == "conv1" else s
+            for s in program.steps)
+        with pytest.raises(ValueError, match="conv1"):
+            dataclasses.replace(program, steps=swapped)
+        blob = A.serialize_program(_forged(program, steps=swapped))
+        with pytest.raises(A.ArtifactError, match="conv step 'conv1'"):
+            A.deserialize_program(blob)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"out_shape": (32, 15, 15)}, "geometry gives"),  # floor mode; ceil mode gives 16
+        ({"kind": "median"}, "unknown kind"),  # would run as average pooling
+    ])
+    def test_net_pool_step_that_disagrees_is_rejected_at_decode(self, edit, message):
+        program = compile_network(_lenet())
+        steps = tuple(dataclasses.replace(s, **edit) if s.name == "pool1" else s
+                      for s in program.steps)
+        blob = A.serialize_program(_forged(program, steps=steps))
+        with pytest.raises(A.ArtifactError, match=message):
+            A.deserialize_program(blob)
+
+    def test_net_codec_stores_no_plan(self):
+        program = compile_network(_lenet())
+        blob = A.serialize_program(program)
+        hlen = struct.unpack(">I", blob[8:12])[0]
+        assert "plan" not in json.loads(blob[12:12 + hlen])["meta"]
+        again = A.deserialize_program(blob)
+        assert again.plan == program.plan
+
+    def test_table_program_term_past_its_group_rejected(self):
+        program = _layer(seed=4).program
+        cols = program.cols.copy()
+        cols[0] = program.group_entries[1]  # one past the first group's last entry
+        blob = A.serialize_program(_forged(program, cols=cols))
+        with pytest.raises(A.ArtifactError, match="outside its group"):
+            A.deserialize_program(blob)
+
+    def test_net_step_term_past_its_group_rejected(self):
+        program = compile_network(_lenet())
+        conv = program.steps[0]
+        cols = conv.program.cols.copy()
+        cols[-1] = conv.program.num_entries  # past every group
+        steps = (dataclasses.replace(conv, program=_forged(conv.program, cols=cols)),)
+        blob = A.serialize_program(_forged(program, steps=steps + program.steps[1:]))
+        with pytest.raises(A.ArtifactError, match="outside its group"):
+            A.deserialize_program(blob)
+
+    def test_unkeyed_program_rejected(self):
         program = _layer(seed=4).program
         assert program.key  # the whole-layer program carries its layer's key
         with pytest.raises(A.ArtifactError, match="key"):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hierarchical import build_filter_group_tables
-from repro.engine import compile_tables
+from repro.engine import compile_layer
 
 # Alphabets that exercise the interesting layouts: zero-heavy filters
 # (most entries dropped), tiny alphabets (huge activation groups that
@@ -72,7 +72,7 @@ def test_engine_equals_walk_equals_dense(case):
     tables = build_filter_group_tables(
         filters, canonical=canonical, max_group_size=max_group_size
     )
-    program = compile_tables(tables)
+    program = compile_layer([tables])
     engine_out = program.run(windows)
     dense = filters @ windows.T
     assert np.array_equal(engine_out, dense)
@@ -88,9 +88,24 @@ def test_compilation_preserves_table_stats(case):
         filters, canonical=canonical, max_group_size=max_group_size
     )
     before = tables.stats()
-    program = compile_tables(tables)
+    program = compile_layer([tables])
     assert tables.stats() == before
-    # The program's MAC schedule agrees with the walk's multiply count
-    # at boundaries (chunk early-MACs are accounted separately).
-    scheduled_macs = sum(int(p.mac_mask.sum()) for p in program.passes)
-    assert scheduled_macs == before.multiplies - tables.chunk_early_macs()
+    # The program's terms stay within the walk's boundary MACs (chunk
+    # early-MACs are accounted separately) plus one closing read per
+    # stretch of non-zero weights.
+    assert program.cols.size <= term_bound(tables)
+
+
+def term_bound(tables):
+    """Most terms a table compiles to: boundary MACs plus non-zero stretches.
+
+    Filter ``L``'s terms sit at its level-``L`` boundaries where the
+    weight changes; such a boundary either MACs a non-zero weight or
+    ends a zero one just before a stretch of non-zero weights starts.
+    """
+    macs = tables.stats().multiplies - tables.chunk_early_macs()
+    stretches = 0
+    for level in range(tables.num_filters):
+        nonzero = tables.filters[level, tables.iit[tables.transitions[level]]] != 0
+        stretches += int(np.count_nonzero(nonzero[1:] & ~nonzero[:-1])) + int(nonzero[:1].sum())
+    return macs + stretches

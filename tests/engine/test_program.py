@@ -12,7 +12,6 @@ from repro.engine import (
     TableProgram,
     clear_program_cache,
     compile_layer,
-    compile_tables,
     compiled_layer_for,
     execute_program,
     layer_program_key,
@@ -36,7 +35,7 @@ class TestCompileTables:
             filters = rng.integers(-3, 4, size=(g, n))
             windows = rng.integers(-9, 10, size=(count, n))
             tables = build_filter_group_tables(filters)
-            program = compile_tables(tables)
+            program = compile_layer([tables])
             out = execute_program(program, windows)
             assert np.array_equal(out, dense(filters, windows))
             for i in range(windows.shape[0]):
@@ -47,7 +46,7 @@ class TestCompileTables:
         windows = rng.integers(-9, 10, size=(5, 60))
         for cap in (1, 3, 16):
             tables = build_filter_group_tables(filters, max_group_size=cap)
-            assert np.array_equal(compile_tables(tables).run(windows), dense(filters, windows))
+            assert np.array_equal(compile_layer([tables]).run(windows), dense(filters, windows))
 
     def test_layer_canonical_skip_layout(self, rng):
         """Empty sub-groups / pointer skips do not perturb the math."""
@@ -55,11 +54,11 @@ class TestCompileTables:
         filters = np.array([[9, 1, 0, 9], [9, 5, 5, 1]])
         tables = build_filter_group_tables(filters, canonical=canonical)
         windows = rng.integers(-9, 10, size=(6, 4))
-        assert np.array_equal(compile_tables(tables).run(windows), dense(filters, windows))
+        assert np.array_equal(compile_layer([tables]).run(windows), dense(filters, windows))
 
     def test_empty_tables(self):
         tables = build_filter_group_tables(np.zeros((3, 5), dtype=np.int64))
-        program = compile_tables(tables)
+        program = compile_layer([tables])
         out = program.run(np.arange(10).reshape(2, 5))
         assert out.shape == (3, 2)
         assert not out.any()
@@ -68,22 +67,30 @@ class TestCompileTables:
         filters = rng.integers(-3, 4, size=(2, 12))
         tables = build_filter_group_tables(filters)
         window = rng.integers(-9, 10, size=12)
-        assert np.array_equal(compile_tables(tables).run_window(window), tables.execute(window))
+        assert np.array_equal(compile_layer([tables]).run_window(window), tables.execute(window))
 
     def test_stats_invariance(self, rng):
         """Compilation must not change the tables' event accounting."""
         filters = rng.integers(-2, 3, size=(3, 40))
         tables = build_filter_group_tables(filters)
         before = tables.stats()
-        program = compile_tables(tables)
+        program = compile_layer([tables])
         assert tables.stats() == before
-        scheduled_macs = sum(int(p.mac_mask.sum()) for p in program.passes)
-        assert scheduled_macs == before.multiplies - tables.chunk_early_macs()
+        # One run per filter, within the boundary MACs plus one closing
+        # read per stretch of non-zero weights.
+        macs = before.multiplies - tables.chunk_early_macs()
+        stretches = 0
+        for level in range(3):
+            nonzero = filters[level, tables.iit[tables.transitions[level]]] != 0
+            stretches += int(np.count_nonzero(np.diff(nonzero.astype(int), prepend=0) == 1))
+        assert program.rows.tolist() == [0, 1, 2]
+        assert program.cols.size <= macs + stretches
 
-    def test_describe_mentions_passes(self, rng):
-        program = compile_tables(build_filter_group_tables(rng.integers(-2, 3, size=(2, 20))))
+    def test_describe_mentions_runs_and_terms(self, rng):
+        program = compile_layer([build_filter_group_tables(rng.integers(-2, 3, size=(2, 20)))])
         text = program.describe()
-        assert "pass level 0" in text and "pass level 1" in text
+        assert f"{program.rows.size} run(s) of {program.cols.size} term(s)" in text
+        assert program.rows.size == 2 and program.cols.size > 0
 
 
 class TestCompileLayer:
@@ -134,17 +141,17 @@ class TestCompileLayer:
 
 class TestExecutorValidation:
     def test_float_windows_rejected(self, rng):
-        program = compile_tables(build_filter_group_tables(rng.integers(-2, 3, size=(2, 8))))
+        program = compile_layer([build_filter_group_tables(rng.integers(-2, 3, size=(2, 8)))])
         with pytest.raises(ValueError, match="integer"):
             execute_program(program, rng.normal(size=(3, 8)))
 
     def test_shape_mismatch_rejected(self, rng):
-        program = compile_tables(build_filter_group_tables(rng.integers(-2, 3, size=(2, 8))))
+        program = compile_layer([build_filter_group_tables(rng.integers(-2, 3, size=(2, 8)))])
         with pytest.raises(ValueError, match="windows must be"):
             execute_program(program, rng.integers(-3, 4, size=(3, 9)))
 
     def test_empty_batch(self, rng):
-        program = compile_tables(build_filter_group_tables(rng.integers(-2, 3, size=(2, 8))))
+        program = compile_layer([build_filter_group_tables(rng.integers(-2, 3, size=(2, 8)))])
         out = execute_program(program, np.zeros((0, 8), dtype=np.int64))
         assert out.shape == (2, 0)
 

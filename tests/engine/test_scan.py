@@ -27,6 +27,7 @@ import pytest
 import repro
 from repro.engine import compile_network, compiled_layer_for, execute_network, execute_program
 from repro.engine import executor
+from repro.engine.program import KERNEL_ARRAYS
 from repro.nn.layers import ConvLayer, ReluLayer
 from repro.nn.network import Network
 from repro.nn.reference import im2col
@@ -86,14 +87,14 @@ class TestWrapAround:
             assert np.array_equal(out, dense)
 
 
-def _nonzero_stretches(p):
-    """Maximal stretches of nonzero-weight segments inside p's filter runs."""
-    ends = np.append(p.filter_starts[1:], p.num_segments)
-    total = 0
-    for a, b in zip(p.filter_starts, ends):
-        nz = np.concatenate([[False], p.mac_mask[a:b]])
-        total += int(np.count_nonzero(nz[1:] & ~nz[:-1]))
-    return total
+def _term_bound(tables):
+    """Boundary MACs plus each filter's stretches of non-zero boundary weights."""
+    macs = tables.stats().multiplies - tables.chunk_early_macs()
+    stretches = 0
+    for level in range(tables.num_filters):
+        nz = np.concatenate([[False], tables.filters[level, tables.iit[tables.transitions[level]]] != 0])
+        stretches += int(np.count_nonzero(nz[1:] & ~nz[:-1]))
+    return macs + stretches
 
 
 #: ``ucnn_scan``'s arguments, in the order of its C signature.
@@ -135,10 +136,11 @@ def kernel_calls(monkeypatch):
 class TestReuseInvariant:
     """Per window: ``num_entries`` scan adds and one multiply per boundary.
 
-    Each stretch of nonzero-weight segments inside a filter's run costs
-    one read per segment (its MAC) plus one closing read, so a program
-    runs at most ``sum_p (mac_mask.sum() + stretches_p)`` multiply
-    terms per window — against ``K * N`` for the dense product.
+    Each stretch of non-zero weights among a filter's level boundaries
+    costs one read per boundary (its MAC) plus one closing read, so a
+    program runs at most its tables' boundary MACs plus their stretches
+    in multiply terms per window — against ``K * N`` for the dense
+    product.
     """
 
     @pytest.mark.parametrize("g", [1, 2, 4])
@@ -146,9 +148,8 @@ class TestReuseInvariant:
         weights = rng.choice(np.array([-3, -1, 0, 2, 4]), size=(8, 60))
         compiled = compiled_layer_for(weights, group_size=g)
         program = compiled.program
-        terms = program.terms
-        bound = sum(int(p.mac_mask.sum()) + _nonzero_stretches(p) for p in program.passes)
-        assert terms.cols.size < weights.size
+        bound = sum(_term_bound(t) for t in compiled.groups)
+        assert program.cols.size < weights.size
         windows = rng.integers(-9, 10, size=(11, 60))
         out = execute_program(program, windows)
         assert np.array_equal(out, weights @ windows.T)
@@ -160,8 +161,8 @@ class TestReuseInvariant:
         assert call["groups"] == len(sizes)
         assert call["group_entries"][0] == 0
         assert np.array_equal(np.diff(call["group_entries"]), sizes)
-        assert call["group_runs"][0] == 0 and call["group_runs"][-1] == terms.rows.size
-        assert terms.run_starts[-1] == terms.cols.size <= bound
+        assert call["group_runs"][0] == 0 and call["group_runs"][-1] == program.rows.size
+        assert program.run_starts[-1] == program.cols.size <= bound
 
 
 class TestKernelEdges:
@@ -199,33 +200,35 @@ class TestGroups:
     def test_a_run_reaching_into_the_next_group_is_rejected(self, rng, monkeypatch):
         weights = rng.choice(np.array([-3, -1, 2, 4]), size=(4, 30))  # no zero weights
         program = compiled_layer_for(weights, group_size=2).program
-        level1 = program.passes[1]
-        assert level1.filter_ids.size == 2  # one level-1 run per group
-        # Drop the second group's level-1 run, so the first one runs on
-        # through the second group's segments.
-        forged = dataclasses.replace(program, passes=(program.passes[0], dataclasses.replace(
-            level1, filter_starts=level1.filter_starts[:1], filter_ids=level1.filter_ids[:1])))
+        assert program.group_entries.tolist() == [0, 30, 60]
+        # The first group's last term reads one column past its group,
+        # where the second group's first entry would sit.
+        last = program.run_starts[program.group_runs[1]] - 1
+        cols = program.cols.copy()
+        cols[last] = 30
 
         def no_native_call():
             raise AssertionError("the native kernel ran on a forged program")
 
         executor._native_scan()  # build before the guard replaces the loader
         monkeypatch.setattr(executor, "_native_scan", no_native_call)
-        with pytest.raises(ValueError, match="lies outside its run's group"):
-            execute_program(forged, rng.integers(-9, 10, size=(5, 30)))
+        with pytest.raises(ValueError, match="outside its group of 30 entries"):
+            dataclasses.replace(program, cols=cols)
 
     def test_terms_are_int64_whatever_the_program_dtypes(self, rng):
         """A decoded program may carry any integer dtype; the kernel reads 8-byte words."""
         weights = rng.integers(-3, 4, size=(6, 30))
         program = compiled_layer_for(weights, group_size=2).program
-        narrowed = dataclasses.replace(program, passes=tuple(
-            dataclasses.replace(p, seg_starts=p.seg_starts.astype(np.uint64),
-                                weights=p.weights.astype(np.int32),
-                                filter_starts=p.filter_starts.astype(np.int32))
-            for p in program.passes))
-        terms = narrowed.terms
-        for field in dataclasses.fields(terms):
-            assert getattr(terms, field.name).dtype == np.int64, field.name
+        narrowed = dataclasses.replace(
+            program, gather=program.gather.astype(np.uint8), cols=program.cols.astype(np.uint64),
+            coefs=program.coefs.astype(np.int8), run_starts=program.run_starts.astype(np.int32),
+            rows=program.rows.astype(np.uint16), group_entries=program.group_entries.astype(np.int16),
+            group_runs=program.group_runs.astype(np.int32),
+        )
+        for name in KERNEL_ARRAYS:
+            arr = getattr(narrowed, name)
+            assert arr.dtype == np.int64 and arr.flags.c_contiguous, name
+            assert np.array_equal(arr, getattr(program, name)), name
         windows = rng.integers(-9, 10, size=(7, 30))
         assert np.array_equal(execute_program(narrowed, windows), weights @ windows.T)
 
@@ -256,15 +259,23 @@ class TestGroups:
         for call in kernel_calls:
             entries, runs = call["group_entries"], call["group_runs"]
             first, last = np.searchsorted(bounds, entries[[0, -1]])
-            assert np.array_equal(runs, program.terms.group_runs[first : last + 1])
+            assert np.array_equal(runs, program.group_runs[first : last + 1])
 
 
 class TestConstructionBounds:
-    """Malformed programs fail when built, never inside a take."""
+    """Malformed programs fail when built, so the native entry never sees one."""
 
     @pytest.fixture
-    def program(self, rng):
-        return compiled_layer_for(rng.integers(-3, 4, size=(4, 30)), group_size=2).program
+    def program(self, rng, monkeypatch):
+        program = compiled_layer_for(rng.integers(-3, 4, size=(4, 30)), group_size=2).program
+        assert program.group_entries.size == 3 and program.rows.size == 4
+
+        def no_native_call():
+            raise AssertionError("the native kernel ran on a forged program")
+
+        executor._native_scan()  # build before the guard replaces the loader
+        monkeypatch.setattr(executor, "_native_scan", no_native_call)
+        return program
 
     def test_gather_out_of_range(self, program):
         gather = program.gather.copy()
@@ -272,25 +283,67 @@ class TestConstructionBounds:
         with pytest.raises(ValueError, match="gather indices"):
             dataclasses.replace(program, gather=gather)
 
-    @pytest.mark.parametrize("edit", ["not_from_zero", "repeated", "past_end"])
-    def test_bad_seg_starts(self, program, edit):
-        p = program.passes[0]
-        starts = p.seg_starts.copy()
+    @pytest.mark.parametrize("field, edit", [
+        ("group_entries", "not_from_zero"),
+        ("group_entries", "repeated"),
+        ("group_entries", "past_end"),
+        ("group_runs", "not_from_zero"),
+        ("group_runs", "falling"),
+        ("group_runs", "past_end"),
+        ("group_runs", "one_missing"),
+        ("run_starts", "not_from_zero"),
+        ("run_starts", "repeated"),
+        ("run_starts", "past_end"),
+        ("run_starts", "one_missing"),
+    ])
+    def test_bad_fenceposts(self, program, field, edit):
+        posts = getattr(program, field).copy()
         if edit == "not_from_zero":
-            starts[0] = 1
+            posts[0] = 1
         elif edit == "repeated":
-            starts[1] = starts[0]
+            posts[1] = posts[0]
+        elif edit == "falling":
+            posts[1] = posts[2] + 1
+        elif edit == "past_end":
+            posts[-1] += 1
         else:
-            starts[-1] = program.num_entries
-        bad = dataclasses.replace(p, seg_starts=starts)
-        with pytest.raises(ValueError, match="seg_starts"):
-            dataclasses.replace(program, passes=(bad,) + program.passes[1:])
+            posts = posts[:-1]
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(program, **{field: posts})
 
-    def test_filter_ids_out_of_range(self, program):
-        p = program.passes[0]
-        bad = dataclasses.replace(p, filter_ids=p.filter_ids + program.num_filters)
-        with pytest.raises(ValueError, match="out of range"):
-            dataclasses.replace(program, passes=(bad,) + program.passes[1:])
+    def test_repeated_group_runs_are_a_group_with_no_terms(self, program):
+        """A live group whose filters are all idle owns no runs: group_runs may repeat."""
+        runs = program.group_runs[1]
+        keep = program.run_starts[runs]
+        empty_first = dataclasses.replace(
+            program, cols=program.cols[keep:], coefs=program.coefs[keep:],
+            run_starts=program.run_starts[runs:] - keep, rows=program.rows[runs:],
+            group_runs=np.array([0, 0, program.rows.size - runs]),
+        )
+        assert empty_first.idle_rows.tolist() == program.rows[:runs].tolist()
+
+    @pytest.mark.parametrize("row", [-1, 4])
+    def test_rows_out_of_range(self, program, row):
+        rows = program.rows.copy()
+        rows[1] = row
+        with pytest.raises(ValueError, match=r"rows fall outside \[0, 4\)"):
+            dataclasses.replace(program, rows=rows)
+
+    @pytest.mark.parametrize("where", ["negative", "at_group_width"])
+    def test_cols_outside_their_group(self, program, where):
+        cols = program.cols.copy()
+        width = program.group_entries[2] - program.group_entries[1]
+        cols[-1] = -1 if where == "negative" else width  # the second group's last term
+        with pytest.raises(ValueError, match=f"outside its group of {width} entries"):
+            dataclasses.replace(program, cols=cols)
+
+    def test_coefs_of_another_length(self, program):
+        with pytest.raises(ValueError, match="coefs has"):
+            dataclasses.replace(program, coefs=program.coefs[:-1])
+
+    def test_arrays_must_be_one_dimensional(self, program):
+        with pytest.raises(ValueError, match="rows must be 1-D"):
+            dataclasses.replace(program, rows=program.rows[None, :])
 
 
 class TestBoundaryChecks:

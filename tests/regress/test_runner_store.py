@@ -6,6 +6,7 @@ the committed engine-digest reference with a drift report naming the
 experiment and the exact diverging fields.
 """
 
+import dataclasses
 import sys
 import types
 
@@ -208,22 +209,29 @@ class TestEngineDigestAcceptance:
 
     def test_one_ulp_weight_perturbation_drifts_by_name(
             self, monkeypatch, pristine_program_cache):
-        real_compile = engine_program.compile_layer
+        real_build = engine_program.build_filter_group_tables
+        perturbed = []
 
-        def perturbed_compile(groups, key=None):
-            program = real_compile(groups, key=key)
-            for p in program.passes:
-                nonzero = np.flatnonzero(p.weights)
-                if nonzero.size:
-                    index = np.unravel_index(nonzero[0], p.weights.shape)
-                    p.weights[index] += 1  # one ulp at integer scale
-                    break
-            return program
+        def perturbed_build(*args, **kwargs):
+            """The first table built gets one boundary weight raised by one ulp."""
+            tables = real_build(*args, **kwargs)
+            if perturbed:
+                return tables
+            level, entry = np.nonzero(tables.transitions)
+            weights = tables.filters[level, tables.iit[entry]]
+            hit = np.flatnonzero(weights)
+            if not hit.size:
+                return tables
+            filters = tables.filters.copy()  # never the caller's weights
+            filters[level[hit[0]], tables.iit[entry[hit[0]]]] += 1  # one ulp at integer scale
+            perturbed.append((level[hit[0]], entry[hit[0]]))
+            return dataclasses.replace(tables, filters=filters)
 
-        monkeypatch.setattr(engine_program, "compile_layer", perturbed_compile)
+        monkeypatch.setattr(engine_program, "build_filter_group_tables", perturbed_build)
         clear_program_cache()
 
         outcome = check_one(SPECS_BY_ID["engine-digest"], ReferenceStore())
+        assert len(perturbed) == 1  # one weight in the whole digest
         assert outcome.status == "drift"
         assert outcome.report.experiment == "engine-digest"
         paths = {d.path for d in outcome.report.divergences}
