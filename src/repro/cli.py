@@ -489,19 +489,12 @@ def _serve_config_from(args: argparse.Namespace) -> "object":
     )
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the async batched serving layer until interrupted."""
+def _run_until_interrupted(handle, banner: str, summary) -> int:
+    """Print ``banner``, idle until Ctrl-C, stop ``handle``, then print
+    ``summary(handle.stats())``."""
     import time
 
-    from repro.serve import ServerHandle
-
-    config = _serve_config_from(args)
-    handle = ServerHandle(config).start()
-    where = config.cache_dir or "default cache dir" if not args.no_cache else "off"
-    if args.remote_cache and not args.no_cache:
-        where = f"{where} + peer {args.remote_cache}"
-    print(f"serving on {config.host}:{handle.port} "
-          f"({config.workers} {config.mode} shard(s), cache: {where}); Ctrl-C to stop")
+    print(banner, flush=True)
     try:
         while True:
             time.sleep(3600)
@@ -509,11 +502,31 @@ def cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         handle.stop()
-        stats = handle.stats()
-        print(f"\nserved {stats['requests']} request(s): {stats['hits']} hits, "
-              f"{stats['misses']} ran, {stats['coalesced']} coalesced, "
-              f"{stats['errors']} error(s)")
+        print("\n" + summary(handle.stats()), flush=True)
     return 0
+
+
+def _served_summary(stats: dict) -> str:
+    """The request counters line ``repro serve`` and ``repro worker`` end with."""
+    return (f"served {stats['requests']} request(s): {stats['hits']} hits, "
+            f"{stats['misses']} ran, {stats['coalesced']} coalesced, "
+            f"{stats['errors']} error(s)")
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Run the async batched serving layer until interrupted."""
+    from repro.serve import ServerHandle
+
+    config = _serve_config_from(args)
+    handle = ServerHandle(config).start()
+    where = config.cache_dir or "default cache dir" if not args.no_cache else "off"
+    if args.remote_cache and not args.no_cache:
+        where = f"{where} + peer {args.remote_cache}"
+    return _run_until_interrupted(
+        handle,
+        f"serving on {config.host}:{handle.port} "
+        f"({config.workers} {config.mode} shard(s), cache: {where}); Ctrl-C to stop",
+        _served_summary)
 
 
 def _parse_hostport(text: str) -> tuple[str, int]:
@@ -547,8 +560,6 @@ def cmd_frontend(args: argparse.Namespace) -> int:
     the ordinary serve wire protocol to this address and get hash-ring
     routing, admission control, and failover for free.
     """
-    import time
-
     from repro.fabric import FrontendConfig, FrontendHandle, default_secret
 
     config = FrontendConfig(
@@ -566,30 +577,21 @@ def cmd_frontend(args: argparse.Namespace) -> int:
     auth = "HMAC" if config.auth_secret else "open"
     if config.tls is not None:
         auth += "+TLS"
-    print(f"fabric front-end on {config.host}:{handle.port} "
-          f"(replication {config.replication}, max inflight {config.max_inflight}, "
-          f"heartbeat timeout {config.heartbeat_timeout}s, auth: {auth}); "
-          f"Ctrl-C to stop", flush=True)
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        handle.stop()
-        stats = handle.stats()
-        admission = stats["admission"]
-        print(f"\nrouted {stats['forwarded']} request(s) "
-              f"({stats['retries']} retried, {stats['forward_errors']} worker failure(s), "
-              f"{admission['shed_total']} shed, {stats['auth_rejected']} auth-rejected); "
-              f"{stats['membership']['evictions']} eviction(s)")
-    return 0
+    return _run_until_interrupted(
+        handle,
+        f"fabric front-end on {config.host}:{handle.port} "
+        f"(replication {config.replication}, max inflight {config.max_inflight}, "
+        f"heartbeat timeout {config.heartbeat_timeout}s, auth: {auth}); Ctrl-C to stop",
+        lambda stats: (
+            f"routed {stats['forwarded']} request(s) "
+            f"({stats['retries']} retried, {stats['forward_errors']} worker failure(s), "
+            f"{stats['admission']['shed_total']} shed, "
+            f"{stats['auth_rejected']} auth-rejected); "
+            f"{stats['membership']['evictions']} eviction(s)"))
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
     """Run a serve process joined to a fabric front-end."""
-    import time
-
     from repro.fabric import WorkerNode
 
     frontend_host, frontend_port = _parse_hostport(args.join)
@@ -599,22 +601,13 @@ def cmd_worker(args: argparse.Namespace) -> int:
         worker_id=args.worker_id, advertise_host=args.advertise_host,
         prewarm_interval=args.prewarm_interval,
     ).start()
-    print(f"fabric worker {node.worker_id!r} serving on {config.host}:{node.port}, "
-          f"joined {frontend_host}:{frontend_port} "
-          f"(heartbeat every {node.heartbeat_interval:.2f}s); Ctrl-C to stop", flush=True)
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        node.stop()
-        stats = node.stats()
-        print(f"\nserved {stats['requests']} request(s): {stats['hits']} hits, "
-              f"{stats['misses']} ran, {stats['coalesced']} coalesced, "
-              f"{stats['errors']} error(s); {node.heartbeats_sent} heartbeat(s), "
-              f"{node.rejoins} rejoin(s)")
-    return 0
+    return _run_until_interrupted(
+        node,
+        f"fabric worker {node.worker_id!r} serving on {config.host}:{node.port}, "
+        f"joined {frontend_host}:{frontend_port} "
+        f"(heartbeat every {node.heartbeat_interval:.2f}s); Ctrl-C to stop",
+        lambda stats: (f"{_served_summary(stats)}; {node.heartbeats_sent} heartbeat(s), "
+                       f"{node.rejoins} rejoin(s)"))
 
 
 def cmd_frontend_status(args: argparse.Namespace) -> int:

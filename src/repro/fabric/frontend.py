@@ -1,9 +1,10 @@
 """The fabric front-end: one node that fans a fleet out of workers.
 
 Speaks the exact same newline-delimited JSON protocol as a
-:class:`repro.serve.Server` — every existing client, including the
-load generator, points at a front-end unchanged — but instead of
-computing, it:
+:class:`repro.serve.Server`, through the same request loop
+(:class:`repro.serve.server.LineServer`) — every existing client,
+including the load generator, points at a front-end unchanged — but
+instead of computing, it:
 
 1. **authenticates** (when a shared secret is configured, every line —
    control or data — must carry a valid HMAC before anything happens);
@@ -53,12 +54,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.fabric.admission import AdmissionController
-from repro.fabric.auth import verify_message
 from repro.fabric.membership import Membership, WorkerInfo
-from repro.fabric.tls import TLSConfig, default_tls
+from repro.fabric.tls import TLSConfig
 from repro.serve.client import AsyncServeClient
 from repro.serve.endpoints import is_idempotent
-from repro.serve.protocol import MAX_LINE_BYTES, ProtocolError, decode_message, encode_message
+from repro.serve.protocol import ProtocolError
+from repro.serve.server import LineServer, LoopThread
 
 #: Control endpoints the front-end answers itself (never forwarded).
 CONTROL_ENDPOINTS = (
@@ -137,27 +138,29 @@ class FrontendStats:
     errors: int = 0
 
 
-class Frontend:
+class Frontend(LineServer):
     """The asyncio front-end loop: auth -> admit -> route -> forward.
 
     Args:
         config: see :class:`FrontendConfig`.
 
-    Use :meth:`start` + :meth:`serve_forever` from an event loop, or
-    :class:`FrontendHandle` to run it on a background thread.
+    The line protocol, the auth gate and the error replies are
+    :class:`~repro.serve.server.LineServer`'s; :meth:`dispatch` answers
+    control endpoints and forwards the rest.  Use :meth:`start` +
+    :meth:`serve_forever` from an event loop, or :class:`FrontendHandle`
+    to run it on a background thread.
     """
 
     def __init__(self, config: FrontendConfig | None = None):
         self.config = config or FrontendConfig()
+        super().__init__(self.config.host, self.config.port,
+                         self.config.auth_secret, self.config.tls)
         self.membership = Membership(
             heartbeat_timeout=self.config.heartbeat_timeout,
             replicas=self.config.replicas)
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight, rates=self.config.rates)
         self.stats = FrontendStats()
-        self.port: int | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
         self._clients: dict[str, AsyncServeClient] = {}
         self._client_locks: dict[str, asyncio.Lock] = {}
         self._reaper_task: asyncio.Task | None = None
@@ -171,33 +174,16 @@ class Frontend:
 
     async def start(self) -> None:
         """Bind the socket (TLS when configured), start the reaper."""
-        resolved_tls = default_tls(self.config.tls)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
-            limit=MAX_LINE_BYTES,
-            ssl=resolved_tls.server_context() if resolved_tls is not None else None)
-        self.port = self._server.sockets[0].getsockname()[1]
+        await super().start()
         self._reaper_task = asyncio.ensure_future(self._reap_loop())
 
-    async def serve_forever(self) -> None:
-        """Accept connections until cancelled (call :meth:`start` first)."""
-        assert self._server is not None, "call start() before serve_forever()"
-        async with self._server:
-            await self._server.serve_forever()
-
     async def aclose(self) -> None:
-        """Stop accepting, drop connections, close worker links."""
+        """Stop the reaper and accepting, drop connections, close worker links."""
         if self._reaper_task is not None:
             self._reaper_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._reaper_task
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await super().aclose()
         for client in list(self._clients.values()):
             await client.aclose()
         self._clients.clear()
@@ -258,87 +244,16 @@ class Frontend:
         return {"version": self.membership.version, "replication": want,
                 "catalog": len(catalog), "workers": summary}
 
-    # -- connection plumbing (same shape as repro.serve.server) --------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        conn_task = asyncio.current_task()
-        if conn_task is not None:
-            self._conn_tasks.add(conn_task)
-            conn_task.add_done_callback(self._conn_tasks.discard)
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(writer, write_lock, {
-                        "id": -1, "ok": False, "error": "request line too long"})
-                    break
-                if not line:
-                    break
-                task = asyncio.ensure_future(self._serve_line(line, writer, write_lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except asyncio.CancelledError:
-            pass  # shutdown: close the connection and exit cleanly
-        finally:
-            if tasks:
-                for task in tasks:
-                    task.cancel()
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                await writer.wait_closed()
-
-    async def _serve_line(self, line: bytes, writer: asyncio.StreamWriter,
-                          write_lock: asyncio.Lock) -> None:
-        response = await self._handle_request(line)
-        await self._write(writer, write_lock, response)
-
-    async def _write(self, writer: asyncio.StreamWriter, lock: asyncio.Lock,
-                     payload: dict) -> None:
-        async with lock:
-            writer.write(encode_message(payload))
-            with contextlib.suppress(ConnectionError):
-                await writer.drain()
-
     # -- request handling ----------------------------------------------
 
-    async def _handle_request(self, line: bytes) -> dict:
-        started = time.perf_counter()
-        self.stats.requests += 1
-        rid = -1
-        try:
-            message = decode_message(line)
-            rid = message.get("id", -1)
-            name = message.get("endpoint")
-            kwargs = message.get("kwargs") or {}
-            if not isinstance(name, str):
-                raise ProtocolError("missing 'endpoint'")
-            if not isinstance(kwargs, dict):
-                raise ProtocolError("'kwargs' must be an object")
-            if self.config.auth_secret is not None and not verify_message(
-                    self.config.auth_secret, message):
-                # First gate, before membership or admission see the
-                # request: outsiders cannot join, probe, or forward.
-                self.stats.auth_rejected += 1
-                return {"id": rid, "ok": False, "status": 401,
-                        "error": "unauthenticated: missing or bad 'auth' signature"}
-            if name in CONTROL_ENDPOINTS:
-                return self._control(rid, name, kwargs, started)
-            if name.startswith("_"):
-                raise ProtocolError(f"unknown control endpoint {name!r}")
-            return await self._forward(rid, name, kwargs,
-                                       message.get("priority"), started)
-        except (ProtocolError, KeyError, TypeError, ValueError) as exc:
-            self.stats.errors += 1
-            return {"id": rid, "ok": False,
-                    "error": str(exc.args[0]) if exc.args else repr(exc)}
-        except Exception as exc:  # defensive: report, don't crash the loop
-            self.stats.errors += 1
-            return {"id": rid, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+    async def dispatch(self, rid: int, name: str, kwargs: dict, message: dict,
+                       started: float) -> dict:
+        """Control endpoints inline, other ``_`` names refused, the rest forwarded."""
+        if name in CONTROL_ENDPOINTS:
+            return self._control(rid, name, kwargs, started)
+        if name.startswith("_"):
+            raise ProtocolError(f"unknown control endpoint {name!r}")
+        return await self._forward(rid, name, kwargs, message.get("priority"), started)
 
     def _control(self, rid: int, name: str, kwargs: dict, started: float) -> dict:
         if name == "_join":
@@ -531,7 +446,7 @@ class Frontend:
         }
 
 
-class FrontendHandle:
+class FrontendHandle(LoopThread):
     """Runs a :class:`Frontend` event loop on a daemon thread.
 
     The synchronous entry point tests, examples, and ``repro
@@ -540,68 +455,9 @@ class FrontendHandle:
         with FrontendHandle(FrontendConfig(port=0)) as fe:
             client = ServeClient("127.0.0.1", fe.port)
             ...
-
-    Attributes:
-        port: the bound port, available once :meth:`start` returns.
     """
 
     def __init__(self, config: FrontendConfig | None = None):
         self.config = config or FrontendConfig()
         self.frontend = Frontend(self.config)
-        self.port: int | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._startup_error: BaseException | None = None
-
-    def start(self) -> FrontendHandle:
-        """Start the loop thread; blocks until the socket is bound."""
-        if self._thread is not None:
-            raise RuntimeError("frontend already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-frontend", daemon=True)
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
-        return self
-
-    def stop(self) -> None:
-        """Signal shutdown and join the loop thread (idempotent)."""
-        if self._thread is None:
-            return
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join()
-        self._thread = None
-
-    def stats(self) -> dict:
-        """Snapshot of the front-end's counters (thread-safe read)."""
-        return self.frontend.stats_snapshot()
-
-    def __enter__(self) -> FrontendHandle:
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            await self.frontend.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self.port = self.frontend.port
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await self.frontend.aclose()
+        super().__init__(self.frontend, "repro-frontend")

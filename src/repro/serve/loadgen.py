@@ -2,9 +2,12 @@
 
 *Closed loop*: ``concurrency`` workers each keep exactly one request in
 flight — a worker issues the next request only after the previous
-response lands.  Offered load therefore adapts to server speed, and the
-measured latency distribution is not inflated by client-side queueing
-(the coordinated-omission failure mode of naive open-loop generators).
+response lands.  Offered load therefore follows server speed: while the
+server stalls, no new requests go out, so the slow period is sampled by
+only ``concurrency`` requests and the latency percentiles read low
+(coordinated omission).  Use it for throughput, hit rate and parity;
+for latency under offered load, use the open-loop Poisson generator in
+``perfbench/openloop.py``.
 """
 
 from __future__ import annotations

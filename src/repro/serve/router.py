@@ -22,9 +22,7 @@ shard warmth across upgrades) is unchanged.
 
 from __future__ import annotations
 
-from repro.fabric.ring import HashRing, ring_hash
-
-_ring_hash = ring_hash  # historical name, kept for callers and tests
+from repro.fabric.ring import HashRing
 
 
 class ShardRouter:

@@ -11,6 +11,12 @@ Request lifecycle (see ``docs/architecture.md`` for the full diagram)::
 Every connection is handled concurrently, and each request line spawns
 its own task, so one slow design point never blocks cache hits queued
 behind it on the same connection.
+
+The line-protocol front (bind, read lines, decode, check the envelope
+and its signature, map failures to error replies) is :class:`LineServer`,
+and the daemon-thread runner is :class:`LoopThread`; the fabric
+front-end (:class:`repro.fabric.frontend.Frontend`) shares both and
+differs only in what its :meth:`~LineServer.dispatch` does.
 """
 
 from __future__ import annotations
@@ -146,117 +152,41 @@ class _Pending:
     shard: int = 0
 
 
-class Server:
-    """The asyncio serving loop: sockets, cache fast path, shard fan-out.
+class LineServer:
+    """The newline-JSON request loop of :class:`Server` and the fabric front-end.
 
-    Args:
-        config: see :class:`ServeConfig`.
-        cache: inject a pre-built :class:`ResultCache` (tests use this);
-            by default one is constructed from the config.
+    Binds one socket (TLS per ``tls``, else the ``REPRO_FABRIC_TLS_*``
+    environment; port 0 asks the OS, and the bound port lands on
+    :attr:`port`), and runs each request line as its own task: count it,
+    decode it, check ``endpoint`` and ``kwargs``, refuse a bad HMAC
+    signature (when ``auth_secret`` is set) with a 401, then ``await``
+    :meth:`dispatch`.  An exception becomes an ``ok: false`` reply.
 
-    Use :meth:`start` + :meth:`serve_forever` from an event loop, or
-    :class:`ServerHandle` to run the whole loop on a background thread.
+    Subclasses set ``self.stats`` (with ``requests``, ``errors`` and
+    ``auth_rejected`` counters) and define :meth:`dispatch` and
+    ``stats_snapshot()``.
     """
 
-    def __init__(self, config: ServeConfig | None = None, cache: ResultCache | None = None):
-        self.config = config or ServeConfig()
-        self._owns_cache = cache is None
-        if cache is not None:
-            self.cache = cache
-        elif not self.config.cache_enabled:
-            self.cache = None
-        elif self.config.remote_cache:
-            self.cache = TieredCache(
-                remote=self.config.remote_cache, root=self.config.cache_dir,
-                max_bytes=self.config.cache_max_bytes,
-                remote_timeout=self.config.remote_timeout,
-                tls=self.config.tls)
-        else:
-            self.cache = ResultCache(
-                root=self.config.cache_dir, max_bytes=self.config.cache_max_bytes)
-        self.stats = ServeStats()
-        self.router = ShardRouter(self.config.workers)
-        self.pool = ShardPool(self.config.workers, mode=self.config.mode)
-        self.batcher = MicroBatcher(
-            self._flush_batch,
-            max_batch=self.config.max_batch,
-            max_delay=self.config.max_delay_ms / 1000.0,
-        )
+    def __init__(self, host: str, port: int, auth_secret: str | None = None,
+                 tls: TLSConfig | None = None):
+        self._address = (host, port)
+        self._auth_secret = auth_secret
+        self._tls = tls
         self.port: int | None = None
-        self.programs_prewarmed: dict | None = None
-        # Optional callable merged into stats_snapshot(): a wrapper
-        # (e.g. a fabric WorkerNode) exposes its own gauges over the
-        # wire ``_stats`` endpoint without the server knowing about it.
-        self.extra_stats = None
-        self._program_tier = None
-        self._inflight: dict[str, asyncio.Future] = {}
         self._server: asyncio.base_events.Server | None = None
         self._conn_tasks: set[asyncio.Task] = set()
-        # Strong references: the loop only weakly references tasks, so
-        # an un-retained shard task could be garbage-collected mid-batch
-        # and leave every future in that batch unresolved.
-        self._shard_tasks: set[asyncio.Task] = set()
 
-    def stats_snapshot(self) -> dict:
-        """The server counters, plus the ``tier`` sub-dict when tiered.
-
-        The one source for both the ``_stats`` wire endpoint and
-        :meth:`ServerHandle.stats`.
-        """
-        snapshot = self.stats.snapshot()
-        if isinstance(self.cache, TieredCache):
-            snapshot["tier"] = self.cache.tier_stats()
-        from repro.engine.program import program_cache_info
-        programs = program_cache_info()
-        if self.programs_prewarmed is not None:
-            programs["prewarm"] = self.programs_prewarmed
-        snapshot["programs"] = programs
-        if self.extra_stats is not None:
-            try:
-                snapshot.update(self.extra_stats())
-            except Exception:
-                pass  # a broken gauge must not break _stats
-        return snapshot
-
-    def _prewarm_programs(self) -> dict:
-        """Pull fleet program artifacts and install the artifact tier.
-
-        Runs in an executor before the socket binds (so traffic never
-        races the warm-up).  Best-effort end to end: a down peer or a
-        stale artifact shrinks the installed count, never blocks
-        serving.
-        """
-        from repro.engine.artifacts import ProgramArtifactTier, ProgramStore
-        from repro.engine.program import set_artifact_tier
-        from repro.runtime.tiers import HTTPPeerTier
-        remote = self.config.remote_cache
-        if isinstance(remote, str) and remote:
-            remote = HTTPPeerTier.for_bulk(
-                remote, timeout=max(self.config.remote_timeout, 10.0),
-                tls=self.config.tls)
-        store = ProgramStore(root=self.config.cache_dir, remote=remote)
-        report = store.prewarm()
-        self._program_tier = ProgramArtifactTier(store)
-        set_artifact_tier(self._program_tier)
-        return report
+    async def dispatch(self, rid, name: str, kwargs: dict, message: dict,
+                       started: float) -> dict:
+        """The reply to one decoded, authenticated request."""
+        raise NotImplementedError
 
     async def start(self) -> None:
-        """Bind the listening socket; fills in :attr:`port`.
-
-        When :attr:`ServeConfig.prewarm_programs` is set, the program
-        pre-warm (pull artifacts, seed the engine cache, install the
-        write-back tier) completes *before* the bind — a client that
-        can connect is a client that gets warm programs.
-        """
-        if self.config.prewarm_programs:
-            loop = asyncio.get_running_loop()
-            self.programs_prewarmed = await loop.run_in_executor(
-                None, self._prewarm_programs)
-        resolved_tls = default_tls(self.config.tls)
+        """Bind the listening socket; fills in :attr:`port`."""
+        tls = default_tls(self._tls)
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
-            limit=MAX_LINE_BYTES,
-            ssl=resolved_tls.server_context() if resolved_tls is not None else None)
+            self._handle_connection, *self._address, limit=MAX_LINE_BYTES,
+            ssl=tls.server_context() if tls is not None else None)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
@@ -266,7 +196,7 @@ class Server:
             await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        """Stop accepting, drop open connections, flush, stop the pool."""
+        """Stop accepting and drop the open connections."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -274,24 +204,6 @@ class Server:
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        await self.batcher.aclose()
-        if self._shard_tasks:
-            await asyncio.gather(*self._shard_tasks, return_exceptions=True)
-        self.pool.shutdown()
-        if self._owns_cache and isinstance(self.cache, TieredCache):
-            # Drain pending write-backs off the loop (close blocks on
-            # the write-back worker, which may be mid-HTTP-push).
-            await asyncio.get_running_loop().run_in_executor(None, self.cache.close)
-        if self._program_tier is not None:
-            # Detach the process-global artifact tier only if it is
-            # still ours (another server may have installed its own),
-            # then flush its pending write-backs off the loop.
-            from repro.engine.program import get_artifact_tier, set_artifact_tier
-            if get_artifact_tier() is self._program_tier:
-                set_artifact_tier(None)
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._program_tier.close)
-            self._program_tier = None
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
@@ -360,32 +272,167 @@ class Server:
                 raise ProtocolError("missing 'endpoint'")
             if not isinstance(kwargs, dict):
                 raise ProtocolError("'kwargs' must be an object")
-            if self.config.auth_secret is not None and not verify_message(
-                    self.config.auth_secret, message):
-                # Before resolving the endpoint, touching the cache, or
-                # running anything: an unauthenticated caller gets one
-                # refusal line and nothing else.
+            if self._auth_secret is not None and not verify_message(
+                    self._auth_secret, message):
+                # Before dispatch touches a cache, the membership or a
+                # worker: an unauthenticated caller gets one refusal
+                # line and nothing else.
                 self.stats.auth_rejected += 1
                 return {"id": rid, "ok": False, "status": 401,
                         "error": "unauthenticated: missing or bad 'auth' signature"}
-            if name == "_stats":
-                return self._ok(rid, self.stats_snapshot(), started)
-            if name == "_endpoints":
-                return self._ok(rid, list(endpoints_mod.endpoint_names()), started)
-            if name == "ping":
-                # Liveness probe: answered inline so it reflects event-loop
-                # health alone, never blocks on (or writes junk into) the
-                # cache or a wedged shard pool.
-                return self._ok(rid, {"pong": kwargs.get("payload")}, started)
-            fn = endpoints_mod.resolve(name)
-            return await self._serve_point(rid, name, fn, kwargs, started)
+            return await self.dispatch(rid, name, kwargs, message, started)
         except (ProtocolError, KeyError, TypeError, ValueError) as exc:
             self.stats.errors += 1
             return {"id": rid, "ok": False,
                     "error": str(exc.args[0]) if exc.args else repr(exc)}
-        except Exception as exc:  # endpoint raised: report, don't crash
+        except Exception as exc:  # dispatch raised: report, don't crash
             self.stats.errors += 1
             return {"id": rid, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+class Server(LineServer):
+    """The asyncio serving loop: sockets, cache fast path, shard fan-out.
+
+    Args:
+        config: see :class:`ServeConfig`.
+        cache: inject a pre-built :class:`ResultCache` (tests use this);
+            by default one is constructed from the config.
+
+    Use :meth:`start` + :meth:`serve_forever` from an event loop, or
+    :class:`ServerHandle` to run the whole loop on a background thread.
+    """
+
+    def __init__(self, config: ServeConfig | None = None, cache: ResultCache | None = None):
+        self.config = config or ServeConfig()
+        super().__init__(self.config.host, self.config.port,
+                         self.config.auth_secret, self.config.tls)
+        self._owns_cache = cache is None
+        if cache is not None:
+            self.cache = cache
+        elif not self.config.cache_enabled:
+            self.cache = None
+        elif self.config.remote_cache:
+            self.cache = TieredCache(
+                remote=self.config.remote_cache, root=self.config.cache_dir,
+                max_bytes=self.config.cache_max_bytes,
+                remote_timeout=self.config.remote_timeout,
+                tls=self.config.tls)
+        else:
+            self.cache = ResultCache(
+                root=self.config.cache_dir, max_bytes=self.config.cache_max_bytes)
+        self.stats = ServeStats()
+        self.router = ShardRouter(self.config.workers)
+        self.pool = ShardPool(self.config.workers, mode=self.config.mode)
+        self.batcher = MicroBatcher(
+            self._flush_batch,
+            max_batch=self.config.max_batch,
+            max_delay=self.config.max_delay_ms / 1000.0,
+        )
+        self.programs_prewarmed: dict | None = None
+        # Optional callable merged into stats_snapshot(): a wrapper
+        # (e.g. a fabric WorkerNode) exposes its own gauges over the
+        # wire ``_stats`` endpoint without the server knowing about it.
+        self.extra_stats = None
+        self._program_tier = None
+        self._inflight: dict[str, asyncio.Future] = {}
+        # Strong references: the loop only weakly references tasks, so
+        # an un-retained shard task could be garbage-collected mid-batch
+        # and leave every future in that batch unresolved.
+        self._shard_tasks: set[asyncio.Task] = set()
+
+    def stats_snapshot(self) -> dict:
+        """The server counters, plus the ``tier`` sub-dict when tiered.
+
+        The one source for both the ``_stats`` wire endpoint and
+        :meth:`ServerHandle.stats`.
+        """
+        snapshot = self.stats.snapshot()
+        if isinstance(self.cache, TieredCache):
+            snapshot["tier"] = self.cache.tier_stats()
+        from repro.engine.program import program_cache_info
+        programs = program_cache_info()
+        if self.programs_prewarmed is not None:
+            programs["prewarm"] = self.programs_prewarmed
+        snapshot["programs"] = programs
+        if self.extra_stats is not None:
+            try:
+                snapshot.update(self.extra_stats())
+            except Exception:
+                pass  # a broken gauge must not break _stats
+        return snapshot
+
+    def _prewarm_programs(self) -> dict:
+        """Pull fleet program artifacts and install the artifact tier.
+
+        Runs in an executor before the socket binds (so traffic never
+        races the warm-up).  Best-effort end to end: a down peer or a
+        stale artifact shrinks the installed count, never blocks
+        serving.
+        """
+        from repro.engine.artifacts import ProgramArtifactTier, ProgramStore
+        from repro.engine.program import set_artifact_tier
+        from repro.runtime.tiers import HTTPPeerTier
+        remote = self.config.remote_cache
+        if isinstance(remote, str) and remote:
+            remote = HTTPPeerTier.for_bulk(
+                remote, timeout=max(self.config.remote_timeout, 10.0),
+                tls=self.config.tls)
+        store = ProgramStore(root=self.config.cache_dir, remote=remote)
+        report = store.prewarm()
+        self._program_tier = ProgramArtifactTier(store)
+        set_artifact_tier(self._program_tier)
+        return report
+
+    async def start(self) -> None:
+        """Bind the listening socket; fills in :attr:`port`.
+
+        When :attr:`ServeConfig.prewarm_programs` is set, the program
+        pre-warm (pull artifacts, seed the engine cache, install the
+        write-back tier) completes *before* the bind — a client that
+        can connect is a client that gets warm programs.
+        """
+        if self.config.prewarm_programs:
+            loop = asyncio.get_running_loop()
+            self.programs_prewarmed = await loop.run_in_executor(
+                None, self._prewarm_programs)
+        await super().start()
+
+    async def aclose(self) -> None:
+        """Stop accepting, drop open connections, flush, stop the pool."""
+        await super().aclose()
+        await self.batcher.aclose()
+        if self._shard_tasks:
+            await asyncio.gather(*self._shard_tasks, return_exceptions=True)
+        self.pool.shutdown()
+        if self._owns_cache and isinstance(self.cache, TieredCache):
+            # Drain pending write-backs off the loop (close blocks on
+            # the write-back worker, which may be mid-HTTP-push).
+            await asyncio.get_running_loop().run_in_executor(None, self.cache.close)
+        if self._program_tier is not None:
+            # Detach the process-global artifact tier only if it is
+            # still ours (another server may have installed its own),
+            # then flush its pending write-backs off the loop.
+            from repro.engine.program import get_artifact_tier, set_artifact_tier
+            if get_artifact_tier() is self._program_tier:
+                set_artifact_tier(None)
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._program_tier.close)
+            self._program_tier = None
+
+    async def dispatch(self, rid: int, name: str, kwargs: dict, message: dict,
+                       started: float) -> dict:
+        """Meta endpoints inline; everything else through the cache."""
+        if name == "_stats":
+            return self._ok(rid, self.stats_snapshot(), started)
+        if name == "_endpoints":
+            return self._ok(rid, list(endpoints_mod.endpoint_names()), started)
+        if name == "ping":
+            # Liveness probe: answered inline so it reflects event-loop
+            # health alone, never blocks on (or writes junk into) the
+            # cache or a wedged shard pool.
+            return self._ok(rid, {"pong": kwargs.get("payload")}, started)
+        fn = endpoints_mod.resolve(name)
+        return await self._serve_point(rid, name, fn, kwargs, started)
 
     async def _serve_point(self, rid: int, name: str, fn, kwargs: dict,
                            started: float) -> dict:
@@ -498,31 +545,26 @@ class Server:
         }
 
 
-class ServerHandle:
-    """Runs a :class:`Server` event loop on a daemon thread.
+class LoopThread:
+    """Runs a :class:`LineServer` on its own event loop in a daemon thread.
 
-    The synchronous entry point examples, tests, and ``repro
-    bench-serve`` use::
-
-        with ServerHandle(ServeConfig(port=0, mode="thread")) as handle:
-            client = ServeClient("127.0.0.1", handle.port)
-            ...
-
-    Attributes:
-        port: the bound port, available once :meth:`start` returns.
+    :meth:`start` blocks until the socket is bound and sets :attr:`port`;
+    :meth:`stop` closes the server and joins the thread.  A start that
+    fails (a port in use, say) re-raises the error and leaves the handle
+    as it was, so :meth:`stop` is a no-op and :meth:`start` may be retried.
     """
 
-    def __init__(self, config: ServeConfig | None = None, cache: ResultCache | None = None):
-        self.config = config or ServeConfig()
-        self.server = Server(self.config, cache=cache)
+    def __init__(self, server: LineServer, name: str):
+        self.server = server
         self.port: int | None = None
+        self._name = name
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._startup_error: BaseException | None = None
 
-    def start(self) -> ServerHandle:
+    def start(self) -> LoopThread:
         """Start the loop thread; blocks until the socket is bound.
 
         Raises:
@@ -530,14 +572,16 @@ class ServerHandle:
             OSError: if the bind fails (re-raised from the loop thread).
         """
         if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True)
+            raise RuntimeError(f"{self._name} already started")
+        self._ready.clear()
+        self._thread = threading.Thread(target=self._run, name=self._name, daemon=True)
         self._thread.start()
         self._ready.wait()
         if self._startup_error is not None:
+            error = self._startup_error
             self._thread.join()
-            raise self._startup_error
+            self._thread = self._loop = self._stop = self._startup_error = None
+            raise error
         return self
 
     def stop(self) -> None:
@@ -550,14 +594,10 @@ class ServerHandle:
         self._thread = None
 
     def stats(self) -> dict:
-        """Snapshot of the server's counters (thread-safe read).
-
-        Includes the ``tier`` sub-dict when the server runs a
-        :class:`~repro.runtime.tiers.TieredCache`.
-        """
+        """The server's :meth:`~LineServer.stats_snapshot` (thread-safe read)."""
         return self.server.stats_snapshot()
 
-    def __enter__(self) -> ServerHandle:
+    def __enter__(self) -> LoopThread:
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
@@ -581,3 +621,22 @@ class ServerHandle:
             await self._stop.wait()
         finally:
             await self.server.aclose()
+
+
+class ServerHandle(LoopThread):
+    """Runs a :class:`Server` event loop on a daemon thread.
+
+    The synchronous entry point examples, tests, and ``repro
+    bench-serve`` use::
+
+        with ServerHandle(ServeConfig(port=0, mode="thread")) as handle:
+            client = ServeClient("127.0.0.1", handle.port)
+            ...
+
+    ``stats()`` includes the ``tier`` sub-dict when the server runs a
+    :class:`~repro.runtime.tiers.TieredCache`.
+    """
+
+    def __init__(self, config: ServeConfig | None = None, cache: ResultCache | None = None):
+        self.config = config or ServeConfig()
+        super().__init__(Server(self.config, cache=cache), "repro-serve")
