@@ -8,9 +8,7 @@
   run-length encoding and UCNN's table footprint;
 * :mod:`repro.arch.noc` — multicast-bus geometry for the NoC energy model;
 * :mod:`repro.arch.dataflow` — the Figure 8 loop nest: tiling, column
-  assignment, halos, multicast scheduling;
-* :mod:`repro.arch.accelerator` — whole-chip composition used by the
-  simulators.
+  assignment, halos, multicast scheduling.
 """
 
 from repro.arch.config import (

@@ -67,11 +67,6 @@ def weight_buffer_entries(config: HardwareConfig) -> int:
     return config.num_unique
 
 
-def psum_entries(config: HardwareConfig, psum_bits: int = 32) -> int:
-    """Partial-sum buffer capacity in entries (one per output row h)."""
-    return config.l1_psum_bytes * 8 // psum_bits
-
-
 def inputs_fit_on_chip(shape: ConvShape, config: HardwareConfig) -> bool:
     """Whether a layer's input activations fit the L2 input partition.
 

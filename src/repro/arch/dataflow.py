@@ -45,11 +45,6 @@ class WorkPartition:
     kc_chunks: int
     tile: TilePlan
 
-    @property
-    def work_items(self) -> int:
-        """Total (column group, filter slot) pairs."""
-        return self.col_groups * self.filter_slots
-
 
 def filters_per_slot(config: HardwareConfig) -> int:
     """Filters a PE finishes per work item (VK for dense, G for UCNN)."""

@@ -78,14 +78,6 @@ def activation_dram_bits(
     return dense_bits
 
 
-def weight_dram_bits(
-    config: HardwareConfig,
-    model: ModelSizeBreakdown,
-) -> int:
-    """Weight-representation bits a design ships from DRAM for a layer."""
-    return model.total_bits
-
-
 def dense_weight_model(shape: ConvShape, config: HardwareConfig) -> ModelSizeBreakdown:
     """Dense weight footprint for DCNN."""
     return dense_model_size(shape.num_weights, config.weight_bits)

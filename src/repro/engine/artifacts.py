@@ -73,6 +73,7 @@ from repro.engine.program import (
     cached_programs,
     seed_program_cache,
 )
+from repro.obs import Counters
 from repro.runtime.cache import ResultCache
 from repro.runtime.tiers import CacheTier, HTTPPeerTier, SyncReport
 
@@ -662,10 +663,8 @@ class ProgramStore:
             if isinstance(remote, str) else remote)
         self.fingerprint = fingerprint
         self._lock = threading.Lock()
-        self._counters = {
-            "saves": 0, "save_rejected": 0, "loads": 0, "load_failures": 0,
-            "remote_loads": 0, "stale_rejected": 0,
-        }
+        self._counters = Counters("saves", "save_rejected", "loads", "load_failures",
+                                  "remote_loads", "stale_rejected")
 
     @staticmethod
     def store_key(key: str) -> str:
@@ -687,13 +686,13 @@ class ProgramStore:
         try:
             blob = serialize_program(program, key=key, fingerprint=self._fp())
         except ArtifactError:
-            self._bump("save_rejected")
+            self._counters.inc("save_rejected")
             return False
         kind = inspect_artifact(blob)["kind"]
         self.cache.put_blob(self.store_key(key), blob)
         self._manifest_update({key: {"kind": kind, "bytes": len(blob),
                                      "engine": self._fp()}})
-        self._bump("saves")
+        self._counters.inc("saves")
         return True
 
     def load(self, key: str) -> object | None:
@@ -704,7 +703,7 @@ class ProgramStore:
         corrupt, stale, peer down — returns ``None``; the caller
         recompiles.
         """
-        self._bump("loads")
+        self._counters.inc("loads")
         store_key = self.store_key(key)
         blob = self.cache.get_blob(store_key)
         if blob is not None:
@@ -712,7 +711,7 @@ class ProgramStore:
                 return deserialize_program(blob, expected_key=key,
                                            fingerprint=self._fp())
             except ArtifactError:
-                self._bump("load_failures")
+                self._counters.inc("load_failures")
                 # Fall through: the remote copy may be fresh where the
                 # local one is stale or torn.
         if self.remote is None:
@@ -728,13 +727,13 @@ class ProgramStore:
             program = deserialize_program(blob, expected_key=key,
                                           fingerprint=self._fp())
         except ArtifactError:
-            self._bump("load_failures")
+            self._counters.inc("load_failures")
             return None
         with contextlib.suppress(OSError):
             self.cache.put_blob(store_key, blob)
             self._manifest_update({key: {"kind": header["kind"], "bytes": len(blob),
                                          "engine": header["engine"]}})
-        self._bump("remote_loads")
+        self._counters.inc("remote_loads")
         return program
 
     def save_cached(self) -> int:
@@ -834,7 +833,7 @@ class ProgramStore:
                 if header["key"] != key:
                     raise ArtifactError("manifest/envelope key mismatch")
                 if header["engine"] != fp:
-                    self._bump("stale_rejected")
+                    self._counters.inc("stale_rejected")
                     raise ArtifactError("stale engine fingerprint")
             except ArtifactError:
                 failed += 1
@@ -888,8 +887,7 @@ class ProgramStore:
     def stats(self) -> dict:
         """Store counters plus manifest totals (for ``repro programs info``)."""
         manifest = self.manifest()
-        with self._lock:
-            out = dict(self._counters)
+        out = self._counters.snapshot()
         out["root"] = str(self.cache.root)
         out["programs"] = len(manifest)
         out["bytes"] = sum(int(e.get("bytes", 0)) for e in manifest.values())
@@ -897,10 +895,6 @@ class ProgramStore:
         out["stale"] = sum(1 for e in manifest.values()
                            if e.get("engine") != self._fp())
         return out
-
-    def _bump(self, counter: str) -> None:
-        with self._lock:
-            self._counters[counter] += 1
 
 
 class ProgramArtifactTier:
@@ -926,9 +920,8 @@ class ProgramArtifactTier:
     def __init__(self, store: ProgramStore, push_remote: bool = True):
         self.store = store
         self.push_remote = push_remote and store.remote is not None
-        self._lock = threading.Lock()
-        self._counters = {"fetch_hits": 0, "fetch_misses": 0, "offers": 0,
-                          "stored": 0, "store_failures": 0}
+        self._counters = Counters("fetch_hits", "fetch_misses", "offers", "stored",
+                                  "store_failures")
         self._writeback = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-program-wb")
 
@@ -938,12 +931,12 @@ class ProgramArtifactTier:
             program = self.store.load(key)
         except Exception:
             program = None
-        self._bump("fetch_hits" if program is not None else "fetch_misses")
+        self._counters.inc("fetch_hits" if program is not None else "fetch_misses")
         return program
 
     def offer(self, key: str, program: object) -> None:
         """Queue a freshly compiled program for background persistence."""
-        self._bump("offers")
+        self._counters.inc("offers")
         try:
             self._writeback.submit(self._store_one, key, program)
         except RuntimeError:
@@ -956,7 +949,7 @@ class ProgramArtifactTier:
                 self._push_one(key)
         except Exception:
             ok = False
-        self._bump("stored" if ok else "store_failures")
+        self._counters.inc("stored" if ok else "store_failures")
 
     def _push_one(self, key: str) -> None:
         """Push one saved artifact (blob + manifest entry) to the remote."""
@@ -988,11 +981,6 @@ class ProgramArtifactTier:
 
     def stats(self) -> dict:
         """Tier counters plus the wrapped store's stats."""
-        with self._lock:
-            out = dict(self._counters)
+        out = self._counters.snapshot()
         out["store"] = self.store.stats()
         return out
-
-    def _bump(self, counter: str) -> None:
-        with self._lock:
-            self._counters[counter] += 1

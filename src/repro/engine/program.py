@@ -61,6 +61,7 @@ import numpy as np
 from repro.core.activation_groups import canonical_weight_order
 from repro.core.hierarchical import FilterGroupTables, build_filter_group_tables
 from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
+from repro.obs import Counters
 
 #: The program arrays ``ucnn_scan`` reads, all cast to int64 on construction.
 KERNEL_ARRAYS = ("gather", "cols", "coefs", "run_starts", "rows", "group_entries", "group_runs")
@@ -279,9 +280,7 @@ def compile_layer(groups: Sequence[FilterGroupTables], key: str | None = None) -
 _CACHE: OrderedDict[str, object] = OrderedDict()
 _CACHE_LOCK = threading.RLock()
 _MAX_CACHED_PROGRAMS = 128
-_HITS = 0
-_MISSES = 0
-_ARTIFACT_HITS = 0
+_COUNTS = Counters("hits", "misses", "artifact_hits")
 
 #: Read-through artifact tier (see ``repro.engine.artifacts``): an
 #: object with ``fetch(key) -> program | None`` and ``offer(key,
@@ -355,7 +354,7 @@ def _cached(key: str, build: Callable[[], object]) -> object:
     different callers — violating the ``compiled_layer_for`` contract
     that identical inputs return *the same object*.  Now exactly one
     caller (the owner) builds; the others wait on a per-key in-flight
-    event and receive the owner's object, counted as hits.  ``_MISSES``
+    event and receive the owner's object, counted as hits.  ``misses``
     therefore equals the number of compiles actually performed.
 
     The owner builds outside the lock (builds recurse: a fused network
@@ -365,13 +364,12 @@ def _cached(key: str, build: Callable[[], object]) -> object:
     to the tier.  If the owner's build raises, its waiters wake, and
     one of them retries as the new owner.
     """
-    global _HITS, _MISSES, _ARTIFACT_HITS
     while True:
         with _CACHE_LOCK:
             hit = _CACHE.get(key)
             if hit is not None:
                 _CACHE.move_to_end(key)
-                _HITS += 1
+                _COUNTS.inc("hits")
                 return hit
             flight = _INFLIGHT.get(key)
             if flight is None:
@@ -383,16 +381,14 @@ def _cached(key: str, build: Callable[[], object]) -> object:
             flight.event.wait()
             if flight.error is not None:
                 continue  # owner failed; retry (possibly as the new owner)
-            with _CACHE_LOCK:
-                _HITS += 1
+            _COUNTS.inc("hits")
             return flight.value
         tier = _ARTIFACT_TIER
         try:
             value = tier.fetch(key) if tier is not None else None
             from_artifact = value is not None
             if not from_artifact:
-                with _CACHE_LOCK:
-                    _MISSES += 1  # committed to an actual compile
+                _COUNTS.inc("misses")  # committed to an actual compile
                 value = build()
         except BaseException as exc:
             flight.error = exc
@@ -402,7 +398,7 @@ def _cached(key: str, build: Callable[[], object]) -> object:
             raise
         with _CACHE_LOCK:
             if from_artifact:
-                _ARTIFACT_HITS += 1
+                _COUNTS.inc("artifact_hits")
             _insert_locked(key, value)
             _INFLIGHT.pop(key, None)
         flight.value = value
@@ -527,9 +523,7 @@ def program_cache_info() -> dict:
     with _CACHE_LOCK:
         return {
             "entries": len(_CACHE),
-            "hits": _HITS,
-            "misses": _MISSES,
-            "artifact_hits": _ARTIFACT_HITS,
+            **_COUNTS.snapshot(),
             "inflight": len(_INFLIGHT),
             "max": _MAX_CACHED_PROGRAMS,
         }
@@ -537,9 +531,6 @@ def program_cache_info() -> dict:
 
 def clear_program_cache() -> None:
     """Drop every cached program and reset counters (tests / memory)."""
-    global _HITS, _MISSES, _ARTIFACT_HITS
     with _CACHE_LOCK:
         _CACHE.clear()
-        _HITS = 0
-        _MISSES = 0
-        _ARTIFACT_HITS = 0
+        _COUNTS.reset()

@@ -29,11 +29,6 @@ class ChunkPoint:
     multiplies_per_walk: int
     extra_operand_bits: int
 
-    @property
-    def multiply_factor(self) -> float:
-        """Relative to the best (largest-cap) point; filled by the runner."""
-        return float(self.multiplies_per_walk)
-
 
 @dataclass(frozen=True)
 class ChunkAblationResult:

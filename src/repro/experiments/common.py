@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.seeding import stable_rng, stable_seed  # noqa: F401 — re-exported
-from repro.nn.network import Network
 from repro.nn.tensor import ConvShape
 from repro.nn.zoo import get_network
 from repro.quant.distributions import inq_like_weights, uniform_unique_weights
@@ -56,11 +55,6 @@ def best_of(fn, repeats: int = 3) -> float:
 def network_shapes(name: str, include_fc: bool = False) -> list[ConvShape]:
     """Conv-layer geometries of a zoo network."""
     return get_network(name).conv_shapes(include_fc=include_fc)
-
-
-def load_network(name: str) -> Network:
-    """Zoo network by name (convenience re-export)."""
-    return get_network(name)
 
 
 @dataclass(frozen=True)

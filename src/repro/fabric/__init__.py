@@ -54,7 +54,6 @@ _LAZY = {
     "Frontend": "repro.fabric.frontend",
     "FrontendConfig": "repro.fabric.frontend",
     "FrontendHandle": "repro.fabric.frontend",
-    "FrontendStats": "repro.fabric.frontend",
     "WorkerNode": "repro.fabric.worker",
     "ChaosCluster": "repro.fabric.chaos",
     "DrillReport": "repro.fabric.chaos",
@@ -70,7 +69,6 @@ __all__ = [
     "Frontend",
     "FrontendConfig",
     "FrontendHandle",
-    "FrontendStats",
     "HashRing",
     "Membership",
     "PRIORITIES",

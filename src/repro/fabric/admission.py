@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.fabric.auth import PRIORITIES, normalize_priority
+from repro.obs import Counters
 
 #: Fraction of ``max_inflight`` at which each priority starts shedding.
 DEPTH_LADDER = {"high": 1.0, "normal": 0.75, "low": 0.5}
@@ -88,30 +89,6 @@ class AdmissionDecision:
     reason: str | None = None
 
 
-@dataclass
-class AdmissionStats:
-    """Counters the front-end's ``_stats`` endpoint exposes."""
-
-    admitted: dict = field(default_factory=lambda: {p: 0 for p in PRIORITIES})
-    shed: dict = field(default_factory=lambda: {p: 0 for p in PRIORITIES})
-    shed_queue_depth: int = 0
-    shed_rate: int = 0
-
-    def snapshot(self, inflight: int) -> dict:
-        """Plain-dict copy, plus the live in-flight gauge."""
-        total_shed = sum(self.shed.values())
-        total = total_shed + sum(self.admitted.values())
-        return {
-            "admitted": dict(self.admitted),
-            "shed": dict(self.shed),
-            "shed_queue_depth": self.shed_queue_depth,
-            "shed_rate": self.shed_rate,
-            "shed_total": total_shed,
-            "shed_fraction": total_shed / total if total else 0.0,
-            "inflight": inflight,
-        }
-
-
 class AdmissionController:
     """Admission gate for a fabric front-end.
 
@@ -151,7 +128,9 @@ class AdmissionController:
             for p, rate in (rates or {}).items() if p in PRIORITIES}
         self._lock = threading.Lock()
         self._inflight = 0
-        self.stats = AdmissionStats()
+        # Bumped under _lock, so a snapshot's counts and gauge agree.
+        self.stats = Counters("shed_queue_depth", "shed_rate",
+                              keyed={"admitted": PRIORITIES, "shed": PRIORITIES})
 
     @property
     def inflight(self) -> int:
@@ -165,16 +144,16 @@ class AdmissionController:
         bucket = self._buckets.get(level)
         if bucket is not None and not bucket.try_take():
             with self._lock:
-                self.stats.shed[level] += 1
-                self.stats.shed_rate += 1
+                self.stats.inc("shed", level)
+                self.stats.inc("shed_rate")
             return AdmissionDecision(False, level, "rate")
         with self._lock:
             if self._inflight >= self._thresholds[level]:
-                self.stats.shed[level] += 1
-                self.stats.shed_queue_depth += 1
+                self.stats.inc("shed", level)
+                self.stats.inc("shed_queue_depth")
                 return AdmissionDecision(False, level, "queue-depth")
             self._inflight += 1
-            self.stats.admitted[level] += 1
+            self.stats.inc("admitted", level)
         return AdmissionDecision(True, level)
 
     def release(self) -> None:
@@ -184,6 +163,12 @@ class AdmissionController:
                 self._inflight -= 1
 
     def snapshot(self) -> dict:
-        """Stats dict for ``_stats`` (includes the live gauge)."""
+        """Stats dict for ``_stats``: the counters, shed totals and the live gauge."""
         with self._lock:
-            return self.stats.snapshot(self._inflight)
+            snapshot = self.stats.snapshot()
+            snapshot["inflight"] = self._inflight
+        shed = sum(snapshot["shed"].values())
+        total = shed + sum(snapshot["admitted"].values())
+        snapshot["shed_total"] = shed
+        snapshot["shed_fraction"] = shed / total if total else 0.0
+        return snapshot

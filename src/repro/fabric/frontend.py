@@ -122,22 +122,6 @@ class FrontendConfig:
             raise ValueError("worker_inflight_limit must be >= 1")
 
 
-@dataclass
-class FrontendStats:
-    """Front-end counters (routing layer only; admission and
-    membership keep their own and all three merge in ``_stats``)."""
-
-    requests: int = 0
-    forwarded: int = 0
-    forward_errors: int = 0
-    retries: int = 0
-    spills: int = 0
-    not_replayed: int = 0
-    no_workers: int = 0
-    auth_rejected: int = 0
-    errors: int = 0
-
-
 class Frontend(LineServer):
     """The asyncio front-end loop: auth -> admit -> route -> forward.
 
@@ -154,13 +138,14 @@ class Frontend(LineServer):
     def __init__(self, config: FrontendConfig | None = None):
         self.config = config or FrontendConfig()
         super().__init__(self.config.host, self.config.port,
-                         self.config.auth_secret, self.config.tls)
+                         self.config.auth_secret, self.config.tls,
+                         counters=("forwarded", "forward_errors", "retries", "spills",
+                                   "not_replayed", "no_workers"))
         self.membership = Membership(
             heartbeat_timeout=self.config.heartbeat_timeout,
             replicas=self.config.replicas)
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight, rates=self.config.rates)
-        self.stats = FrontendStats()
         self._clients: dict[str, AsyncServeClient] = {}
         self._client_locks: dict[str, asyncio.Lock] = {}
         self._reaper_task: asyncio.Task | None = None
@@ -194,24 +179,15 @@ class Frontend(LineServer):
         """Routing + admission + membership counters, one dict."""
         with self._catalog_lock:
             catalog_size = len(self._catalog)
-        return {
-            "requests": self.stats.requests,
-            "forwarded": self.stats.forwarded,
-            "forward_errors": self.stats.forward_errors,
-            "retries": self.stats.retries,
-            "spills": self.stats.spills,
-            "not_replayed": self.stats.not_replayed,
-            "no_workers": self.stats.no_workers,
-            "auth_rejected": self.stats.auth_rejected,
-            "errors": self.stats.errors,
-            "routing": {
-                "replication": self.config.replication,
-                "worker_inflight_limit": self.config.worker_inflight_limit,
-                "catalog": catalog_size,
-            },
-            "admission": self.admission.snapshot(),
-            "membership": self.membership.snapshot(),
+        snapshot = self.stats.snapshot()
+        snapshot["routing"] = {
+            "replication": self.config.replication,
+            "worker_inflight_limit": self.config.worker_inflight_limit,
+            "catalog": catalog_size,
         }
+        snapshot["admission"] = self.admission.snapshot()
+        snapshot["membership"] = self.membership.snapshot()
+        return snapshot
 
     def assignments(self, worker_id: str | None = None) -> dict:
         """Replica assignments derived from the routed-key catalog.
@@ -306,12 +282,12 @@ class Frontend(LineServer):
                 info, spilled = self._select(key, attempted)
                 if info is None:
                     if not attempted:
-                        self.stats.no_workers += 1
+                        self.stats.inc("no_workers")
                         return self._fail(rid, "no live workers in the fabric", started)
                     break  # every replica tried
                 attempted.add(info.worker_id)
                 if spilled:
-                    self.stats.spills += 1
+                    self.stats.inc("spills")
                 if not self.membership.begin_forward(info.worker_id, spilled=spilled):
                     continue  # vanished between selection and accounting
                 try:
@@ -337,7 +313,7 @@ class Frontend(LineServer):
                         await self._drop_client(info.worker_id)
                         if idempotent:
                             continue
-                        self.stats.not_replayed += 1
+                        self.stats.inc("not_replayed")
                         return self._fail(
                             rid,
                             f"worker {info.worker_id} failed mid-request ({reason}); "
@@ -349,7 +325,7 @@ class Frontend(LineServer):
                     # A worker-side shed was never executed, so the next
                     # replica may take it — idempotence is irrelevant.
                     shed_response = (response, info.worker_id)
-                    self.stats.spills += 1
+                    self.stats.inc("spills")
                     continue
                 return self._relay(rid, response, info.worker_id, started)
             if shed_response is not None:
@@ -390,13 +366,13 @@ class Frontend(LineServer):
 
     def _note_dead(self, info: WorkerInfo, reason: str, attempt: int) -> None:
         """Evict a worker after a transport failure; count the retry."""
-        self.stats.forward_errors += 1
+        self.stats.inc("forward_errors")
         self.membership.evict(info.worker_id, reason)
         if attempt + 1 < self.config.forward_retries:
-            self.stats.retries += 1
+            self.stats.inc("retries")
 
     def _relay(self, rid: int, response, worker_id: str, started: float) -> dict:
-        self.stats.forwarded += 1
+        self.stats.inc("forwarded")
         payload = {
             "id": rid, "ok": response.ok, "value": response.value,
             "cached": response.cached, "coalesced": response.coalesced,

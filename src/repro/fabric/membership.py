@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.fabric.ring import HashRing
+from repro.obs import Counters
 
 
 @dataclass
@@ -72,17 +73,6 @@ class WorkerInfo:
         }
 
 
-@dataclass
-class MembershipStats:
-    """Churn counters (exposed via the front-end's ``_stats``)."""
-
-    joins: int = 0
-    rejoins: int = 0
-    leaves: int = 0
-    evictions: int = 0
-    eviction_reasons: dict = field(default_factory=dict)
-
-
 class Membership:
     """The worker registry + hash ring of one front-end.
 
@@ -104,7 +94,10 @@ class Membership:
         self._workers: dict[str, WorkerInfo] = {}
         self._ring = HashRing(replicas=replicas)
         self._version = 0
-        self.stats = MembershipStats()
+        # Churn counters, bumped under _lock so a snapshot sees each
+        # ring change together with its count.
+        self.stats = Counters("joins", "rejoins", "leaves", "evictions",
+                              keyed={"eviction_reasons": ()})
 
     @property
     def version(self) -> int:
@@ -137,12 +130,12 @@ class Membership:
                 self._workers[worker_id] = info
                 self._ring.add(worker_id)
                 self._version += 1
-                self.stats.joins += 1
+                self.stats.inc("joins")
             else:
                 existing.host, existing.port = str(host), int(port)
                 existing.last_heartbeat = now
                 info = existing
-                self.stats.rejoins += 1
+                self.stats.inc("rejoins")
             return info
 
     def heartbeat(self, worker_id: str) -> bool:
@@ -166,7 +159,7 @@ class Membership:
                 return False
             self._ring.remove(worker_id)
             self._version += 1
-            self.stats.leaves += 1
+            self.stats.inc("leaves")
             return True
 
     def evict(self, worker_id: str, reason: str = "unknown") -> bool:
@@ -176,9 +169,8 @@ class Membership:
                 return False
             self._ring.remove(worker_id)
             self._version += 1
-            self.stats.evictions += 1
-            self.stats.eviction_reasons[reason] = (
-                self.stats.eviction_reasons.get(reason, 0) + 1)
+            self.stats.inc("evictions")
+            self.stats.inc("eviction_reasons", reason)
             return True
 
     def sweep(self) -> list[str]:
@@ -195,9 +187,8 @@ class Membership:
                 del self._workers[worker_id]
                 self._ring.remove(worker_id)
                 self._version += 1
-                self.stats.evictions += 1
-                self.stats.eviction_reasons["heartbeat"] = (
-                    self.stats.eviction_reasons.get("heartbeat", 0) + 1)
+                self.stats.inc("evictions")
+                self.stats.inc("eviction_reasons", "heartbeat")
         return stale
 
     # -- routing / introspection ---------------------------------------
@@ -274,9 +265,5 @@ class Membership:
                 "replicas": self._ring.replicas,
                 "version": self._version,
                 "heartbeat_timeout": self.heartbeat_timeout,
-                "joins": self.stats.joins,
-                "rejoins": self.stats.rejoins,
-                "leaves": self.stats.leaves,
-                "evictions": self.stats.evictions,
-                "eviction_reasons": dict(self.stats.eviction_reasons),
+                **self.stats.snapshot(),
             }

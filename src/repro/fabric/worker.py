@@ -111,6 +111,10 @@ class WorkerNode:
         self._last_prewarm = 0.0
         self._prewarm_lock = threading.Lock()
         self._prewarm_thread: threading.Thread | None = None
+        # Expose the agent's gauges over the serve-wire ``_stats``
+        # endpoint: drills and ``repro frontend-status`` read warmth
+        # remotely without a second control channel.
+        self.handle.server.extra_stats = self._agent_stats
 
     # -- lifecycle -----------------------------------------------------
 
@@ -127,10 +131,6 @@ class WorkerNode:
         self.port = self.handle.port
         if self.worker_id is None:
             self.worker_id = f"worker-{self.advertise_host}:{self.port}"
-        # Expose the agent's gauges over the serve-wire ``_stats``
-        # endpoint: drills and ``repro frontend-status`` read warmth
-        # remotely without a second control channel.
-        self.handle.server.extra_stats = self._agent_stats
         try:
             reply = self._join()
         except BaseException:
@@ -176,12 +176,10 @@ class WorkerNode:
         }
 
     def stats(self) -> dict:
-        """The wrapped server's counters (including the ``programs``
-        sub-dict with the pre-warm report when one ran), plus this
-        agent's replica-warmth report under ``replica_prewarm``."""
-        stats = self.handle.stats()
-        stats.update(self._agent_stats())
-        return stats
+        """The wrapped server's ``_stats`` reply: its counters (including
+        the ``programs`` sub-dict with the pre-warm report when one ran)
+        and this agent's replica-warmth report under ``replica_prewarm``."""
+        return self.handle.stats()
 
     def __enter__(self) -> WorkerNode:
         return self.start()

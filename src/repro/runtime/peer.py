@@ -63,6 +63,7 @@ from pathlib import Path
 
 from repro.fabric.auth import default_secret, verify_http
 from repro.fabric.tls import TLSConfig, default_tls
+from repro.obs import Counters
 from repro.runtime.cache import ResultCache
 from repro.runtime.tiers import CHECKSUM_HEADER, MAX_BLOB_BYTES, HTTPPeerTier
 
@@ -91,15 +92,15 @@ class _PeerHandler(BaseHTTPRequestHandler):
         key = self._key()
         if key is None:
             return
-        self.server.peer.count("gets")
+        self.server.peer.counters.inc("gets")
         blob = self.server.peer.cache.get_blob(key)
         if blob is None:
             blob = self.server.peer.fetch_upstream(key)
         if blob is None:
-            self.server.peer.count("misses")
+            self.server.peer.counters.inc("misses")
             self._send_empty(404)
             return
-        self.server.peer.count("hits")
+        self.server.peer.counters.inc("hits")
         self.send_response(200)
         self.send_header("Content-Type", "application/octet-stream")
         self.send_header("Content-Length", str(len(blob)))
@@ -150,7 +151,7 @@ class _PeerHandler(BaseHTTPRequestHandler):
         except OSError:
             self._send_empty(500)
             return
-        self.server.peer.count("puts")  # only successful stores count
+        self.server.peer.counters.inc("puts")  # only successful stores count
         self._send_empty(204)
 
     def _authorized(self, body: bytes = b"") -> bool:
@@ -161,7 +162,7 @@ class _PeerHandler(BaseHTTPRequestHandler):
         if verify_http(secret, self.command, self.path, body,
                        self.headers.get("Authorization")):
             return True
-        self.server.peer.count("auth_rejected")
+        self.server.peer.counters.inc("auth_rejected")
         self._send_empty(401, close=True)
         return False
 
@@ -261,10 +262,10 @@ class CachePeer:
         self._thread: threading.Thread | None = None
         self._serving = False
         self._lock = threading.Lock()
-        self._counters = {
-            "gets": 0, "hits": 0, "misses": 0, "puts": 0, "auth_rejected": 0,
-            "upstream_hits": 0, "upstream_misses": 0, "upstream_errors": 0,
-        }
+        #: Served-request counters; the handler threads bump them.
+        self.counters = Counters(
+            "gets", "hits", "misses", "puts", "auth_rejected",
+            "upstream_hits", "upstream_misses", "upstream_errors")
         self._stats_cache: tuple[float, dict] | None = None
 
     @property
@@ -303,11 +304,6 @@ class CachePeer:
         with contextlib.suppress(OSError):
             self._server.server_close()
 
-    def count(self, counter: str) -> None:
-        """Bump one served-request counter (handler threads call this)."""
-        with self._lock:
-            self._counters[counter] += 1
-
     def fetch_upstream(self, key: str) -> bytes | None:
         """Re-fetch a locally missing blob from the upstream peer.
 
@@ -321,14 +317,14 @@ class CachePeer:
         try:
             blob = self.upstream.get_blob(key)
         except Exception:
-            self.count("upstream_errors")
+            self.counters.inc("upstream_errors")
             return None
         if blob is None:
-            self.count("upstream_misses")
+            self.counters.inc("upstream_misses")
             return None
         with contextlib.suppress(OSError):
             self.cache.put_blob(key, blob)
-        self.count("upstream_hits")
+        self.counters.inc("upstream_hits")
         return blob
 
     #: How long a ``/stats`` store-size snapshot may be reused.  Sizing
@@ -353,8 +349,7 @@ class CachePeer:
                      "root": stats.root, "max_bytes": self.cache.max_bytes}
             with self._lock:
                 self._stats_cache = (now, sized)
-        with self._lock:
-            payload = dict(self._counters)
+        payload = self.counters.snapshot()
         payload.update(sized)
         return payload
 

@@ -63,6 +63,7 @@ from typing import Protocol, runtime_checkable
 import repro
 from repro.fabric.auth import default_secret, http_auth_header
 from repro.fabric.tls import TLSConfig, client_context_for
+from repro.obs import Counters
 from repro.runtime.cache import MISS, CacheEntry, ResultCache
 
 #: The only key shape any tier accepts: 64 lowercase hex chars (a
@@ -210,10 +211,8 @@ class HTTPPeerTier:
         self._lock = threading.Lock()
         self._consecutive_failures = 0
         self._open_until = 0.0
-        self._counters = {
-            "gets": 0, "hits": 0, "misses": 0, "puts": 0,
-            "put_failures": 0, "errors": 0, "skipped": 0,
-        }
+        self._counters = Counters(
+            "gets", "hits", "misses", "puts", "put_failures", "errors", "skipped")
 
     @classmethod
     def for_bulk(cls, url: str, timeout: float = 10.0,
@@ -239,7 +238,7 @@ class HTTPPeerTier:
     def get_blob(self, key: str) -> bytes | None:
         if not self._admit():
             raise self._unavailable("circuit breaker open")
-        self._bump("gets")
+        self._counters.inc("gets")
         try:
             with self._open("GET", f"/cache/{key}") as resp:
                 blob = resp.read(MAX_BLOB_BYTES + 1)
@@ -249,7 +248,7 @@ class HTTPPeerTier:
             exc.close()
             if exc.code == 404:
                 self._success()
-                self._bump("misses")
+                self._counters.inc("misses")
                 return None  # the one clean miss: the peer answered "absent"
             self._failure()
             raise self._unavailable(f"HTTP {exc.code}") from exc
@@ -273,13 +272,13 @@ class HTTPPeerTier:
             self._failure()
             raise self._unavailable("checksum mismatch")
         self._success()
-        self._bump("hits")
+        self._counters.inc("hits")
         return blob
 
     def put_blob(self, key: str, blob: bytes) -> bool:
         if len(blob) > MAX_BLOB_BYTES or not self._admit():
             return False
-        self._bump("puts")
+        self._counters.inc("puts")
         headers = {
             "Content-Type": "application/octet-stream",
             CHECKSUM_HEADER: hashlib.sha256(blob).hexdigest(),
@@ -289,7 +288,7 @@ class HTTPPeerTier:
                 pass
         except Exception:
             self._failure()
-            self._bump("put_failures")
+            self._counters.inc("put_failures")
             return False
         self._success()
         return True
@@ -338,9 +337,9 @@ class HTTPPeerTier:
 
     def stats(self) -> dict:
         """Client-side counters plus breaker state."""
+        out = self._counters.snapshot()
+        out["url"] = self.url
         with self._lock:
-            out = dict(self._counters)
-            out["url"] = self.url
             out["breaker_open"] = time.monotonic() < self._open_until
         return out
 
@@ -360,7 +359,7 @@ class HTTPPeerTier:
     def _admit(self) -> bool:
         with self._lock:
             if time.monotonic() < self._open_until:
-                self._counters["skipped"] += 1
+                self._counters.inc("skipped")
                 return False
         return True
 
@@ -369,15 +368,11 @@ class HTTPPeerTier:
             self._consecutive_failures = 0
 
     def _failure(self) -> None:
+        self._counters.inc("errors")
         with self._lock:
-            self._counters["errors"] += 1
             self._consecutive_failures += 1
             if self._consecutive_failures >= self.failure_threshold:
                 self._open_until = time.monotonic() + self.cooldown
-
-    def _bump(self, counter: str) -> None:
-        with self._lock:
-            self._counters[counter] += 1
 
 
 class TieredCache(ResultCache):
@@ -429,12 +424,10 @@ class TieredCache(ResultCache):
         # true barrier.
         self._writeback = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-tier-wb")
-        self._tier_counters = {
-            "remote_hits": 0, "remote_misses": 0, "remote_errors": 0,
-            "negative_hits": 0, "coalesced_fetches": 0,
-            "promotions": 0, "promotion_failures": 0,
-            "pushes": 0, "push_failures": 0,
-        }
+        self._tier_counters = Counters(
+            "remote_hits", "remote_misses", "remote_errors", "negative_hits",
+            "coalesced_fetches", "promotions", "promotion_failures", "pushes",
+            "push_failures")
 
     # -- read path -----------------------------------------------------
 
@@ -468,7 +461,7 @@ class TieredCache(ResultCache):
             until = self._negative.get(key)
             if until is not None:
                 if time.monotonic() < until:
-                    self._tier_counters["negative_hits"] += 1
+                    self._tier_counters.inc("negative_hits")
                     return MISS
                 del self._negative[key]
             fetch = self._fetching.get(key)
@@ -476,7 +469,7 @@ class TieredCache(ResultCache):
             if owner:
                 fetch = self._fetching[key] = Future()
             else:
-                self._tier_counters["coalesced_fetches"] += 1
+                self._tier_counters.inc("coalesced_fetches")
         if not owner:
             # Single-flight follower: the owner resolves the future with
             # the fetched entry (or MISS) — generously bounded so a
@@ -508,11 +501,11 @@ class TieredCache(ResultCache):
             # error, NOT negative-memoized, so the key is retried as
             # soon as the tier recovers (the breaker throttles retries
             # in the meantime).
-            self._bump_tier("remote_errors")
+            self._tier_counters.inc("remote_errors")
             return MISS, None
         if blob is None:
             # A clean miss is a fact about the key: memoize it.
-            self._bump_tier("remote_misses")
+            self._tier_counters.inc("remote_misses")
             self._memoize_negative(key)
             return MISS, None
         try:
@@ -520,10 +513,10 @@ class TieredCache(ResultCache):
         except Exception:
             # The peer's stored blob is bad content; it won't improve
             # within the TTL — memoize like a miss.
-            self._bump_tier("remote_errors")
+            self._tier_counters.inc("remote_errors")
             self._memoize_negative(key)
             return MISS, None
-        self._bump_tier("remote_hits")
+        self._tier_counters.inc("remote_hits")
         entry = loaded if isinstance(loaded, CacheEntry) else CacheEntry(value=loaded)
         return entry, blob
 
@@ -539,9 +532,9 @@ class TieredCache(ResultCache):
         try:
             self.put_blob(key, blob)
         except Exception:
-            self._bump_tier("promotion_failures")
+            self._tier_counters.inc("promotion_failures")
         else:
-            self._bump_tier("promotions")
+            self._tier_counters.inc("promotions")
 
     def _push(self, key: str) -> None:
         blob = self.get_blob(key)
@@ -551,7 +544,7 @@ class TieredCache(ResultCache):
             ok = self.remote.put_blob(key, blob)
         except Exception:
             ok = False
-        self._bump_tier("pushes" if ok else "push_failures")
+        self._tier_counters.inc("pushes" if ok else "push_failures")
 
     # -- lifecycle / stats ---------------------------------------------
 
@@ -575,8 +568,8 @@ class TieredCache(ResultCache):
 
     def tier_stats(self) -> dict:
         """Counters for every tier leg, plus the remote tier's own view."""
+        out = self._tier_counters.snapshot()
         with self._tier_lock:
-            out = dict(self._tier_counters)
             out["negative_entries"] = len(self._negative)
         remote_stats = getattr(self.remote, "stats", None)
         if callable(remote_stats):
@@ -612,10 +605,6 @@ class TieredCache(ResultCache):
                 live = {k: t for k, t in self._negative.items() if t > now}
                 self._negative = live if len(live) < 4096 else {}
             self._negative[key] = now + self.negative_ttl
-
-    def _bump_tier(self, counter: str) -> None:
-        with self._tier_lock:
-            self._tier_counters[counter] += 1
 
 
 @dataclass(frozen=True)

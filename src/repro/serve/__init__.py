@@ -37,7 +37,7 @@ from repro.serve.loadgen import (
 )
 from repro.serve.protocol import ProtocolError, Response, to_jsonable
 from repro.serve.router import ShardRouter
-from repro.serve.server import ServeConfig, Server, ServerHandle, ServeStats
+from repro.serve.server import ServeConfig, Server, ServerHandle
 from repro.serve.shards import ShardPool
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "ServeClient",
     "ServeConfig",
     "ServeError",
-    "ServeStats",
     "Server",
     "ServerHandle",
     "ShardPool",

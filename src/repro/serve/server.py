@@ -25,11 +25,12 @@ import asyncio
 import contextlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from repro.fabric.auth import verify_message
 from repro.fabric.tls import TLSConfig, default_tls
+from repro.obs import Counters
 from repro.runtime.cache import MISS, ResultCache, fn_identity
 from repro.runtime.tiers import TieredCache
 from repro.serve import endpoints as endpoints_mod
@@ -112,35 +113,6 @@ class ServeConfig:
 
 
 @dataclass
-class ServeStats:
-    """Liveness counters, exposed via the ``_stats`` meta endpoint."""
-
-    requests: int = 0
-    hits: int = 0
-    misses: int = 0
-    coalesced: int = 0
-    errors: int = 0
-    auth_rejected: int = 0
-    batches: int = 0
-    per_shard: dict = field(default_factory=dict)
-
-    def snapshot(self) -> dict:
-        """Plain-dict copy (including derived hit rate) for the wire."""
-        served = self.hits + self.misses + self.coalesced
-        return {
-            "requests": self.requests,
-            "hits": self.hits,
-            "misses": self.misses,
-            "coalesced": self.coalesced,
-            "errors": self.errors,
-            "auth_rejected": self.auth_rejected,
-            "batches": self.batches,
-            "per_shard": dict(self.per_shard),
-            "hit_rate": self.hits / served if served else 0.0,
-        }
-
-
-@dataclass
 class _Pending:
     """One cache miss queued for a shard: key, call, and its waiter."""
 
@@ -161,17 +133,23 @@ class LineServer:
     decode it, check ``endpoint`` and ``kwargs``, refuse a bad HMAC
     signature (when ``auth_secret`` is set) with a 401, then ``await``
     :meth:`dispatch`.  An exception becomes an ``ok: false`` reply.
+    At EOF the connection's requests still in flight are answered before
+    it closes, so a client may half-close once it has written its lines.
 
-    Subclasses set ``self.stats`` (with ``requests``, ``errors`` and
-    ``auth_rejected`` counters) and define :meth:`dispatch` and
-    ``stats_snapshot()``.
+    :attr:`stats` (a :class:`~repro.obs.Counters`) counts ``requests``,
+    ``auth_rejected`` and ``errors`` here, plus the subclass's own
+    ``counters`` and ``keyed`` counters.  Subclasses define
+    :meth:`dispatch` and ``stats_snapshot()``.
     """
 
     def __init__(self, host: str, port: int, auth_secret: str | None = None,
-                 tls: TLSConfig | None = None):
+                 tls: TLSConfig | None = None, counters: tuple[str, ...] = (),
+                 keyed: dict | None = None):
         self._address = (host, port)
         self._auth_secret = auth_secret
         self._tls = tls
+        self.stats = Counters("requests", *counters, "auth_rejected", "errors",
+                              keyed=keyed)
         self.port: int | None = None
         self._server: asyncio.base_events.Server | None = None
         self._conn_tasks: set[asyncio.Task] = set()
@@ -227,6 +205,9 @@ class LineServer:
                     self._serve_line(line, writer, write_lock))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
+            # The client is done writing, not necessarily reading: answer
+            # what it sent before closing.
+            await asyncio.gather(*tasks, return_exceptions=True)
         except asyncio.CancelledError:
             pass  # server shutdown: close the connection and exit cleanly
         finally:
@@ -250,7 +231,7 @@ class LineServer:
         except (TypeError, ValueError):
             # A custom endpoint returned something json can't encode;
             # the client must still get *a* response for this id.
-            self.stats.errors += 1
+            self.stats.inc("errors")
             data = encode_message({
                 "id": payload.get("id", -1), "ok": False,
                 "error": "endpoint returned a value that is not JSON-serializable"})
@@ -261,7 +242,7 @@ class LineServer:
 
     async def _handle_request(self, line: bytes) -> dict:
         started = time.perf_counter()
-        self.stats.requests += 1
+        self.stats.inc("requests")
         rid = -1
         try:
             message = decode_message(line)
@@ -277,16 +258,16 @@ class LineServer:
                 # Before dispatch touches a cache, the membership or a
                 # worker: an unauthenticated caller gets one refusal
                 # line and nothing else.
-                self.stats.auth_rejected += 1
+                self.stats.inc("auth_rejected")
                 return {"id": rid, "ok": False, "status": 401,
                         "error": "unauthenticated: missing or bad 'auth' signature"}
             return await self.dispatch(rid, name, kwargs, message, started)
         except (ProtocolError, KeyError, TypeError, ValueError) as exc:
-            self.stats.errors += 1
+            self.stats.inc("errors")
             return {"id": rid, "ok": False,
                     "error": str(exc.args[0]) if exc.args else repr(exc)}
         except Exception as exc:  # dispatch raised: report, don't crash
-            self.stats.errors += 1
+            self.stats.inc("errors")
             return {"id": rid, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -305,7 +286,9 @@ class Server(LineServer):
     def __init__(self, config: ServeConfig | None = None, cache: ResultCache | None = None):
         self.config = config or ServeConfig()
         super().__init__(self.config.host, self.config.port,
-                         self.config.auth_secret, self.config.tls)
+                         self.config.auth_secret, self.config.tls,
+                         counters=("hits", "misses", "coalesced", "batches"),
+                         keyed={"per_shard": ()})
         self._owns_cache = cache is None
         if cache is not None:
             self.cache = cache
@@ -320,7 +303,6 @@ class Server(LineServer):
         else:
             self.cache = ResultCache(
                 root=self.config.cache_dir, max_bytes=self.config.cache_max_bytes)
-        self.stats = ServeStats()
         self.router = ShardRouter(self.config.workers)
         self.pool = ShardPool(self.config.workers, mode=self.config.mode)
         self.batcher = MicroBatcher(
@@ -341,12 +323,14 @@ class Server(LineServer):
         self._shard_tasks: set[asyncio.Task] = set()
 
     def stats_snapshot(self) -> dict:
-        """The server counters, plus the ``tier`` sub-dict when tiered.
+        """The server counters and hit rate, plus the ``tier`` sub-dict when tiered.
 
         The one source for both the ``_stats`` wire endpoint and
         :meth:`ServerHandle.stats`.
         """
         snapshot = self.stats.snapshot()
+        served = snapshot["hits"] + snapshot["misses"] + snapshot["coalesced"]
+        snapshot["hit_rate"] = snapshot["hits"] / served if served else 0.0
         if isinstance(self.cache, TieredCache):
             snapshot["tier"] = self.cache.tier_stats()
         from repro.engine.program import program_cache_info
@@ -452,12 +436,12 @@ class Server(LineServer):
             else:
                 value = self.cache.get(key)
             if value is not MISS:
-                self.stats.hits += 1
+                self.stats.inc("hits")
                 return self._ok(rid, to_jsonable(value), started, cached=True)
             existing = self._inflight.get(key)
             if existing is not None:
                 value = await asyncio.shield(existing)
-                self.stats.coalesced += 1
+                self.stats.inc("coalesced")
                 return self._ok(rid, to_jsonable(value), started, coalesced=True)
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
@@ -472,8 +456,8 @@ class Server(LineServer):
             key=key or "", fn=fn, kwargs=kwargs,
             fn_name=fn_identity(fn), future=future)
         shard = self.router.route(key or repr((name, sorted(kwargs.items()))))
-        self.stats.misses += 1
-        self.stats.per_shard[shard] = self.stats.per_shard.get(shard, 0) + 1
+        self.stats.inc("misses")
+        self.stats.inc("per_shard", shard)
         pending.shard = shard
         await self.batcher.submit(pending)
         # Shielded: if this requester disconnects mid-compute, its task
@@ -495,7 +479,7 @@ class Server(LineServer):
         return _cleanup
 
     async def _flush_batch(self, batch: list) -> None:
-        self.stats.batches += 1
+        self.stats.inc("batches")
         by_shard: dict[int, list[_Pending]] = {}
         for pending in batch:
             by_shard.setdefault(pending.shard, []).append(pending)

@@ -40,7 +40,8 @@ class TestLifecycle:
         members.join("w1", "10.0.0.1", 9000)
         info = members.join("w1", "10.0.0.2", 9001)  # restarted elsewhere
         assert info.address == ("10.0.0.2", 9001)
-        assert members.stats.joins == 1 and members.stats.rejoins == 1
+        snapshot = members.snapshot()
+        assert snapshot["joins"] == 1 and snapshot["rejoins"] == 1
         assert len(members) == 1
 
     def test_rejects_bad_ids(self):
@@ -62,7 +63,7 @@ class TestEviction:
         clock.advance(1.0)  # stale: 2.0s silent; fresh: 1.0s
         assert members.sweep() == ["stale"]
         assert [w.worker_id for w in members.workers()] == ["fresh"]
-        assert members.stats.eviction_reasons == {"heartbeat": 1}
+        assert members.snapshot()["eviction_reasons"] == {"heartbeat": 1}
 
     def test_heartbeat_defers_sweep(self):
         members, clock = make(timeout=1.5)
@@ -77,7 +78,7 @@ class TestEviction:
         members.join("w1", "h", 1)
         assert members.evict("w1", "connection")
         assert not members.evict("w1", "connection")
-        assert members.stats.eviction_reasons == {"connection": 1}
+        assert members.snapshot()["eviction_reasons"] == {"connection": 1}
 
     def test_evicted_worker_can_rejoin(self):
         members, _ = make()

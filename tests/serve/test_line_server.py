@@ -160,3 +160,24 @@ def test_failed_start_leaves_the_handle_stoppable_and_restartable(kind, tmp_path
     finally:
         blocker.close()
         handle.stop()
+
+
+def test_half_closed_client_gets_a_reply_to_every_line(tmp_path):
+    """A client may write its lines, half-close, and then read: the EOF it
+    sends must not cancel requests still being computed."""
+    densities = {1: 0.3, 2: 0.4, 3: 0.6}  # three distinct cache misses
+    lines = b"".join(
+        json.dumps({"id": rid, "endpoint": "runtime_point",
+                    "kwargs": dict(POINT, density=density)}).encode() + b"\n"
+        for rid, density in densities.items())
+    with make_handle("server", tmp_path) as handle:
+        conn = RawConnection(handle.port)
+        try:
+            conn.sock.sendall(lines)
+            conn.sock.shutdown(socket.SHUT_WR)
+            replies = [json.loads(reply) for reply in conn.replies]
+        finally:
+            conn.close()
+        assert handle.stats()["misses"] == 3
+    assert sorted(reply["id"] for reply in replies) == [1, 2, 3]
+    assert all(reply["ok"] and not reply["cached"] for reply in replies)
