@@ -22,7 +22,6 @@ from conftest import smoke_mode
 from repro.arch.config import ucnn_config
 from repro.core.factorized import FactorizedConv
 from repro.core.hierarchical import build_filter_group_tables
-from repro.core.indirection import factorize_filter
 from repro.engine import compile_network, execute_network, execute_program
 from repro.experiments.common import best_of
 from repro.nn.layers import (
@@ -54,10 +53,10 @@ def layer_weights():
     return uniform_unique_weights(SHAPE.weight_shape, 17, 0.9, RNG).values
 
 
-def test_bench_factorize_filter(benchmark, layer_weights):
-    flat = layer_weights[0].reshape(-1)
-    result = benchmark(factorize_filter, flat)
-    assert result.num_entries == np.count_nonzero(flat)
+def test_bench_build_single_filter_tables(benchmark, layer_weights):
+    flat = layer_weights[0].reshape(1, -1)
+    tables = benchmark(build_filter_group_tables, flat)
+    assert tables.num_entries == np.count_nonzero(flat)
 
 
 def test_bench_build_group_tables(benchmark, layer_weights):

@@ -66,9 +66,9 @@ assert ucnn_trace.multiplies == 6
 # ----------------------------------------------------------------------
 import time
 
-from repro.engine import table_program_for
+from repro.engine import compile_layer, execute_program
 
-program = table_program_for(tables)
+program = compile_layer([tables])
 print("\ncompiled table program (the engine's lowering of the same tables):")
 print("  " + program.describe().replace("\n", "\n  "))
 # One term per level boundary where a filter's weight changes: the
@@ -76,13 +76,13 @@ print("  " + program.describe().replace("\n", "\n  "))
 print(f"  multiplies per window: {program.cols.size} engine terms, "
       f"{ucnn_trace.multiplies} in the lane simulator")
 assert program.cols.size == ucnn_trace.multiplies == 6
-assert np.array_equal(program.run_window(inputs), ucnn_trace.outputs)
-print("  single-window engine run matches the lane simulator: "
-      f"k1 = {program.run_window(inputs)[0]}, k2 = {program.run_window(inputs)[1]}")
+single = execute_program(program, inputs.reshape(1, -1))[:, 0]
+assert np.array_equal(single, ucnn_trace.outputs)
+print(f"  single-window engine run matches the table walk: k1 = {single[0]}, k2 = {single[1]}")
 
 batch = np.random.default_rng(7).integers(-9, 10, size=(4096, 8))
 start = time.perf_counter()
-engine_out = program.run(batch)
+engine_out = execute_program(program, batch)
 engine_s = time.perf_counter() - start
 start = time.perf_counter()
 walk_out = np.stack([tables.execute(w) for w in batch], axis=1)

@@ -50,10 +50,8 @@ Quickstart::
     outputs = conv.forward(np.random.randint(-8, 8, size=(8, 12, 12)))
 """
 
-from repro.core.activation_groups import ActivationGroup, build_activation_groups
 from repro.core.factorized import FactorizedConv
 from repro.core.hierarchical import FilterGroupTables, build_filter_group_tables
-from repro.core.indirection import FactorizedFilter, factorize_filter
 from repro.core.model_size import bits_per_weight, model_size_bits
 from repro.nn.network import Network
 from repro.nn.zoo import alexnet, lenet_cifar10, resnet50
@@ -61,17 +59,13 @@ from repro.nn.zoo import alexnet, lenet_cifar10, resnet50
 __version__ = "1.0.0"
 
 __all__ = [
-    "ActivationGroup",
     "FactorizedConv",
-    "FactorizedFilter",
     "FilterGroupTables",
     "Network",
     "__version__",
     "alexnet",
     "bits_per_weight",
-    "build_activation_groups",
     "build_filter_group_tables",
-    "factorize_filter",
     "lenet_cifar10",
     "model_size_bits",
     "resnet50",

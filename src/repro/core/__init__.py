@@ -1,14 +1,16 @@
 """The paper's primary contribution: weight-repetition machinery.
 
-* :mod:`repro.core.activation_groups` — activation groups (Section III-A):
-  the sets of input positions that share one unique weight, plus the
-  canonical weight ordering used by all indirection tables;
-* :mod:`repro.core.indirection` — single-filter factorization tables
-  (iiT / wiT with group-transition bits, zero-last "filter done" encoding,
-  Section IV-B);
-* :mod:`repro.core.hierarchical` — activation-group reuse across ``G``
-  filters via hierarchically sorted shared tables, skip-entry accounting
-  and max-group-size chunking (Sections III-B, IV-C);
+* :mod:`repro.core.activation_groups` — the canonical weight ordering
+  that keys every indirection table to the activation groups of Section
+  III-A (the sets of input positions that share one unique weight);
+* :mod:`repro.core.hierarchical` — the factorization tables: iiT / wiT
+  with group-transition bits and the zero-last "filter done" encoding,
+  shared by ``G`` filters through hierarchical sorting, with skip-entry
+  accounting and max-group-size chunking (Sections III-B, IV-B, IV-C).
+  ``G = 1`` is vanilla dot product factorization, and
+  :meth:`~repro.core.hierarchical.FilterGroupTables.execute`, the
+  per-entry table walk, is the ground truth every other path is checked
+  against;
 * :mod:`repro.core.factorized` — functional execution: full
   convolutions through the compiled engine that are bit-exact against
   the dense reference while counting arithmetic/memory events;
@@ -23,31 +25,22 @@
   and the golden-reference harness (:mod:`repro.regress`) can diff them.
 """
 
-from repro.core.activation_groups import (
-    ActivationGroup,
-    build_activation_groups,
-    canonical_weight_order,
-)
+from repro.core.activation_groups import canonical_weight_order
 from repro.core.factorized import FactorizedConv
 from repro.core.hierarchical import FilterGroupTables, build_filter_group_tables
-from repro.core.indirection import FactorizedFilter, factorize_filter
 from repro.core.jump_encoding import JumpTable, encode_jumps, grouped_jump_stats
 from repro.core.model_size import bits_per_weight, model_size_bits
 from repro.core.seeding import stable_rng, stable_seed
 from repro.core.serialization import pack_layer, pack_tables, unpack_tables
 
 __all__ = [
-    "ActivationGroup",
     "FactorizedConv",
-    "FactorizedFilter",
     "FilterGroupTables",
     "JumpTable",
     "bits_per_weight",
-    "build_activation_groups",
     "build_filter_group_tables",
     "canonical_weight_order",
     "encode_jumps",
-    "factorize_filter",
     "grouped_jump_stats",
     "model_size_bits",
     "pack_layer",

@@ -14,11 +14,13 @@ order* of weight values: non-zero values sorted by descending magnitude
 (positive before negative on ties) with **zero always last**.  Zero-last
 is load-bearing: Section IV-B encodes "filter done" at the transition to
 the zero group, which is how UCNN skips zero weights entirely.
+
+The tables that sum each group are built by
+:func:`repro.core.hierarchical.build_filter_group_tables` (``G = 1``
+for a single filter).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,76 +69,3 @@ def rank_by_canonical(values: np.ndarray, canonical: np.ndarray) -> np.ndarray:
     if not np.all(sorted_canonical[pos] == values):
         raise ValueError("values contain entries not present in the canonical order")
     return sorter[pos].reshape(values.shape)
-
-
-@dataclass(frozen=True)
-class ActivationGroup:
-    """One activation group: a unique weight and its input positions.
-
-    Attributes:
-        weight: the unique weight value shared by the group.
-        indices: positions (into the flattened ``R*S*C`` filter region)
-            whose activations are summed before the single multiply.
-    """
-
-    weight: int
-    indices: np.ndarray
-
-    @property
-    def size(self) -> int:
-        """Group size = repetition count of ``weight`` in the filter."""
-        return int(self.indices.size)
-
-    def gather_sum(self, window: np.ndarray) -> int:
-        """Sum the group's activations from a flattened input window."""
-        return int(np.sum(np.asarray(window, dtype=np.int64)[self.indices]))
-
-
-def build_activation_groups(filter_flat: np.ndarray, include_zero: bool = False) -> list[ActivationGroup]:
-    """Build the activation groups of a single flattened filter.
-
-    Groups are returned in canonical weight order.  The zero weight's
-    group is omitted by default, matching the factorized dataflow (the
-    zero group's sum and multiply are skipped; Section III-A).
-
-    Args:
-        filter_flat: 1-D integer filter (length ``R*S*C``).
-        include_zero: include the zero-weight group (last) if present.
-
-    Returns:
-        list of :class:`ActivationGroup`, one per unique (non-zero) weight.
-    """
-    filter_flat = np.asarray(filter_flat, dtype=np.int64).reshape(-1)
-    order = canonical_weight_order(filter_flat)
-    groups = []
-    for value in order:
-        if value == 0 and not include_zero:
-            continue
-        indices = np.flatnonzero(filter_flat == value)
-        groups.append(ActivationGroup(weight=int(value), indices=indices))
-    return groups
-
-
-def group_sizes(filter_flat: np.ndarray) -> np.ndarray:
-    """Sizes of the non-zero activation groups, canonical order.
-
-    This is the paper's ``gsz(k, i)`` for filter ``k`` (Equation 2).
-    """
-    return np.array([g.size for g in build_activation_groups(filter_flat)], dtype=np.int64)
-
-
-def factored_dot_product_reference(filter_flat: np.ndarray, window: np.ndarray) -> int:
-    """Evaluate Equation 2 directly from activation groups (reference).
-
-    Semantically identical to the dense dot product; used in tests as an
-    intermediate ground truth between the dense reference and the
-    table-driven execution paths.
-    """
-    window = np.asarray(window, dtype=np.int64).reshape(-1)
-    filter_flat = np.asarray(filter_flat, dtype=np.int64).reshape(-1)
-    if window.size != filter_flat.size:
-        raise ValueError("window and filter must have equal flattened length")
-    total = 0
-    for group in build_activation_groups(filter_flat):
-        total += group.weight * group.gather_sum(window)
-    return total

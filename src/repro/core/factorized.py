@@ -10,9 +10,10 @@ while reporting the arithmetic savings UCNN realizes.  The per-entry
 table walk survives as :meth:`FactorizedConv.forward_per_entry`, the
 semantic ground truth the engine is tested against; it unfolds the
 input with :func:`repro.nn.reference.im2col`, so it shares no gather
-code with the engine.  Dot products of one filter group run through
-``table_program_for(tables).run(windows)`` (or walk
-:meth:`~repro.core.hierarchical.FilterGroupTables.execute` per window).
+code with the engine.  Dot products of one filter group over a window
+matrix run through ``execute_program(compile_layer([tables]), windows)``
+(or walk :meth:`~repro.core.hierarchical.FilterGroupTables.execute` per
+window).
 
 This is the *algorithmic* layer of the reproduction: no hardware timing,
 just the math and the operation counts.  Cycle/energy accounting lives in
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.hierarchical import FilterGroupTables
-from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
+from repro.core.hierarchical import DEFAULT_MAX_GROUP_SIZE, FilterGroupTables
 from repro.engine import TableProgram, compiled_layer_for
 from repro.engine.executor import scan
 from repro.engine.fusion import gather_offsets, window_view
@@ -62,6 +62,7 @@ class OpCounts:
         return self.dense_multiplies / self.multiplies
 
     def __add__(self, other: "OpCounts") -> "OpCounts":
+        """Field-wise sum of two op totals."""
         return OpCounts(
             multiplies=self.multiplies + other.multiplies,
             adds=self.adds + other.adds,
@@ -104,6 +105,7 @@ class FactorizedConv:
         max_group_size: int = DEFAULT_MAX_GROUP_SIZE,
         layer_canonical: bool = True,
     ):
+        """Check the weights and factorize the layer (memoized process-wide)."""
         weights = np.asarray(weights)
         if weights.dtype.kind not in "iub":
             raise ValueError(

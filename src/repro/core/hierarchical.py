@@ -1,4 +1,10 @@
-"""Activation group reuse across G filters (Sections III-B, IV-C).
+"""Activation group reuse across G filters (Sections III-B, IV-B, IV-C).
+
+:class:`FilterGroupTables` is the one table type, for any ``G >= 1``.
+With ``G = 1`` it is Section IV-B's vanilla dot product factorization:
+the iiT lists one filter's non-zero positions group by group, its wiT
+is one transition bit per entry, and groups longer than
+``max_group_size`` are chunked, each extra chunk costing one early MAC.
 
 ``G`` filters share one *hierarchically sorted* input indirection table:
 entries are sorted by filter 1's activation group, then within each group
@@ -28,12 +34,14 @@ zero" is encodable in the transition the same way Section IV-B encodes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.activation_groups import canonical_weight_order, rank_by_canonical
-from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
+
+#: Section IV-B's maximum activation group size (4 extra multiplier bits).
+DEFAULT_MAX_GROUP_SIZE = 16
 
 #: Inline skip capacity of the G-th filter's 2-bit wiT entries ("skip up
 #: to 3 weights"); filters 1..G-1 have 1-bit entries with no skip field.
@@ -93,8 +101,6 @@ class FilterGroupTables:
             (typically the *layer's* canonical order, so the streamed
             weight buffer layout is shared by every tile's tables).
         iit: ``(L,)`` stored input-buffer addresses, hierarchical order.
-        ranks: ``(G, L)`` canonical rank of each filter's weight at each
-            stored entry.
         transitions: ``(G, L)`` level-g group-transition bits.
         skip_needs: ``(G, L)`` weight-pointer skips required at each
             boundary (already zero for zero-weight boundaries).
@@ -104,10 +110,28 @@ class FilterGroupTables:
     filters: np.ndarray
     canonical: np.ndarray
     iit: np.ndarray
-    ranks: np.ndarray
     transitions: np.ndarray
     skip_needs: np.ndarray
     max_group_size: int = DEFAULT_MAX_GROUP_SIZE
+
+    def __post_init__(self):
+        """Check the arrays agree, so a loaded table never walks misaligned.
+
+        The generator is trusted, but tables decoded from an artifact are
+        not: a missing final transition bit would silently drop the last
+        group's MAC from every walk.
+        """
+        if self.filters.ndim != 2 or self.iit.ndim != 1:
+            raise ValueError("filters must be a (G, N) matrix and iit a vector")
+        if self.max_group_size < 1:
+            raise ValueError("max_group_size must be >= 1")
+        expected = (self.num_filters, self.num_entries)
+        for name in ("transitions", "skip_needs"):
+            shape = getattr(self, name).shape
+            if shape != expected:
+                raise ValueError(f"{name} has shape {shape}, expected (G, L) = {expected}")
+        if self.num_entries and not self.transitions[:, -1].all():
+            raise ValueError("the last entry must carry a transition bit at every level")
 
     @property
     def num_filters(self) -> int:
@@ -130,14 +154,17 @@ class FilterGroupTables:
         return int(self.canonical.size)
 
     # ------------------------------------------------------------------
-    # Functional execution (ground truth for the simulators)
+    # Functional execution (the ground truth)
     # ------------------------------------------------------------------
 
     def execute(self, window: np.ndarray) -> np.ndarray:
         """Single traversal producing all G dot products for one window.
 
         Implements the accumulator structure of Figure 6 (À/Á/Â) with
-        innermost chunking; bit-exact against the dense reference.
+        innermost chunking; bit-exact against the dense reference.  This
+        is the package's only per-entry walk, for every G: the compiled
+        engine is checked against it, and the lane simulator reports its
+        outputs.
 
         Args:
             window: flattened ``(N,)`` integer input tile.
@@ -354,8 +381,6 @@ def build_filter_group_tables(
     filters = np.asarray(filters, dtype=np.int64)
     if filters.ndim != 2:
         raise ValueError("filters must be a (G, N) matrix")
-    if max_group_size < 1:
-        raise ValueError("max_group_size must be >= 1")
     g_count, length = filters.shape
     if canonical is None:
         canonical = canonical_weight_order(filters)
@@ -388,7 +413,6 @@ def build_filter_group_tables(
         filters=filters,
         canonical=canonical,
         iit=iit,
-        ranks=ranks,
         transitions=transitions,
         skip_needs=skip_needs,
         max_group_size=max_group_size,

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.jump_encoding import min_pointer_bits
 
 #: wiT bits per stored entry for a group of G filters: 1 bit per filter
@@ -62,6 +60,7 @@ class ModelSizeBreakdown:
         return self.total_bits / self.dense_weights
 
     def __add__(self, other: "ModelSizeBreakdown") -> "ModelSizeBreakdown":
+        """Component-wise sum of two breakdowns (e.g. two layers)."""
         return ModelSizeBreakdown(
             iit_bits=self.iit_bits + other.iit_bits,
             wit_bits=self.wit_bits + other.wit_bits,

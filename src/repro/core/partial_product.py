@@ -40,6 +40,7 @@ class MemoStats:
 
     @property
     def memo_hits(self) -> int:
+        """Dense multiplies avoided via the memo."""
         return self.dense_multiplies - self.unique_products
 
     @property

@@ -36,6 +36,7 @@ class BitWriter:
     """Append-only bit stream (MSB-first within each byte)."""
 
     def __init__(self) -> None:
+        """Start an empty stream."""
         self._bits: list[int] = []
 
     def write(self, value: int, width: int) -> None:
@@ -68,6 +69,7 @@ class BitReader:
     """Sequential reader matching :class:`BitWriter`'s layout."""
 
     def __init__(self, data: bytes) -> None:
+        """Read ``data`` from its first bit."""
         self._data = data
         self._pos = 0
 
@@ -180,20 +182,6 @@ def unpack_tables(packed: PackedTables | bytes) -> UnpackedTables:
         iit=iit, transitions=transitions, canonical=canonical,
         weight_bits=weight_bits,
     )
-
-
-def execute_unpacked(unpacked: UnpackedTables, group_weights: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Re-execute a decoded table against a window (round-trip check).
-
-    Rebuilds a :class:`FilterGroupTables` from the original weights and
-    verifies the decoded structures drive the same traversal.
-    """
-    tables = build_filter_group_tables(group_weights, canonical=unpacked.canonical)
-    if not np.array_equal(tables.iit, unpacked.iit):
-        raise ValueError("decoded iiT does not match the weights' tables")
-    if not np.array_equal(tables.transitions, unpacked.transitions):
-        raise ValueError("decoded wiT does not match the weights' tables")
-    return tables.execute(window)
 
 
 def pack_layer(

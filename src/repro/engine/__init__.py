@@ -25,18 +25,24 @@ The engine makes the factorized path the *fast* path, at two scales:
 
 Typical use::
 
-    from repro.engine import compiled_layer_for, compile_network
+    from repro.engine import (
+        compile_network, compiled_layer_for, execute_network, execute_program,
+    )
 
     compiled = compiled_layer_for(weights, group_size=2)
-    outputs = compiled.program.run(windows)        # (K, n)
+    outputs = execute_program(compiled.program, windows)       # (K, n)
 
-    program = compile_network(network)             # whole-network IR
-    batch_out = program.run(batch, threads=4)      # (N, K, oh, ow)
+    program = compile_network(network)                         # whole-network IR
+    batch_out = execute_network(program, batch, threads=4)     # (N, K, oh, ow)
+
+A program runs only through those two functions and
+``FactorizedConv.forward`` (one image); each calls the one segment
+scan, :func:`repro.engine.executor.scan`.
 
 Programs are memoized in a process-wide cache — per-layer programs
-under ``layer:...``/``tables:...`` keys, fused networks under
-``net:...`` keys (schemas in ``docs/api.md``) — so sweeps and serve
-workers never re-lower weights they have seen.  The cache is
+under ``layer:...`` keys, fused networks under ``net:...`` keys
+(schemas in ``docs/api.md``) — so sweeps and serve workers never
+re-lower weights they have seen.  The cache is
 single-flighted (concurrent misses compile once; everyone gets the
 winner's object) and can be backed by a durable artifact store
 (:mod:`repro.engine.artifacts`: serialize programs, push/pull them
@@ -64,8 +70,6 @@ from repro.engine.program import (
     program_cache_info,
     seed_program_cache,
     set_artifact_tier,
-    table_program_for,
-    table_program_key,
     weights_fingerprint,
 )
 
@@ -86,7 +90,5 @@ __all__ = [
     "program_cache_info",
     "seed_program_cache",
     "set_artifact_tier",
-    "table_program_for",
-    "table_program_key",
     "weights_fingerprint",
 ]

@@ -1,6 +1,6 @@
 """Compiled programs as first-class cached artifacts.
 
-The engine memoizes :class:`~repro.engine.program.TableProgram` /
+The engine memoizes :class:`~repro.engine.program.CompiledLayer` /
 :class:`~repro.engine.fusion.NetworkProgram` objects per process; this
 module makes them durable and shareable.  Lowering a layer costs
 factorization (canonical ordering, table construction) — seconds at
@@ -28,8 +28,8 @@ code fingerprint mismatch — raises :class:`ArtifactError` before any
 program object exists; a stale artifact is rejected, never silently
 executed.
 
-Artifacts are addressed by the existing ``layer:``/``tables:``/
-``net:`` program-cache key schema.  Because the blob stores
+Artifacts are addressed by the existing ``layer:``/``net:``
+program-cache key schema.  Because the blob stores
 (:class:`~repro.runtime.cache.ResultCache`, the cache peer, the tiers)
 only accept 64-hex SHA-256 names, a program key is mapped to its
 *store key* — ``sha256("repro-program-artifact:" + key)`` — and a
@@ -87,10 +87,10 @@ MANIFEST_MAGIC = b"RPROGMAN"
 
 #: Envelope layout version.  Bump on any layout change; a mismatch is a
 #: clean :class:`ArtifactError`, never a misparse.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
-#: Serialized kind tags, one per program class.
-KIND_TABLE = "table_program"
+#: Serialized kind tags, one per top-level program class.  A
+#: ``TableProgram`` is stored only inside a network's conv steps.
 KIND_LAYER = "compiled_layer"
 KIND_NETWORK = "network_program"
 
@@ -312,7 +312,6 @@ def _enc_groups(groups: tuple[FilterGroupTables, ...], w: _ArrayWriter) -> dict:
         "filters": w.add(np.concatenate([t.filters for t in groups])),
         "canonical": w.add(np.concatenate([t.canonical for t in groups])),
         "iit": w.add(np.concatenate([t.iit for t in groups])),
-        "ranks": w.add(np.concatenate([t.ranks.reshape(-1) for t in groups])),
         "transitions": w.add(np.concatenate([t.transitions.reshape(-1) for t in groups])),
         "skip_needs": w.add(np.concatenate([t.skip_needs.reshape(-1) for t in groups])),
     }
@@ -337,7 +336,7 @@ def _dec_groups(node: dict, r: _ArrayReader) -> tuple[FilterGroupTables, ...]:
     filters = r.get(node["filters"])
     canonical = r.get(node["canonical"])
     iit = r.get(node["iit"])
-    flat = [r.get(node[f]) for f in ("ranks", "transitions", "skip_needs")]
+    flat = [r.get(node[f]) for f in ("transitions", "skip_needs")]
     cells = sum(g * n for g, n in zip(gs, ls))
     if (not len(gs) == len(ls) == len(us)
             or filters.ndim != 2 or filters.shape[0] != sum(gs)
@@ -348,10 +347,10 @@ def _dec_groups(node: dict, r: _ArrayReader) -> tuple[FilterGroupTables, ...]:
     groups = []
     f = u = e = c = 0
     for g, n, k in zip(gs, ls, us):
-        ranks, transitions, skip_needs = (a[c : c + g * n].reshape(g, n) for a in flat)
+        transitions, skip_needs = (a[c : c + g * n].reshape(g, n) for a in flat)
         groups.append(FilterGroupTables(
             filters=filters[f : f + g], canonical=canonical[u : u + k], iit=iit[e : e + n],
-            ranks=ranks, transitions=transitions, skip_needs=skip_needs,
+            transitions=transitions, skip_needs=skip_needs,
             max_group_size=max_group_size))
         f, u, e, c = f + g, u + k, e + n, c + g * n
     return tuple(groups)
@@ -450,13 +449,11 @@ def _dec_network_program(node: dict, r: _ArrayReader) -> NetworkProgram:
 _ENCODERS = (
     (NetworkProgram, KIND_NETWORK, _enc_network_program),
     (CompiledLayer, KIND_LAYER, _enc_compiled_layer),
-    (TableProgram, KIND_TABLE, _enc_table_program),
 )
 
 _DECODERS = {
     KIND_NETWORK: _dec_network_program,
     KIND_LAYER: _dec_compiled_layer,
-    KIND_TABLE: _dec_table_program,
 }
 
 
@@ -470,8 +467,7 @@ def serialize_program(program: object, key: str | None = None,
     """Serialize a compiled program into a self-validating artifact blob.
 
     Args:
-        program: a :class:`TableProgram`, :class:`CompiledLayer`, or
-            :class:`NetworkProgram`.
+        program: a :class:`CompiledLayer` or :class:`NetworkProgram`.
         key: program-cache key recorded in the envelope; defaults to
             ``program.key``.
         fingerprint: engine code fingerprint override (tests); defaults
@@ -490,8 +486,8 @@ def serialize_program(program: object, key: str | None = None,
             break
     else:
         raise ArtifactError(
-            f"cannot serialize {type(program).__name__}; expected TableProgram, "
-            f"CompiledLayer, or NetworkProgram")
+            f"cannot serialize {type(program).__name__}; expected "
+            f"CompiledLayer or NetworkProgram")
     key = key if key is not None else getattr(program, "key", None)
     if not key:
         raise ArtifactError(f"{kind} has no program-cache key to address it by")
@@ -657,6 +653,7 @@ class ProgramStore:
                  remote: CacheTier | str | None = None,
                  fingerprint: str | None = None,
                  remote_timeout: float = 10.0):
+        """Open the local blob root and, when one is given, the remote tier."""
         self.cache = ResultCache(root=root)
         self.remote: CacheTier | None = (
             HTTPPeerTier.for_bulk(remote, timeout=remote_timeout)
@@ -918,6 +915,7 @@ class ProgramArtifactTier:
     """
 
     def __init__(self, store: ProgramStore, push_remote: bool = True):
+        """Wrap ``store`` and start the one background write-back thread."""
         self.store = store
         self.push_remote = push_remote and store.remote is not None
         self._counters = Counters("fetch_hits", "fetch_misses", "offers", "stored",

@@ -250,10 +250,6 @@ class NetworkProgram:
         """Steps in the fused pipeline."""
         return len(self.steps)
 
-    def run(self, inputs: np.ndarray, threads: int = 1) -> np.ndarray:
-        """Execute over an ``(N, C, H, W)`` batch; see :func:`execute_network`."""
-        return execute_network(self, inputs, threads=threads)
-
     def describe(self) -> str:
         """Human-readable step/buffer summary (examples/debugging)."""
         lines = [

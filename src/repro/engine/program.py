@@ -59,8 +59,11 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.activation_groups import canonical_weight_order
-from repro.core.hierarchical import FilterGroupTables, build_filter_group_tables
-from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
+from repro.core.hierarchical import (
+    DEFAULT_MAX_GROUP_SIZE,
+    FilterGroupTables,
+    build_filter_group_tables,
+)
 from repro.obs import Counters
 
 #: The program arrays ``ucnn_scan`` reads, all cast to int64 on construction.
@@ -148,19 +151,6 @@ class TableProgram:
     def idle_rows(self) -> np.ndarray:
         """Output rows no run writes; execution writes them as 0."""
         return np.setdiff1d(np.arange(self.num_filters), self.rows)
-
-    def run(self, windows: np.ndarray) -> np.ndarray:
-        """Execute over ``(n, N)`` integer windows; returns ``(K, n)``."""
-        from repro.engine.executor import execute_program
-
-        return execute_program(self, windows)
-
-    def run_window(self, window: np.ndarray) -> np.ndarray:
-        """Execute over one flattened window; returns ``(K,)``."""
-        from repro.engine.executor import execute_program
-
-        window = np.asarray(window)
-        return execute_program(self, window.reshape(1, -1))[:, 0]
 
     def describe(self) -> str:
         """Human-readable one-glance summary (examples/debugging)."""
@@ -304,20 +294,17 @@ class _InFlight:
 _INFLIGHT: dict[str, _InFlight] = {}
 
 
-def _fingerprint(*arrays: np.ndarray) -> str:
-    """SHA-256 over shape, dtype, and bytes of the given arrays."""
-    digest = hashlib.sha256()
-    for arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        digest.update(repr(arr.shape).encode())
-        digest.update(str(arr.dtype).encode())
-        digest.update(arr.tobytes())
-    return digest.hexdigest()
-
-
 def weights_fingerprint(weights: np.ndarray) -> str:
-    """Content fingerprint of a weight tensor (cache key component)."""
-    return _fingerprint(np.asarray(weights))
+    """Content fingerprint of a weight tensor (cache key component).
+
+    SHA-256 over the tensor's shape, dtype and bytes.
+    """
+    arr = np.ascontiguousarray(weights)
+    digest = hashlib.sha256()
+    digest.update(repr(arr.shape).encode())
+    digest.update(str(arr.dtype).encode())
+    digest.update(arr.tobytes())
+    return digest.hexdigest()
 
 
 def layer_program_key(
@@ -331,11 +318,6 @@ def layer_program_key(
         f"layer:g{group_size}:m{max_group_size}:c{int(layer_canonical)}:"
         f"{weights_fingerprint(weights)}"
     )
-
-
-def table_program_key(tables: FilterGroupTables) -> str:
-    """Cache key of one group's program: ``tables:m<M>:<sha256>``."""
-    return f"tables:m{tables.max_group_size}:{_fingerprint(tables.filters, tables.canonical)}"
 
 
 def _insert_locked(key: str, value: object) -> None:
@@ -462,12 +444,6 @@ def compiled_layer_for(
         return CompiledLayer(groups=groups, canonical=canonical, key=key)
 
     return _cached(key, build)
-
-
-def table_program_for(tables: FilterGroupTables) -> TableProgram:
-    """The memoized compiled program of one filter group's tables."""
-    key = table_program_key(tables)
-    return _cached(key, lambda: compile_layer([tables], key=key))
 
 
 def set_artifact_tier(tier: object | None) -> object | None:

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.arch.buffers import tile_plan
 from repro.core.activation_groups import canonical_weight_order
-from repro.core.hierarchical import build_filter_group_tables
+from repro.core.hierarchical import FilterGroupTables, build_filter_group_tables
 from repro.core.jump_encoding import grouped_jump_stats, min_pointer_bits
 from repro.core.model_size import ModelSizeBreakdown, ucnn_model_size, wit_bits_per_entry
 from repro.core.seeding import stable_rng
@@ -81,29 +81,21 @@ class Figure14Result:
         ]
 
 
-@dataclass(frozen=True)
-class _JumpProfile:
-    """Sampled per-entry ratios for one (layer, G, width)."""
-
-    anchors_per_entry: float
-    hops_per_entry: float
+#: Sampled (filter group, channel tile) tables per layer and G.
+MAX_SAMPLED_TABLES = 12
 
 
-def _sampled_jump_profile(
-    weights: np.ndarray,
-    shape,
-    config,
-    width_bits: int,
-    max_tables: int = 12,
-    engine_check: bool = True,
-) -> _JumpProfile:
-    """Anchor and hop entries per real entry, measured on table samples.
+def _sampled_tables(weights: np.ndarray, shape, config) -> tuple[FilterGroupTables, ...]:
+    """A deterministic sample of one layer's non-empty tables, each checked once.
 
-    With ``engine_check`` (default), every sampled table is also
-    *executed* — compiled through :mod:`repro.engine` and cross-checked
-    against the dense reference on a seeded window — so the sampled
-    estimator can never be skewed by a silently malformed table.
+    Every sampled table is also *executed* — compiled through
+    :mod:`repro.engine` and cross-checked against the dense reference on
+    a seeded window — so the sampled estimator can never be skewed by a
+    silently malformed table.  Built once per (layer, G); every jump
+    width reuses the sample.
     """
+    from repro.sim.functional import crosscheck_tables
+
     k, c, r, s = weights.shape
     plan = tile_plan(shape, config)
     ct, tiles = plan.channel_tile, plan.num_tiles
@@ -114,30 +106,34 @@ def _sampled_jump_profile(
     groups = max(1, k // g)
     rng = stable_rng("fig14-sample", shape.name, g)
     pairs = [(gi, ti) for gi in range(groups) for ti in range(tiles)]
-    if len(pairs) > max_tables:
-        chosen = rng.choice(len(pairs), size=max_tables, replace=False)
+    if len(pairs) > MAX_SAMPLED_TABLES:
+        chosen = rng.choice(len(pairs), size=MAX_SAMPLED_TABLES, replace=False)
         pairs = [pairs[i] for i in chosen]
     canonical = canonical_weight_order(weights)
-    pointer_bits = min_pointer_bits(plan.tile_entries)
-    anchors = hops = entries = 0
+    sampled = []
     for gi, ti in pairs:
-        chunk = tiled[gi * g : (gi + 1) * g, ti, :]
-        tables = build_filter_group_tables(chunk, canonical=canonical)
+        tables = build_filter_group_tables(tiled[gi * g : (gi + 1) * g, ti, :], canonical=canonical)
         if tables.num_entries == 0:
             continue
-        if engine_check:
-            from repro.sim.functional import crosscheck_tables
+        crosscheck_tables(tables, rng.integers(-16, 17, size=tables.filter_size), lane=False)
+        sampled.append(tables)
+    return tuple(sampled)
 
-            window = rng.integers(-16, 17, size=tables.filter_size)
-            crosscheck_tables(tables, window, lane=False)
+
+def _jump_ratios(
+    sampled: tuple[FilterGroupTables, ...], width_bits: int, pointer_bits: int
+) -> tuple[float, float]:
+    """Anchor and hop entries per real entry over a layer's sampled tables."""
+    anchors = hops = entries = 0
+    for tables in sampled:
         ends = tables.transitions[tables.num_filters - 1]
         stats = grouped_jump_stats(tables.iit, ends, width_bits, pointer_bits)
         anchors += stats.anchor_entries
         hops += stats.hop_entries
         entries += stats.anchor_entries + stats.jump_entries
     if entries == 0:
-        return _JumpProfile(0.0, 0.0)
-    return _JumpProfile(anchors_per_entry=anchors / entries, hops_per_entry=hops / entries)
+        return 0.0, 0.0
+    return anchors / entries, hops / entries
 
 
 def run(
@@ -189,16 +185,18 @@ def run(
 
 @lru_cache(maxsize=8)
 def _layer_data(network: str, max_layers: int | None, group_size: int, density: float):
-    """Per-process memo of (shape, weights, aggregate) for one G series."""
+    """Per-process memo of (shape, aggregate, sampled tables) for one G series."""
     shapes = network_shapes(network)
     if max_layers is not None:
         shapes = shapes[:max_layers]
     provider = inq_weight_provider(density=density, tag="fig14")
     config = ucnn_config_for_group(group_size, 16)
-    return tuple(
-        (shape, provider(shape), ucnn_layer_aggregate(provider(shape), shape, config))
-        for shape in shapes
-    )
+    data = []
+    for shape in shapes:
+        weights = provider(shape)
+        agg = ucnn_layer_aggregate(weights, shape, config)
+        data.append((shape, agg, _sampled_tables(weights, shape, config)))
+    return tuple(data)
 
 
 def _jump_point(
@@ -218,7 +216,7 @@ def _jump_point(
     layer_data = _layer_data(network, max_layers, g, density)
     if width is None:
         pointer_model = None
-        for shape, __, agg in layer_data:
+        for shape, agg, __ in layer_data:
             model = ucnn_model_size(
                 agg.entries, agg.skip_bubbles, shape.num_weights, g,
                 agg.tile_entries, agg.num_unique, weight_bits=8,
@@ -228,16 +226,16 @@ def _jump_point(
         return pointer_model.bits_per_weight, 1.0
     base_cycles = sum(
         shape.out_h * (-(-shape.out_w // config.vw)) * agg.cycles_per_walk_total
-        for shape, __, agg in layer_data
+        for shape, agg, __ in layer_data
     )
     cycles = 0
     total = None
-    for shape, weights, agg in layer_data:
-        profile = _sampled_jump_profile(weights, shape, config, width)
-        anchor_entries = int(round(profile.anchors_per_entry * agg.entries))
-        hop_entries = int(round(profile.hops_per_entry * agg.entries))
-        jump_entries = agg.entries - anchor_entries
+    for shape, agg, sampled in layer_data:
         pointer_bits = min_pointer_bits(agg.tile_entries)
+        anchors_per_entry, hops_per_entry = _jump_ratios(sampled, width, pointer_bits)
+        anchor_entries = int(round(anchors_per_entry * agg.entries))
+        hop_entries = int(round(hops_per_entry * agg.entries))
+        jump_entries = agg.entries - anchor_entries
         iit_bits = (
             anchor_entries * pointer_bits
             + (jump_entries + hop_entries) * width

@@ -288,10 +288,11 @@ class WorkerNode:
         1. **programs** — re-run the artifact-store pre-warm through the
            server's installed tier, so programs compiled elsewhere in
            the fleet since the last refresh become local cache hits;
-        2. **results** — ask the front-end which cataloged requests this
-           worker stands behind (``_assignments``) and read each one's
-           cache key through the tiered path, promoting remote entries
-           into the local tier.
+        2. **results** — re-push every result whose write-back push to
+           the peer failed (so replicas can find it), then ask the
+           front-end which cataloged requests this worker stands behind
+           (``_assignments``) and read each one's cache key through the
+           tiered path, promoting remote entries into the local tier.
 
         Either half failing (front-end briefly down, peer unreachable)
         leaves a partial report; the next refresh tries again.
@@ -307,6 +308,7 @@ class WorkerNode:
                 report["programs"] = tier.store.prewarm()
             cache = self.handle.server.cache
             if isinstance(cache, TieredCache):
+                cache.retry_pushes()
                 # A dedicated connection: the agent thread may be mid-
                 # heartbeat on the pooled one, and ServeClient is not
                 # concurrency-safe.

@@ -14,6 +14,8 @@ local misses and shares its own results back:
 * **negative-lookup memoization** — a key the peer did not have is
   remembered for ``negative_ttl`` seconds, so sweeps over cold key
   spaces do not pay one round-trip per point per retry;
+* **push retry** — a key whose write-back push failed is remembered
+  (bounded) until :meth:`TieredCache.retry_pushes` pushes it again;
 * **fail-open** — every remote failure mode (timeout, connection
   refused, 5xx, corrupt payload, truncated body) degrades to a recorded
   local miss.  The caller recomputes; it never sees an exception from
@@ -375,6 +377,11 @@ class HTTPPeerTier:
                 self._open_until = time.monotonic() + self.cooldown
 
 
+#: Keys a :class:`TieredCache` remembers per memo (negative lookups,
+#: failed pushes) before it drops old ones.
+_MAX_REMEMBERED = 4096
+
+
 class TieredCache(ResultCache):
     """A :class:`ResultCache` with a remote tier behind it.
 
@@ -389,7 +396,8 @@ class TieredCache(ResultCache):
       memoized for ``negative_ttl`` seconds.
     * :meth:`put` — local write as always, then an asynchronous
       best-effort push of the blob to the remote tier, so peers warm
-      each other without blocking the compute path.
+      each other without blocking the compute path.  A key whose push
+      fails is remembered until :meth:`retry_pushes` runs.
 
     Every remote failure degrades to local-only (see
     :class:`HTTPPeerTier`); the per-path counters are on
@@ -418,6 +426,8 @@ class TieredCache(ResultCache):
         self.negative_ttl = negative_ttl
         self._tier_lock = threading.Lock()
         self._negative: dict[str, float] = {}
+        #: Keys whose last push failed, oldest first (values unused).
+        self._unpushed: dict[str, None] = {}
         self._fetching: dict[str, Future] = {}
         # One write-back worker: promotions and pushes are small and
         # rare relative to compute, and a single worker makes drain() a
@@ -545,6 +555,25 @@ class TieredCache(ResultCache):
         except Exception:
             ok = False
         self._tier_counters.inc("pushes" if ok else "push_failures")
+        with self._tier_lock:
+            self._unpushed.pop(key, None)
+            if not ok:
+                if len(self._unpushed) >= _MAX_REMEMBERED:
+                    del self._unpushed[next(iter(self._unpushed))]  # oldest first
+                self._unpushed[key] = None
+
+    def retry_pushes(self) -> int:
+        """Queue one more push of every key whose last push failed.
+
+        Each retry counts on the ``pushes``/``push_failures`` counters,
+        and a key that fails again stays remembered for the next call.
+        Returns the number of pushes queued.
+        """
+        with self._tier_lock:
+            keys, self._unpushed = list(self._unpushed), {}
+        for key in keys:
+            self._schedule(self._push, key)
+        return len(keys)
 
     # -- lifecycle / stats ---------------------------------------------
 
@@ -600,10 +629,10 @@ class TieredCache(ResultCache):
             return
         now = time.monotonic()
         with self._tier_lock:
-            if len(self._negative) >= 4096:
+            if len(self._negative) >= _MAX_REMEMBERED:
                 # Bounded: drop expired entries first, everything if none.
                 live = {k: t for k, t in self._negative.items() if t > now}
-                self._negative = live if len(live) < 4096 else {}
+                self._negative = live if len(live) < _MAX_REMEMBERED else {}
             self._negative[key] = now + self.negative_ttl
 
 

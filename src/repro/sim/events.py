@@ -36,6 +36,7 @@ class EventCounts:
     psum_accesses: int = 0
 
     def __add__(self, other: "EventCounts") -> "EventCounts":
+        """Field-wise sum of two event totals."""
         return EventCounts(
             **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
         )

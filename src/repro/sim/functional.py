@@ -1,11 +1,13 @@
 """Step-by-step lane state machines (independent cycle ground truth).
 
-:class:`UcnnLaneSimulator` walks a :class:`FilterGroupTables` entry by
+:class:`UcnnLaneSimulator` steps a :class:`FilterGroupTables` entry by
 entry the way the Section IV-C datapath does — including explicit skip
 entries (bubbles) materialized into the entry stream and single-multiplier
-dispatch stalls — producing both the dot-product outputs and an exact
-cycle count.  The test suite checks it against the closed-form
-:meth:`FilterGroupTables.stats` and the analytic layer model.
+dispatch stalls — producing an exact cycle count.  The test suite checks
+those stepped counts against the closed-form
+:meth:`FilterGroupTables.stats` and the analytic layer model.  Its
+dot-product outputs come from the one per-entry table walk,
+:meth:`FilterGroupTables.execute`.
 
 :class:`DcnnLaneSimulator` is the dense counterpart (one MAC per lane per
 cycle, VK lanes).
@@ -13,10 +15,10 @@ cycle, VK lanes).
 :func:`crosscheck_tables` is the consistency hook tying the three
 execution surfaces together: for a given table it runs the compiled
 engine program (:mod:`repro.engine`), the dense reference, and
-optionally the cycle-stepped lane simulator, and raises if any pair
-disagrees.  The experiments that build tables on sampled data (fig14)
-call it so a table-construction bug can never silently skew a sampled
-estimator.
+optionally the per-entry walk (through the lane simulator), and raises
+if any pair disagrees.  The experiments that build tables on sampled
+data (fig14) call it so a table-construction bug can never silently
+skew a sampled estimator.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ class UcnnLaneSimulator:
     """
 
     def __init__(self, tables: FilterGroupTables, num_multipliers: int = 1):
+        """Bind the lane to one group's tables and its multiplier count."""
         self.tables = tables
         self.num_multipliers = num_multipliers
 
@@ -76,53 +79,34 @@ class UcnnLaneSimulator:
         return total
 
     def run(self, window: np.ndarray) -> LaneTrace:
-        """Walk the table over one window, stepping cycle by cycle."""
+        """Walk the table over one window, stepping cycle by cycle.
+
+        Each entry costs its skip bubbles, one cycle, and any MACs it
+        dispatches (stalling when they outnumber the multipliers).  The
+        dot products come from the table walk itself,
+        :meth:`FilterGroupTables.execute`.
+        """
         tables = self.tables
-        window = np.asarray(window, dtype=np.int64).reshape(-1)
-        if window.size != tables.filter_size:
-            raise ValueError(f"window length {window.size} != filter size {tables.filter_size}")
+        trace = LaneTrace(outputs=tables.execute(window))
         g_count = tables.num_filters
-        trace = LaneTrace(outputs=np.zeros(g_count, dtype=np.int64))
-        acc_inner = 0
-        acc_outer = np.zeros(max(0, g_count - 1), dtype=np.int64)
+        weights = tables.filters[:, tables.iit]  # (G, L)
         chunk = 0
-        innermost = tables.transitions[g_count - 1] if tables.num_entries else np.zeros(0, dtype=bool)
         for t in range(tables.num_entries):
             bubbles = self._bubbles_at(t)
             trace.bubble_cycles += bubbles
-            trace.cycles += bubbles
-            # The real entry: input read + accumulate.
-            trace.cycles += 1
             trace.entry_cycles += 1
-            acc_inner += int(window[tables.iit[t]])
+            trace.cycles += bubbles + 1
             chunk += 1
-            at_inner_end = bool(innermost[t])
+            at_inner_end = bool(tables.transitions[g_count - 1, t])
             if chunk >= tables.max_group_size and not at_inner_end:
-                weight = int(tables.filters[g_count - 1, tables.iit[t]])
-                if weight != 0:
-                    trace.outputs[g_count - 1] += weight * acc_inner
+                chunk = 0
+                if weights[g_count - 1, t] != 0:
                     trace.multiplies += 1  # early MAC, alone: no stall
-                acc_outer += acc_inner
-                acc_inner = 0
-                chunk = 0
             if at_inner_end:
-                macs_this_cycle = 0
-                weight = int(tables.filters[g_count - 1, tables.iit[t]])
-                if weight != 0:
-                    trace.outputs[g_count - 1] += weight * acc_inner
-                    macs_this_cycle += 1
-                acc_outer += acc_inner
-                for g in range(g_count - 2, -1, -1):
-                    if tables.transitions[g, t]:
-                        outer_weight = int(tables.filters[g, tables.iit[t]])
-                        if outer_weight != 0:
-                            trace.outputs[g] += outer_weight * int(acc_outer[g])
-                            macs_this_cycle += 1
-                        acc_outer[g] = 0
-                acc_inner = 0
                 chunk = 0
-                trace.multiplies += macs_this_cycle
-                stall = max(0, macs_this_cycle - self.num_multipliers)
+                macs = int(np.count_nonzero(tables.transitions[:, t] & (weights[:, t] != 0)))
+                stall = max(0, macs - self.num_multipliers)
+                trace.multiplies += macs
                 trace.stall_cycles += stall
                 trace.cycles += stall
         return trace
@@ -154,12 +138,12 @@ def crosscheck_tables(
     Raises:
         ConsistencyError: if any surface disagrees with the others.
     """
-    from repro.engine import table_program_for
+    from repro.engine import compile_layer, execute_program
 
     windows = np.asarray(windows)
     if windows.ndim == 1:
         windows = windows.reshape(1, -1)
-    engine_out = table_program_for(tables).run(windows)
+    engine_out = execute_program(compile_layer([tables]), windows)
     dense = tables.filters.astype(np.int64) @ windows.astype(np.int64).T
     if not np.array_equal(engine_out, dense):
         raise ConsistencyError(
@@ -184,6 +168,7 @@ class DcnnLaneSimulator:
     """
 
     def __init__(self, filters: np.ndarray, skip_zero_operands: bool = False):
+        """Bind the lanes to their ``(VK, N)`` filters."""
         self.filters = np.asarray(filters, dtype=np.int64)
         if self.filters.ndim != 2:
             raise ValueError("filters must be (VK, N)")

@@ -1,16 +1,23 @@
-"""Tests for activation groups and the canonical weight order."""
+"""Tests for activation groups and the canonical weight order that keys them.
+
+Activation groups (Section III-B) are not a type of their own: they are
+the segments of a :class:`FilterGroupTables` iiT between transition
+bits, so these tests read them off the tables.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.activation_groups import (
-    ActivationGroup,
-    build_activation_groups,
-    canonical_weight_order,
-    factored_dot_product_reference,
-    group_sizes,
-    rank_by_canonical,
-)
+from repro.core.activation_groups import canonical_weight_order, rank_by_canonical
+from repro.core.hierarchical import build_filter_group_tables
+
+
+def table_groups(tables, level=0):
+    """``(weight, positions)`` of each level-``level`` group, in traversal order."""
+    ends = np.flatnonzero(tables.transitions[level])
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    return [(int(tables.filters[level, tables.iit[e]]), tables.iit[s : e + 1])
+            for s, e in zip(starts, ends)]
 
 
 class TestCanonicalWeightOrder:
@@ -63,57 +70,47 @@ class TestRankByCanonical:
             rank_by_canonical(np.array([9]), np.array([1, 2, 0]))
 
 
-class TestBuildActivationGroups:
+class TestActivationGroupsInTables:
     def test_group_per_unique_nonzero(self):
-        filt = np.array([2, 2, -1, 0, -1, 2])
-        groups = build_activation_groups(filt)
-        assert [g.weight for g in groups] == [2, -1]
+        tables = build_filter_group_tables(np.array([[2, 2, -1, 0, -1, 2]]))
+        assert [w for w, __ in table_groups(tables)] == [2, -1]
 
     def test_sizes_are_repetition_counts(self):
-        filt = np.array([2, 2, -1, 0, -1, 2])
-        assert [g.size for g in build_activation_groups(filt)] == [3, 2]
+        tables = build_filter_group_tables(np.array([[2, 2, -1, 0, -1, 2]]))
+        assert [p.size for __, p in table_groups(tables)] == [3, 2]
+        assert list(tables.innermost_group_sizes()) == [3, 2]
+
+    def test_group_sizes_follow_canonical_order(self):
+        # Canonical order: -2 (larger magnitude) first, then 1.
+        tables = build_filter_group_tables(np.array([[1, 1, 1, -2, 0]]))
+        assert list(tables.innermost_group_sizes()) == [1, 3]
 
     def test_indices_point_at_weight(self):
         filt = np.array([5, 0, 5, -3])
-        for group in build_activation_groups(filt):
-            assert np.all(filt[group.indices] == group.weight)
+        for weight, positions in table_groups(build_filter_group_tables(filt[None])):
+            assert np.all(filt[positions] == weight)
 
-    def test_zero_group_excluded_by_default(self):
-        filt = np.array([0, 0, 1])
-        assert all(g.weight != 0 for g in build_activation_groups(filt))
+    def test_zero_group_excluded_at_g1(self):
+        tables = build_filter_group_tables(np.array([[0, 0, 1]]))
+        assert [(w, list(p)) for w, p in table_groups(tables)] == [(1, [2])]
 
-    def test_zero_group_included_on_request(self):
-        filt = np.array([0, 0, 1])
-        groups = build_activation_groups(filt, include_zero=True)
-        assert groups[-1].weight == 0 and groups[-1].size == 2
+    def test_zero_group_stored_last_when_another_filter_needs_it(self):
+        """Filter 1's zero group holds filter 2's positions, sorts last and never MACs."""
+        tables = build_filter_group_tables(np.array([[0, 0, 1], [4, 4, 4]]))
+        assert [(w, list(p)) for w, p in table_groups(tables)] == [(1, [2]), (0, [0, 1])]
+        window = np.array([10, -3, 7])
+        assert list(tables.execute(window)) == [7, 4 * 14]
+        # Filter 1 MACs its one non-zero group; filter 2 MACs once per parent group.
+        assert tables.stats().multiplies == 3
 
-    def test_groups_partition_nonzero_positions(self):
-        filt = np.array([1, -1, 0, 1, 2, 2, 0])
-        indices = np.concatenate([g.indices for g in build_activation_groups(filt)])
-        assert sorted(indices) == sorted(np.flatnonzero(filt))
+    def test_gather_sum_reconstructs_the_dot_product(self, rng):
+        """Equation 2 read off the tables: sum over groups of weight x gathered inputs."""
+        filt = rng.integers(-3, 4, size=40)
+        window = rng.integers(-9, 10, size=40)
+        tables = build_filter_group_tables(filt[None])
+        factored = sum(w * int(window[p].sum()) for w, p in table_groups(tables))
+        assert factored == int(tables.execute(window)[0]) == int(filt @ window)
 
-    def test_gather_sum(self):
-        group = ActivationGroup(weight=3, indices=np.array([0, 2]))
-        assert group.gather_sum(np.array([10, 99, -4])) == 6
-
-    def test_group_sizes_helper(self):
-        # Canonical order: -2 (larger magnitude) first, then 1.
-        filt = np.array([1, 1, 1, -2, 0])
-        assert list(group_sizes(filt)) == [1, 3]
-
-
-class TestFactoredDotProductReference:
-    def test_matches_dense(self, rng):
-        for __ in range(20):
-            n = int(rng.integers(1, 40))
-            filt = rng.integers(-3, 4, size=n)
-            window = rng.integers(-9, 10, size=n)
-            expected = int(np.dot(filt.astype(np.int64), window.astype(np.int64)))
-            assert factored_dot_product_reference(filt, window) == expected
-
-    def test_all_zero_filter(self):
-        assert factored_dot_product_reference(np.zeros(5, dtype=int), np.arange(5)) == 0
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError, match="equal flattened length"):
-            factored_dot_product_reference(np.array([1, 2]), np.array([1, 2, 3]))
+    def test_layer_canonical_values_absent_from_filter_have_no_group(self):
+        tables = build_filter_group_tables(np.array([[1, 5, 0, 1]]), canonical=np.array([9, 5, 1, 0]))
+        assert [(w, p.size) for w, p in table_groups(tables)] == [(5, 1), (1, 2)]

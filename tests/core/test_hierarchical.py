@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core.activation_groups import canonical_weight_order
+from repro.core.activation_groups import canonical_weight_order, rank_by_canonical
 from repro.core.hierarchical import (
     INLINE_SKIP_CAPACITY,
     build_filter_group_tables,
 )
-from repro.core.indirection import factorize_filter
-from repro.engine import table_program_for
+from repro.engine import compile_layer, execute_program
 
 
 def dense(filters, window):
     return np.asarray(filters, dtype=np.int64) @ np.asarray(window, dtype=np.int64)
+
+
+def ranks(t):
+    """``(G, L)`` canonical rank of each filter's weight at each stored entry."""
+    return rank_by_canonical(t.filters[:, t.iit], t.canonical)
 
 
 class TestConstruction:
@@ -32,7 +36,7 @@ class TestConstruction:
         rng = np.random.default_rng(3)
         filters = rng.integers(-2, 3, size=(2, 40))
         t = build_filter_group_tables(filters)
-        r1 = t.ranks[0]
+        r1 = ranks(t)[0]
         seen = set()
         prev = None
         for r in r1:
@@ -46,7 +50,7 @@ class TestConstruction:
         filters = rng.integers(-2, 3, size=(3, 60))
         t = build_filter_group_tables(filters)
         # Within each level-1 run, level-2 ranks must be grouped too.
-        keys = list(zip(t.ranks[0], t.ranks[1]))
+        keys = list(zip(*ranks(t)[:2]))
         seen = set()
         prev = None
         for k in keys:
@@ -68,15 +72,19 @@ class TestConstruction:
         t = build_filter_group_tables(filters)
         assert np.all(t.transitions[:, -1])
 
-    def test_g1_matches_factorize_filter(self, rng):
-        """G=1 tables must agree with the vanilla single-filter path."""
+    def test_g1_is_vanilla_factorization(self, rng):
+        """G=1 tables are Section IV-B's: non-zero positions in canonical
+        weight order (ascending within a group), one bit per group end."""
         for __ in range(10):
             n = int(rng.integers(1, 60))
             filt = rng.integers(-3, 4, size=n)
             t = build_filter_group_tables(filt.reshape(1, -1))
-            ff = factorize_filter(filt)
-            assert np.array_equal(t.iit, ff.iit)
-            assert np.array_equal(t.transitions[0], ff.wit)
+            rank = {int(v): i for i, v in enumerate(t.canonical)}
+            order = sorted(np.flatnonzero(filt), key=lambda i: (rank[int(filt[i])], i))
+            ends = [j == len(order) - 1 or filt[order[j]] != filt[order[j + 1]]
+                    for j in range(len(order))]
+            assert list(t.iit) == order
+            assert list(t.transitions[0]) == ends
 
     def test_layer_canonical_accepted(self):
         filters = np.array([[1, 0], [0, 1]])
@@ -136,7 +144,7 @@ class TestExecution:
         filters = rng.integers(-3, 4, size=(2, 20))
         windows = rng.integers(-9, 10, size=(6, 20))
         t = build_filter_group_tables(filters)
-        assert np.array_equal(table_program_for(t).run(windows), dense(filters, windows.T))
+        assert np.array_equal(execute_program(compile_layer([t]), windows), dense(filters, windows.T))
 
     def test_window_length_checked(self):
         t = build_filter_group_tables(np.array([[1, 2]]))
@@ -232,7 +240,7 @@ class TestSkipAccounting:
         filters = np.array([[9, 0, 0], [9, 5, 5]])
         t = build_filter_group_tables(filters, canonical=canonical)
         # Filter 1's zero group (entries 1, 2) ends in a zero boundary.
-        assert t.skip_needs[0][t.ranks[0] == 5].sum() == 0
+        assert t.skip_needs[0][ranks(t)[0] == 5].sum() == 0
 
     def test_g2_empty_subgroup_skips(self):
         """An absent middle sub-group forces a pointer skip for filter 2."""

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.arch.banking import BankedLayout
 from repro.core.activation_groups import canonical_weight_order, rank_by_canonical
 from repro.core.hierarchical import build_filter_group_tables
-from repro.core.indirection import factorize_filter
 from repro.core.jump_encoding import encode_jumps, jump_hop_count
 from repro.quant.inq import quantize_inq
 from repro.quant.ttq import quantize_ttq
@@ -52,25 +51,35 @@ def filter_group_and_window(draw, max_g=4, max_len=48):
 @settings(max_examples=120, deadline=None)
 def test_factorized_dot_product_bit_exact(fw, cap):
     filt, window = fw
-    ff = factorize_filter(filt, max_group_size=cap)
-    assert ff.execute(window) == int(filt @ window)
+    tables = build_filter_group_tables(filt[None], max_group_size=cap)
+    assert list(tables.execute(window)) == [int(filt @ window)]
 
 
 @given(filter_and_window())
 @settings(max_examples=80, deadline=None)
 def test_iit_is_permutation_of_nonzero_support(fw):
     filt, __ = fw
-    ff = factorize_filter(filt)
-    assert sorted(ff.iit) == sorted(np.flatnonzero(filt))
+    tables = build_filter_group_tables(filt[None])
+    assert sorted(tables.iit) == sorted(np.flatnonzero(filt))
 
 
 @given(filter_and_window())
 @settings(max_examples=80, deadline=None)
 def test_transition_count_matches_unique_nonzero(fw):
     filt, __ = fw
-    ff = factorize_filter(filt)
+    tables = build_filter_group_tables(filt[None])
     expected = np.unique(filt[filt != 0]).size
-    assert int(ff.wit.sum()) == expected
+    assert int(tables.transitions[0].sum()) == expected
+
+
+@given(filter_and_window(), st.integers(min_value=1, max_value=20))
+@settings(max_examples=80, deadline=None)
+def test_single_filter_multiplies_are_chunks_per_group(fw, cap):
+    """At G = 1 each group of size gsz costs ceil(gsz / cap) multiplies."""
+    filt, __ = fw
+    tables = build_filter_group_tables(filt[None], max_group_size=cap)
+    __, sizes = np.unique(filt[filt != 0], return_counts=True)
+    assert tables.stats().multiplies == int(np.sum(-(-sizes // cap)))
 
 
 @given(filter_group_and_window(), st.integers(min_value=1, max_value=20))

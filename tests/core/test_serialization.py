@@ -11,7 +11,6 @@ from repro.core.model_size import wit_bits_per_entry
 from repro.core.serialization import (
     BitReader,
     BitWriter,
-    execute_unpacked,
     pack_layer,
     pack_tables,
     unpack_tables,
@@ -66,11 +65,14 @@ class TestPackUnpack:
         assert np.array_equal(unpacked.canonical, tables.canonical)
 
     def test_round_trip_execution(self, rng):
+        """Tables rebuilt on the decoded canonical order are the decoded tables."""
         filters, tables = self.tables(rng)
         window = rng.integers(-9, 10, size=40)
         unpacked = unpack_tables(pack_tables(tables))
-        out = execute_unpacked(unpacked, filters, window)
-        assert np.array_equal(out, filters @ window)
+        rebuilt = build_filter_group_tables(filters, canonical=unpacked.canonical)
+        assert np.array_equal(rebuilt.iit, unpacked.iit)
+        assert np.array_equal(rebuilt.transitions, unpacked.transitions)
+        assert np.array_equal(rebuilt.execute(window), filters @ window)
 
     def test_negative_weights_survive(self, rng):
         filters = np.array([[-7, 3, -7, 0]])

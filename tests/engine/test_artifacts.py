@@ -21,12 +21,12 @@ from repro.engine import (
     clear_program_cache,
     compile_network,
     compiled_layer_for,
+    execute_network,
+    execute_program,
     program_cache_info,
-    table_program_for,
 )
-from repro.engine.fusion import FallbackStep, NetworkProgram
-from repro.engine.program import cached_programs, set_artifact_tier
-from repro.core.hierarchical import build_filter_group_tables
+from repro.engine.fusion import ConvStep, FallbackStep, NetworkProgram
+from repro.engine.program import KERNEL_ARRAYS, cached_programs, set_artifact_tier
 
 _RNG = np.random.default_rng(20260807)
 
@@ -85,25 +85,16 @@ class TestRoundTrip:
         assert type(again) is type(layer)
         assert again.key == layer.key
         windows = rng.integers(-9, 10, size=(40, layer.program.filter_size))
-        assert np.array_equal(layer.program.run(windows), again.program.run(windows))
+        assert np.array_equal(execute_program(layer.program, windows),
+                              execute_program(again.program, windows))
         assert np.array_equal(layer.canonical, again.canonical)
         assert len(again.groups) == len(layer.groups)
         for t1, t2 in zip(layer.groups, again.groups):
-            for field in ("filters", "canonical", "iit", "ranks", "transitions", "skip_needs"):
+            for field in ("filters", "canonical", "iit", "transitions", "skip_needs"):
                 a, b = getattr(t1, field), getattr(t2, field)
                 assert a.dtype == b.dtype and np.array_equal(a, b), field
             assert t1.max_group_size == t2.max_group_size
             assert t1.stats() == t2.stats()
-
-    def test_table_program_bit_identical(self, rng):
-        clear_program_cache()
-        tables = build_filter_group_tables(rng.integers(-3, 4, size=(3, 20)))
-        program = table_program_for(tables)
-        again = A.deserialize_program(A.serialize_program(program))
-        windows = rng.integers(-9, 10, size=(25, 20))
-        assert np.array_equal(program.run(windows), again.run(windows))
-        assert np.array_equal(program.gather, again.gather)
-        assert (again.num_groups, again.key) == (program.num_groups, program.key)
 
     def test_network_program_bit_identical(self, rng):
         program = _network()
@@ -113,7 +104,22 @@ class TestRoundTrip:
         assert [type(s).__name__ for s in again.steps] == [
             type(s).__name__ for s in program.steps]
         batch = rng.integers(-16, 17, size=(2, *program.input_shape))
-        assert np.array_equal(program.run(batch), again.run(batch))
+        assert np.array_equal(execute_network(program, batch), execute_network(again, batch))
+
+    def test_conv_step_table_program_bit_identical(self, rng):
+        """The ``TableProgram`` codec inside ``net:`` conv steps keeps every kernel array."""
+        program = compile_network(_lenet())
+        again = A.deserialize_program(A.serialize_program(program))
+        pairs = [(s.program, t.program) for s, t in zip(program.steps, again.steps)
+                 if isinstance(s, ConvStep)]
+        assert len(pairs) == 5  # two convs and three FC layers lowered to 1x1 convs
+        for mine, theirs in pairs:
+            for name in KERNEL_ARRAYS:
+                assert np.array_equal(getattr(mine, name), getattr(theirs, name)), name
+            assert ((theirs.num_filters, theirs.filter_size, theirs.num_groups, theirs.key)
+                    == (mine.num_filters, mine.filter_size, mine.num_groups, mine.key))
+            windows = rng.integers(-9, 10, size=(25, mine.filter_size))
+            assert np.array_equal(execute_program(mine, windows), execute_program(theirs, windows))
 
     def test_fc_conv_step_round_trips(self, rng):
         """A network whose FC layers lowered to 1x1 conv steps, one flattened first."""
@@ -139,12 +145,12 @@ class TestRoundTrip:
         entries = [[s.program.num_entries for s in p.steps[2:]] for p in (program, again)]
         assert entries[0] == entries[1]
         batch = rng.integers(-16, 17, size=(3, 2, 6, 6))
-        assert np.array_equal(again.run(batch), np.stack([net.forward(x) for x in batch]))
+        assert np.array_equal(execute_network(again, batch), np.stack([net.forward(x) for x in batch]))
 
     def test_decoded_arrays_are_writable(self):
         again = A.deserialize_program(_BLOB)
         for tables in again.groups:
-            for field in ("filters", "canonical", "iit", "ranks", "transitions", "skip_needs"):
+            for field in ("filters", "canonical", "iit", "transitions", "skip_needs"):
                 assert getattr(tables, field).flags.writeable, field
 
 
@@ -171,20 +177,14 @@ class TestRejection:
         The kernel's takes run unchecked, so the program's constructor is
         what keeps such an index from ever reaching execution.
         """
-        program = _layer(seed=4).program
-        blob = bytearray(A.serialize_program(program))
-        hlen = struct.unpack(">I", blob[8:12])[0]
-        node = json.loads(blob[12:12 + hlen])["meta"]["gather"]
-        offset, __ = node["__nd__"]
-        dtype = np.dtype(node["dtype"])
-        start = 12 + hlen + offset
-        gather = np.frombuffer(blob, dtype=dtype, count=program.num_entries, offset=start).copy()
-        gather[0] = program.filter_size  # one past the last window column
-        blob[start:start + gather.nbytes] = gather.tobytes()
-        import hashlib
-        blob[-32:] = hashlib.sha256(bytes(blob[:-32])).digest()
+        program = compile_network(_lenet())
+        conv = program.steps[0]
+        gather = conv.program.gather.copy()
+        gather[0] = conv.program.filter_size  # one past the last window column
+        steps = (dataclasses.replace(conv, program=_forged(conv.program, gather=gather)),)
+        blob = A.serialize_program(_forged(program, steps=steps + program.steps[1:]))
         with pytest.raises(A.ArtifactError, match="gather indices"):
-            A.deserialize_program(bytes(blob))
+            A.deserialize_program(blob)
 
     @pytest.mark.parametrize("field", ["num_filters", "num_entries", "num_unique"])
     @pytest.mark.parametrize("damage, message", [
@@ -287,11 +287,28 @@ class TestRejection:
         again = A.deserialize_program(blob)
         assert again.plan == program.plan
 
+    def test_group_table_without_final_transition_rejected(self):
+        """A re-signed ``layer:`` blob whose group tables lose their last boundary fails at decode.
+
+        The per-entry walk would otherwise drop that group's final MAC
+        from every crosscheck and every ``stats()`` count.
+        """
+        layer = _layer(seed=4)
+        tables = layer.groups[0]
+        transitions = tables.transitions.copy()
+        transitions[:, -1] = False
+        groups = (_forged(tables, transitions=transitions),) + layer.groups[1:]
+        blob = A.serialize_program(_forged(layer, groups=groups))
+        with pytest.raises(A.ArtifactError, match="transition bit"):
+            A.deserialize_program(blob)
+
     def test_table_program_term_past_its_group_rejected(self):
-        program = _layer(seed=4).program
-        cols = program.cols.copy()
-        cols[0] = program.group_entries[1]  # one past the first group's last entry
-        blob = A.serialize_program(_forged(program, cols=cols))
+        program = compile_network(_lenet())
+        conv = program.steps[0]
+        cols = conv.program.cols.copy()
+        cols[0] = conv.program.group_entries[1]  # one past the first group's last entry
+        steps = (dataclasses.replace(conv, program=_forged(conv.program, cols=cols)),)
+        blob = A.serialize_program(_forged(program, steps=steps + program.steps[1:]))
         with pytest.raises(A.ArtifactError, match="outside its group"):
             A.deserialize_program(blob)
 
@@ -306,10 +323,10 @@ class TestRejection:
             A.deserialize_program(blob)
 
     def test_unkeyed_program_rejected(self):
-        program = _layer(seed=4).program
-        assert program.key  # the whole-layer program carries its layer's key
+        layer = _layer(seed=4)
+        assert layer.program.key == layer.key  # the whole-layer program carries its layer's key
         with pytest.raises(A.ArtifactError, match="key"):
-            A.serialize_program(dataclasses.replace(program, key=None))
+            A.serialize_program(dataclasses.replace(layer, key=None))
 
     def test_non_program_rejected(self):
         with pytest.raises(A.ArtifactError, match="cannot serialize"):
@@ -384,7 +401,8 @@ class TestProgramStore:
         assert store.save(layer.key, layer)
         again = store.load(layer.key)
         windows = rng.integers(-9, 10, size=(10, layer.program.filter_size))
-        assert np.array_equal(layer.program.run(windows), again.program.run(windows))
+        assert np.array_equal(execute_program(layer.program, windows),
+                              execute_program(again.program, windows))
         manifest = store.manifest()
         assert manifest[layer.key]["kind"] == A.KIND_LAYER
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hierarchical import build_filter_group_tables
-from repro.engine import compile_layer
+from repro.engine import compile_layer, execute_program
 
 # Alphabets that exercise the interesting layouts: zero-heavy filters
 # (most entries dropped), tiny alphabets (huge activation groups that
@@ -73,7 +73,7 @@ def test_engine_equals_walk_equals_dense(case):
         filters, canonical=canonical, max_group_size=max_group_size
     )
     program = compile_layer([tables])
-    engine_out = program.run(windows)
+    engine_out = execute_program(program, windows)
     dense = filters @ windows.T
     assert np.array_equal(engine_out, dense)
     for i in range(windows.shape[0]):

@@ -160,7 +160,7 @@ class TestCompile:
         a, b = block_net(1), block_net(2)
         assert network_program_key(a) != network_program_key(b)
         x = rng.integers(-4, 5, size=(2, 4, 4, 4)).astype(np.int64)
-        compile_network(a).run(x)
+        execute_network(compile_network(a), x)
         assert compile_network(b) is not compile_network(a)
         assert np.array_equal(b.forward_batch(x, fused=True), stacked_forward(b, x))
 
@@ -465,7 +465,7 @@ class TestSharedPrograms:
         import sys
         import threading
 
-        from repro.engine import compiled_layer_for
+        from repro.engine import compiled_layer_for, execute_program
 
         weights = rng.integers(-3, 4, size=(24, 18)).astype(np.int64)
         windows = rng.integers(-9, 10, size=(5, 18))
@@ -475,7 +475,7 @@ class TestSharedPrograms:
 
         def worker():
             gate.wait()
-            results.append(layer.program.run(windows))
+            results.append(execute_program(layer.program, windows))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -6,18 +6,18 @@ import time
 import numpy as np
 import pytest
 
+import repro.engine
 from repro.core.factorized import FactorizedConv
 from repro.core.hierarchical import build_filter_group_tables
 from repro.engine import (
-    TableProgram,
     clear_program_cache,
     compile_layer,
     compiled_layer_for,
     execute_program,
     layer_program_key,
     program_cache_info,
-    table_program_for,
 )
+from repro.engine.program import KERNEL_ARRAYS
 from repro.nn.reference import conv2d_im2col
 from repro.sim.functional import ConsistencyError, crosscheck_tables
 
@@ -46,7 +46,8 @@ class TestCompileTables:
         windows = rng.integers(-9, 10, size=(5, 60))
         for cap in (1, 3, 16):
             tables = build_filter_group_tables(filters, max_group_size=cap)
-            assert np.array_equal(compile_layer([tables]).run(windows), dense(filters, windows))
+            program = compile_layer([tables])
+            assert np.array_equal(execute_program(program, windows), dense(filters, windows))
 
     def test_layer_canonical_skip_layout(self, rng):
         """Empty sub-groups / pointer skips do not perturb the math."""
@@ -54,20 +55,21 @@ class TestCompileTables:
         filters = np.array([[9, 1, 0, 9], [9, 5, 5, 1]])
         tables = build_filter_group_tables(filters, canonical=canonical)
         windows = rng.integers(-9, 10, size=(6, 4))
-        assert np.array_equal(compile_layer([tables]).run(windows), dense(filters, windows))
+        assert np.array_equal(execute_program(compile_layer([tables]), windows), dense(filters, windows))
 
     def test_empty_tables(self):
         tables = build_filter_group_tables(np.zeros((3, 5), dtype=np.int64))
         program = compile_layer([tables])
-        out = program.run(np.arange(10).reshape(2, 5))
+        out = execute_program(program, np.arange(10).reshape(2, 5))
         assert out.shape == (3, 2)
         assert not out.any()
 
-    def test_run_window(self, rng):
+    def test_single_window_matrix(self, rng):
         filters = rng.integers(-3, 4, size=(2, 12))
         tables = build_filter_group_tables(filters)
         window = rng.integers(-9, 10, size=12)
-        assert np.array_equal(compile_layer([tables]).run_window(window), tables.execute(window))
+        out = execute_program(compile_layer([tables]), window.reshape(1, -1))
+        assert np.array_equal(out[:, 0], tables.execute(window))
 
     def test_stats_invariance(self, rng):
         """Compilation must not change the tables' event accounting."""
@@ -176,16 +178,20 @@ class TestProgramCache:
         other[0, 0] += 1
         assert layer_program_key(other, 2, 16, True) != base
 
-    def test_table_program_memoized(self, rng):
-        clear_program_cache()
-        filters = rng.integers(-2, 3, size=(2, 15))
-        a = table_program_for(build_filter_group_tables(filters))
-        b = table_program_for(build_filter_group_tables(filters))
-        assert a is b
-
     def test_float_weights_rejected(self, rng):
         with pytest.raises(ValueError, match="integer"):
             compiled_layer_for(rng.normal(size=(2, 2, 3, 3)), group_size=1)
+
+    def test_table_compiles_bypass_the_cache(self, rng):
+        """Single-table compiles (as ``crosscheck_tables`` makes) build fresh and cache nothing."""
+        clear_program_cache()
+        tables = build_filter_group_tables(rng.integers(-2, 3, size=(2, 15)))
+        crosscheck_tables(tables, rng.integers(-9, 10, size=(4, 15)), lane=False)
+        a, b = compile_layer([tables]), compile_layer([tables])
+        assert a is not b
+        assert all(np.array_equal(getattr(a, n), getattr(b, n)) for n in KERNEL_ARRAYS)
+        info = program_cache_info()
+        assert (info["entries"], info["hits"], info["misses"]) == (0, 0, 0)
 
 
 class TestFactorizedConvEngine:
@@ -223,7 +229,7 @@ class TestCrosscheckHook:
         filters = rng.integers(-2, 3, size=(2, 10))
         tables = build_filter_group_tables(filters)
         monkeypatch.setattr(  # corrupt the engine side of the check
-            TableProgram, "run", lambda self, w: np.zeros((2, len(w)), dtype=np.int64) + 1
+            repro.engine, "execute_program", lambda p, w: np.zeros((2, len(w)), dtype=np.int64) + 1
         )
         with pytest.raises(ConsistencyError):
             crosscheck_tables(tables, rng.integers(1, 9, size=(2, 10)), lane=False)

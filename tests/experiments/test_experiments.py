@@ -156,6 +156,25 @@ class TestFig14:
             narrow = next(p for p in series if p.jump_bits == 5)
             assert narrow.perf_overhead >= 1.0
 
+    def test_sampled_tables_checked_once_per_layer_and_g(self, monkeypatch):
+        """At its regress scale fig14 cross-checks each of its 72 sampled
+        tables once, not once per jump width."""
+        import repro.sim.functional as functional
+        from repro.regress.specs import SPECS_BY_ID
+        from repro.runtime import Runtime, using_runtime
+
+        checked = []
+        crosscheck = functional.crosscheck_tables
+
+        def counting(tables, *args, **kwargs):
+            checked.append(tables)
+            return crosscheck(tables, *args, **kwargs)
+
+        monkeypatch.setattr(functional, "crosscheck_tables", counting)
+        with using_runtime(Runtime()):  # serial and uncached: every point runs here
+            fig14_jump_tables.run(**SPECS_BY_ID["fig14"].kwargs)
+        assert len(checked) == 72
+
 
 class TestTables:
     def test_tab02(self):

@@ -19,6 +19,7 @@ from the remote leg may ever reach a caller.
 
 import hashlib
 import itertools
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -141,6 +142,68 @@ class TestFlakyTier:
         assert stats["remote_misses"] == 0  # ... counted ONCE, not as a miss too
         assert stats["push_failures"] == 1  # the raising put
         assert cache.get(key)["cube"] == 1  # local path unaffected
+        cache.close()
+
+    def test_failed_push_is_retried(self, tmp_path):
+        inner = _MemoryTier()
+        cache = TieredCache(remote=FlakyTier(inner, script=("none", "ok")), root=tmp_path,
+                            fingerprint="t")
+        key = cache.key_for(_point, {"x": 1})
+        cache.put(key, _point(1))
+        cache.drain()
+        assert key not in inner.blobs  # the one scheduled push was lost
+        assert cache.retry_pushes() == 1
+        cache.drain()
+        assert key in inner.blobs
+        stats = cache.tier_stats()
+        assert (stats["push_failures"], stats["pushes"]) == (1, 1)
+        assert cache.retry_pushes() == 0  # a pushed key is forgotten
+        cache.close()
+
+    def test_failed_pushes_are_remembered_boundedly(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.runtime.tiers._MAX_REMEMBERED", 2)
+        inner = _MemoryTier()
+        cache = TieredCache(remote=FlakyTier(inner, script=("raise",)), root=tmp_path,
+                            fingerprint="t")
+        keys = [cache.key_for(_point, {"x": x}) for x in range(3)]
+        for x, key in enumerate(keys):
+            cache.put(key, _point(x))
+        cache.drain()
+        cache.remote = inner  # the peer recovers
+        assert cache.retry_pushes() == 2  # the oldest failure was dropped
+        cache.drain()
+        assert sorted(inner.blobs) == sorted(keys[1:])
+        cache.close()
+
+    def test_racing_puts_and_retries_lose_no_key(self, tmp_path):
+        """Four threads put and retry while pushes fail; once the peer
+        recovers, one more retry gets every key there."""
+        inner = _MemoryTier()
+        cache = TieredCache(remote=FlakyTier(inner, script=("none", "ok", "raise")),
+                            root=tmp_path, fingerprint="t")
+        keys = [cache.key_for(_point, {"x": x}) for x in range(40)]
+
+        def worker(xs):
+            for x in xs:
+                cache.put(keys[x], _point(x))
+                cache.retry_pushes()
+
+        threads = [threading.Thread(target=worker, args=(range(i, 40, 4),)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            cache.drain()
+        finally:
+            sys.setswitchinterval(interval)
+        cache.remote = inner  # the peer recovers
+        cache.retry_pushes()
+        cache.drain()
+        assert sorted(inner.blobs) == sorted(keys)
         cache.close()
 
     def test_corrupt_blob_is_rejected_then_recomputed(self, tmp_path):

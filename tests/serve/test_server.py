@@ -155,9 +155,10 @@ class TestDurationLoad:
                           duration=1.0)
         assert result.stats.errors == 0
         assert result.stats.requests > len(mix)  # it cycled
+        # Endpoints are pure: one direct value per mix slot serves every cycle.
+        expected = [direct_value(endpoint, kwargs) for endpoint, kwargs in mix]
         for i, record in enumerate(result.records):
-            endpoint, kwargs = mix[i % len(mix)]
-            assert record.value == direct_value(endpoint, kwargs)
+            assert record.value == expected[i % len(mix)]
 
     def test_duration_zero_issues_nothing(self, server):
         result = run_load("127.0.0.1", server.port, default_mix(5),
