@@ -1,12 +1,13 @@
 """Bench: program artifact store — cold compile vs artifact-warm start.
 
-The compile-once / pull-many story in numbers.  Node A compiles a
+The compile-once / load-many story in numbers.  Node A compiles a
 two-conv network's engine programs from scratch (**cold**), serializes
 the program cache into a local artifact store (**save**), and pushes
-the blobs to a live cache peer.  Node B — a fresh program cache, as
-after a process restart or a new worker joining the ring — pulls the
-artifacts and warm-starts (**warm**): ``prewarm()`` seeds the cache and
-the same ``compile_network`` call returns with **zero** compile misses.
+the blobs to a live cache peer, as ``repro cache push`` does.  Node B —
+a fresh program cache and an empty directory, as after a new worker
+joins the ring — runs the same ``compile_network`` call with the
+artifact tier installed (**warm**): the miss loads the ``net:`` program
+from the peer, with **zero** compile misses.
 
 Both sides then execute the same batch; outputs must be bit-identical.
 The gated floor at full scale: artifact-warm start beats cold compile
@@ -27,8 +28,8 @@ import numpy as np
 from conftest import run_once, smoke_mode, write_bench_json
 
 from repro.engine import compile_network, execute_network
-from repro.engine.artifacts import ProgramStore
-from repro.engine.program import clear_program_cache, program_cache_info
+from repro.engine.artifacts import ProgramArtifactTier, ProgramStore
+from repro.engine.program import clear_program_cache, program_cache_info, set_artifact_tier
 from repro.nn.layers import (
     ConvLayer,
     FlattenLayer,
@@ -39,14 +40,14 @@ from repro.nn.layers import (
 from repro.nn.network import Network
 from repro.nn.tensor import ConvShape, TensorShape
 from repro.quant.distributions import uniform_unique_weights
-from repro.runtime import CachePeer
+from repro.runtime import CachePeer, HTTPPeerTier, push_all
 
 #: (input channels, conv1 filters, conv2 filters, spatial size).
 FULL_SHAPE = (16, 256, 128, 32)
 SMOKE_SHAPE = (8, 32, 16, 16)
 
 #: Timing passes take the best of this many repeats — compile and
-#: prewarm both jitter with CPU frequency scaling.
+#: artifact load both jitter with CPU frequency scaling.
 REPEATS = 3
 
 
@@ -93,21 +94,26 @@ def _passes(smoke: bool) -> dict:
     # Node A: serialize the entire program cache into the local store
     # and push the blobs to the fleet's cache peer.
     with CachePeer(root=base / "peer") as peer:
-        store_a = ProgramStore(root=base / "node-a", remote=peer.url)
+        store_a = ProgramStore(root=base / "node-a")
         started = time.perf_counter()
         saved = store_a.save_cached()
         save_s = time.perf_counter() - started
-        pushed = store_a.push()
-        # Node B: fresh directory, same peer — pull then warm-start.
-        store_b = ProgramStore(root=base / "node-b", remote=peer.url)
-        pulled = store_b.pull()
-    warm_s = float("inf")
-    for _ in range(REPEATS):
-        clear_program_cache()
-        started = time.perf_counter()
-        report = store_b.prewarm()
-        warm_program = compile_network(net, group_size=1)
-        warm_s = min(warm_s, time.perf_counter() - started)
+        pushed = push_all(store_a.cache, HTTPPeerTier.for_bulk(peer.url))
+        # Node B: an empty directory each repeat, same peer — the miss
+        # reads the artifact through from the peer.
+        warm_s = float("inf")
+        for repeat in range(REPEATS):
+            clear_program_cache()
+            tier = ProgramArtifactTier(
+                ProgramStore(root=base / f"node-b{repeat}", remote=peer.url))
+            previous = set_artifact_tier(tier)
+            try:
+                started = time.perf_counter()
+                warm_program = compile_network(net, group_size=1)
+                warm_s = min(warm_s, time.perf_counter() - started)
+            finally:
+                set_artifact_tier(previous)
+                tier.close()
     warm_info = program_cache_info()
     warm_out = execute_network(warm_program, images, threads=1)
 
@@ -117,9 +123,9 @@ def _passes(smoke: bool) -> dict:
         "save": {"elapsed_s": save_s, "programs": saved,
                  "bytes": store_a.stats()["bytes"]},
         "push": {"copied": pushed.copied, "failed": pushed.failed},
-        "pull": {"copied": pulled.copied, "failed": pulled.failed},
         "warm": {"elapsed_s": warm_s, "misses": warm_info["misses"],
-                 "prewarm": report, "checksum": _checksum(warm_out)},
+                 "artifact_hits": warm_info["artifact_hits"],
+                 "checksum": _checksum(warm_out)},
     }
 
 
@@ -153,12 +159,10 @@ def test_bench_program_store(benchmark, record_result):
 
     # Accounting floors (timing-free, CI-safe):
     assert cold["misses"] == save["programs"] > 0
-    # Every artifact made the round trip through the peer.
+    # Every artifact reached the peer.
     assert passes["push"] == {"copied": save["programs"], "failed": 0}
-    assert passes["pull"] == {"copied": save["programs"], "failed": 0}
     # Node B served from artifacts alone: zero compile misses ...
-    assert warm["prewarm"]["installed"] == save["programs"]
-    assert warm["prewarm"]["failed"] == 0
+    assert warm["artifact_hits"] >= 1
     assert warm["misses"] == 0
     # ... and the outputs are bit-identical to node A's.
     assert warm["checksum"] == cold["checksum"]

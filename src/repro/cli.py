@@ -13,17 +13,17 @@ Commands:
 * ``cache`` — inspect or clear the design-point result cache (info
   includes a per-experiment breakdown and supports LRU eviction via
   ``--budget-mb``); ``push``/``pull`` bulk-seed a cache peer;
-* ``programs`` — inspect or peer-sync the compiled-program artifact
-  store (``repro.engine.artifacts``): ``info``/``list`` show stored
-  artifacts and cache ratios, ``push``/``pull`` move serialized engine
-  programs through a cache peer so one node compiles and the fleet
-  warm-starts;
+* ``programs`` — inspect the compiled-program artifact store
+  (``repro.engine.artifacts``): ``info``/``list`` show stored artifacts
+  and cache ratios (``cache push``/``pull`` move artifacts along with
+  the results beside them);
 * ``cache-peer`` — run an HTTP cache peer other machines point
   ``--remote-cache`` at (LRU byte budget via ``--max-bytes``);
 * ``serve`` — run the async batched serving layer (``repro.serve``)
   until interrupted; also accepts ``--remote-cache URL``, ``--secret``
   (HMAC-authenticated requests only), and ``--prewarm-programs``
-  (pull the fleet's compiled programs before taking traffic);
+  (load a missing compiled program from this node's artifacts or the
+  peer before compiling, and write fresh compiles back);
 * ``frontend`` — run a fabric front-end (``repro.fabric``): workers
   join it, clients get hash-ring routing + admission control, and
   ``--replication R`` routes each key over R replicas with load spill
@@ -58,7 +58,7 @@ Examples::
     python -m repro.cli sweep --experiment fig11 --remote-cache http://peer:8601
     python -m repro.cli cache push http://peer:8601
     python -m repro.cli cache info
-    python -m repro.cli programs push http://peer:8601
+    python -m repro.cli programs list
     python -m repro.cli worker --join 127.0.0.1:8640 --remote-cache http://peer:8601 --prewarm-programs
     python -m repro.cli serve --workers 4 --port 8537
     python -m repro.cli frontend --port 8640 --max-inflight 64 --replication 2
@@ -356,50 +356,28 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_programs(args: argparse.Namespace) -> int:
-    """Inspect or peer-sync the compiled-program artifact store.
+    """Inspect the compiled-program artifact store.
 
     ``info`` prints store totals (artifact count/bytes, the live engine
     fingerprint, how many stored artifacts are stale against it) plus
     this process's program-cache counters.  ``list`` prints one row per
-    artifact in the manifest.  ``push``/``pull`` bulk-sync artifacts
-    with a cache peer — the same wire surface ``repro cache push/pull``
-    uses, so one peer federates results and programs alike.
+    artifact blob in the directory.
     """
     from repro.engine.artifacts import ProgramStore, engine_fingerprint
     from repro.engine.program import program_cache_info
-    from repro.runtime import HTTPPeerTier
 
-    if args.action in ("push", "pull"):
-        if not args.url:
-            raise SystemExit(f"programs {args.action} requires a peer URL "
-                             f"(e.g. repro programs {args.action} http://peer:8601)")
-        tier = HTTPPeerTier.for_bulk(args.url)
-        if tier.peer_stats() is None:
-            raise SystemExit(f"cache peer {args.url} unreachable")
-        store = ProgramStore(root=args.cache_dir, remote=tier)
-        try:
-            report = store.push() if args.action == "push" else store.pull()
-        except ConnectionError as exc:
-            raise SystemExit(str(exc)) from exc
-        direction = "to" if args.action == "push" else "from"
-        print(f"programs {args.action} {direction} {args.url}: {report.summary()}")
-        return 1 if report.failed else 0
-    if args.url:
-        raise SystemExit(f"programs {args.action} does not take a peer URL "
-                         f"(did you mean push or pull?)")
     store = ProgramStore(root=args.cache_dir)
     if args.action == "list":
-        manifest = store.manifest()
-        if not manifest:
+        artifacts = store.artifacts()
+        if not artifacts:
             print(f"no program artifacts in {store.cache.root}")
             return 0
         fp = engine_fingerprint()
         print(format_table(
             ("program key", "kind", "KiB", "engine"),
-            [(key, entry.get("kind", "?"),
-              f"{entry.get('bytes', 0) / 1024:.1f}",
-              "fresh" if entry.get("engine") == fp else "STALE")
-             for key, entry in sorted(manifest.items())]))
+            [(key, entry["kind"], f"{entry['bytes'] / 1024:.1f}",
+              "fresh" if entry["engine"] == fp else "STALE")
+             for key, entry in sorted(artifacts.items())]))
         return 0
     stats = store.stats()
     info = program_cache_info()
@@ -601,13 +579,18 @@ def cmd_worker(args: argparse.Namespace) -> int:
         worker_id=args.worker_id, advertise_host=args.advertise_host,
         prewarm_interval=args.prewarm_interval,
     ).start()
+
+    def summary(stats: dict) -> str:
+        counts = node.counters.snapshot()
+        return (f"{_served_summary(stats)}; {counts['heartbeats_sent']} heartbeat(s), "
+                f"{counts['rejoins']} rejoin(s)")
+
     return _run_until_interrupted(
         node,
         f"fabric worker {node.worker_id!r} serving on {config.host}:{node.port}, "
         f"joined {frontend_host}:{frontend_port} "
         f"(heartbeat every {node.heartbeat_interval:.2f}s); Ctrl-C to stop",
-        lambda stats: (f"{_served_summary(stats)}; {node.heartbeats_sent} heartbeat(s), "
-                       f"{node.rejoins} rejoin(s)"))
+        summary)
 
 
 def cmd_frontend_status(args: argparse.Namespace) -> int:
@@ -915,11 +898,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache.set_defaults(func=cmd_cache)
 
     programs = sub.add_parser(
-        "programs",
-        help="inspect or peer-sync the compiled-program artifact store")
-    programs.add_argument("action", choices=("info", "list", "push", "pull"))
-    programs.add_argument("url", nargs="?", default=None,
-                          help="cache-peer URL (required for push/pull)")
+        "programs", help="inspect the compiled-program artifact store")
+    programs.add_argument("action", choices=("info", "list"))
     programs.add_argument("--cache-dir", default=None,
                           help="artifact directory (default: $REPRO_CACHE_DIR "
                                "or ~/.cache/repro-ucnn, shared with the result cache)")
@@ -977,9 +957,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--remote-cache", default=None, metavar="URL",
                        help="cache-peer URL to tier behind the local cache")
         p.add_argument("--prewarm-programs", action="store_true",
-                       help="before taking traffic, pull the fleet's compiled "
-                            "engine programs (from --remote-cache or the local "
-                            "artifact dir) and seed the program cache")
+                       help="load a missing compiled engine program from this "
+                            "node's artifacts or --remote-cache before "
+                            "compiling, and write fresh compiles back "
+                            "(nothing loads before traffic)")
         p.add_argument("--secret", default=None,
                        help="shared HMAC secret; requests must be signed "
                             "(default: $REPRO_FABRIC_SECRET)")

@@ -35,6 +35,7 @@ zero" is encodable in the transition the same way Section IV-B encodes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,16 +103,16 @@ class FilterGroupTables:
             weight buffer layout is shared by every tile's tables).
         iit: ``(L,)`` stored input-buffer addresses, hierarchical order.
         transitions: ``(G, L)`` level-g group-transition bits.
-        skip_needs: ``(G, L)`` weight-pointer skips required at each
-            boundary (already zero for zero-weight boundaries).
         max_group_size: innermost chunk limit (Section IV-B).
+
+    The weight-pointer skips each boundary needs, :attr:`skip_needs`,
+    follow from these fields and are derived on first read.
     """
 
     filters: np.ndarray
     canonical: np.ndarray
     iit: np.ndarray
     transitions: np.ndarray
-    skip_needs: np.ndarray
     max_group_size: int = DEFAULT_MAX_GROUP_SIZE
 
     def __post_init__(self):
@@ -126,10 +127,9 @@ class FilterGroupTables:
         if self.max_group_size < 1:
             raise ValueError("max_group_size must be >= 1")
         expected = (self.num_filters, self.num_entries)
-        for name in ("transitions", "skip_needs"):
-            shape = getattr(self, name).shape
-            if shape != expected:
-                raise ValueError(f"{name} has shape {shape}, expected (G, L) = {expected}")
+        if self.transitions.shape != expected:
+            raise ValueError(
+                f"transitions has shape {self.transitions.shape}, expected (G, L) = {expected}")
         if self.num_entries and not self.transitions[:, -1].all():
             raise ValueError("the last entry must carry a transition bit at every level")
 
@@ -152,6 +152,19 @@ class FilterGroupTables:
     def num_unique(self) -> int:
         """U — length of the canonical weight order."""
         return int(self.canonical.size)
+
+    @cached_property
+    def skip_needs(self) -> np.ndarray:
+        """``(G, L)`` weight-pointer skips required at each boundary.
+
+        Already zero for zero-weight boundaries; see
+        :func:`_compute_skip_needs`.  The event accounting and the
+        simulators read it; compiling a layer never does.
+        """
+        zero = np.flatnonzero(self.canonical == 0)
+        return _compute_skip_needs(
+            rank_by_canonical(self.filters[:, self.iit], self.canonical),
+            self.transitions, int(zero[0]) if zero.size else None)
 
     # ------------------------------------------------------------------
     # Functional execution (the ground truth)
@@ -406,14 +419,10 @@ def build_filter_group_tables(
             changed = changed | (ranks[g, 1:] != ranks[g, :-1])
             transitions[g, :-1] = changed
             transitions[g, -1] = True
-    zero_positions = np.flatnonzero(canonical == 0)
-    zero_rank = int(zero_positions[0]) if zero_positions.size else None
-    skip_needs = _compute_skip_needs(ranks, transitions, zero_rank)
     return FilterGroupTables(
         filters=filters,
         canonical=canonical,
         iit=iit,
         transitions=transitions,
-        skip_needs=skip_needs,
         max_group_size=max_group_size,
     )

@@ -45,8 +45,10 @@ under ``layer:...`` keys, fused networks under ``net:...`` keys
 re-lower weights they have seen.  The cache is
 single-flighted (concurrent misses compile once; everyone gets the
 winner's object) and can be backed by a durable artifact store
-(:mod:`repro.engine.artifacts`: serialize programs, push/pull them
-through the cache peer, warm-start fresh nodes with zero compiles).
+(:mod:`repro.engine.artifacts`: a miss loads the serialized program
+from this node's artifacts or the cache peer before compiling, and a
+fresh compile is written back, so a program compiled anywhere in the
+fleet loads everywhere else with zero compiles).
 :mod:`repro.engine.artifacts` is imported on demand — it pulls in the
 runtime storage layer, which plain engine users don't need.
 """
@@ -68,7 +70,6 @@ from repro.engine.program import (
     get_artifact_tier,
     layer_program_key,
     program_cache_info,
-    seed_program_cache,
     set_artifact_tier,
     weights_fingerprint,
 )
@@ -88,7 +89,6 @@ __all__ = [
     "layer_program_key",
     "network_program_key",
     "program_cache_info",
-    "seed_program_cache",
     "set_artifact_tier",
     "weights_fingerprint",
 ]

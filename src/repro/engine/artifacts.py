@@ -32,17 +32,18 @@ Artifacts are addressed by the existing ``layer:``/``net:``
 program-cache key schema.  Because the blob stores
 (:class:`~repro.runtime.cache.ResultCache`, the cache peer, the tiers)
 only accept 64-hex SHA-256 names, a program key is mapped to its
-*store key* — ``sha256("repro-program-artifact:" + key)`` — and a
-manifest blob under a well-known store key maps program keys back to
-store keys.  That makes program blobs indistinguishable from result
-blobs on the wire: the peer federates them opaquely, HMAC auth applies
-unchanged, and ``repro cache push/pull`` moves them for free.
+*store key* — ``sha256("repro-program-artifact:" + key)``.  That makes
+program blobs indistinguishable from result blobs on the wire: the peer
+federates them opaquely, HMAC auth applies unchanged, and ``repro cache
+push/pull`` moves them for free.  Nothing indexes them: each blob's
+header records its key, kind and engine fingerprint, and
+:meth:`ProgramStore.artifacts` lists a store by reading those headers.
 
 :class:`ProgramStore` is the durable store (local blob root + optional
-remote tier, manifest-driven ``push``/``pull``/``prewarm``);
-:class:`ProgramArtifactTier` is the read-through hook the process
-program cache calls on a miss (see
-:func:`repro.engine.program.set_artifact_tier`).
+remote tier); :class:`ProgramArtifactTier` is the read-through hook the
+process program cache calls on a miss (see
+:func:`repro.engine.program.set_artifact_tier`), and the only way a
+program reaches a node: from its own blobs, else from the peer.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ import contextlib
 import hashlib
 import json
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -71,23 +71,19 @@ from repro.engine.program import (
     CompiledLayer,
     TableProgram,
     cached_programs,
-    seed_program_cache,
 )
 from repro.obs import Counters
 from repro.runtime.cache import ResultCache
-from repro.runtime.tiers import CacheTier, HTTPPeerTier, SyncReport
+from repro.runtime.tiers import CacheTier, HTTPPeerTier
 
 #: Artifact envelope magic.  ``ResultCache.breakdown`` recognizes this
 #: prefix (same literal, see ``runtime/cache.py``) to group artifact
 #: blobs without importing this module.
 MAGIC = b"RPROGART"
 
-#: Manifest blob magic (prefix + JSON body, no pickle).
-MANIFEST_MAGIC = b"RPROGMAN"
-
 #: Envelope layout version.  Bump on any layout change; a mismatch is a
 #: clean :class:`ArtifactError`, never a misparse.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: Serialized kind tags, one per top-level program class.  A
 #: ``TableProgram`` is stored only inside a network's conv steps.
@@ -116,7 +112,7 @@ class ArtifactError(ValueError):
 
 #: Process-lifetime memo for :func:`engine_fingerprint` — sources cannot
 #: change under a running process, and re-hashing ~50 files per artifact
-#: load is measurable on the prewarm path.
+#: load is measurable on the read-through path.
 _FINGERPRINT_MEMO: str | None = None
 
 
@@ -313,7 +309,6 @@ def _enc_groups(groups: tuple[FilterGroupTables, ...], w: _ArrayWriter) -> dict:
         "canonical": w.add(np.concatenate([t.canonical for t in groups])),
         "iit": w.add(np.concatenate([t.iit for t in groups])),
         "transitions": w.add(np.concatenate([t.transitions.reshape(-1) for t in groups])),
-        "skip_needs": w.add(np.concatenate([t.skip_needs.reshape(-1) for t in groups])),
     }
 
 
@@ -336,21 +331,19 @@ def _dec_groups(node: dict, r: _ArrayReader) -> tuple[FilterGroupTables, ...]:
     filters = r.get(node["filters"])
     canonical = r.get(node["canonical"])
     iit = r.get(node["iit"])
-    flat = [r.get(node[f]) for f in ("transitions", "skip_needs")]
-    cells = sum(g * n for g, n in zip(gs, ls))
+    transitions = r.get(node["transitions"])
     if (not len(gs) == len(ls) == len(us)
             or filters.ndim != 2 or filters.shape[0] != sum(gs)
             or canonical.shape != (sum(us),) or iit.shape != (sum(ls),)
-            or any(a.shape != (cells,) for a in flat)):
+            or transitions.shape != (sum(g * n for g, n in zip(gs, ls)),)):
         raise ArtifactError("group table counts do not match the stored arrays")
     max_group_size = int(node["max_group_size"])
     groups = []
     f = u = e = c = 0
     for g, n, k in zip(gs, ls, us):
-        transitions, skip_needs = (a[c : c + g * n].reshape(g, n) for a in flat)
         groups.append(FilterGroupTables(
             filters=filters[f : f + g], canonical=canonical[u : u + k], iit=iit[e : e + n],
-            transitions=transitions, skip_needs=skip_needs,
+            transitions=transitions[c : c + g * n].reshape(g, n),
             max_group_size=max_group_size))
         f, u, e, c = f + g, u + k, e + n, c + g * n
     return tuple(groups)
@@ -514,8 +507,8 @@ def inspect_artifact(blob: bytes) -> dict:
     Checks structure only — magic, trailer digest (covering header and
     payload, so *any* bit flip or truncation is caught), header JSON,
     schema version, and the recorded payload length.  It does **not**
-    compare the engine fingerprint; :func:`deserialize_program` (and
-    pull-time staleness filtering) own that policy.
+    compare the engine fingerprint; :func:`deserialize_program` owns
+    that policy.
 
     Raises:
         ArtifactError: on any structural problem.
@@ -549,7 +542,7 @@ def inspect_artifact(blob: bytes) -> dict:
     # covers every payload byte (header and payload are hashed as one
     # body), so a second sha256 pass would double the verify cost of
     # large blobs for zero added integrity.  ``payload_sha256`` stays in
-    # the header as standalone provenance for manifests and tooling.
+    # the header as standalone provenance for tooling.
     return header
 
 
@@ -607,24 +600,6 @@ def deserialize_program(blob: bytes, expected_key: str | None = None,
 # ----------------------------------------------------------------------
 
 
-def _parse_manifest(blob: bytes | None) -> dict:
-    """Decode a manifest blob into ``{program_key: entry}`` (empty if bad)."""
-    if not blob or not blob.startswith(MANIFEST_MAGIC):
-        return {}
-    try:
-        doc = json.loads(blob[len(MANIFEST_MAGIC):].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return {}
-    programs = doc.get("programs") if isinstance(doc, dict) else None
-    return programs if isinstance(programs, dict) else {}
-
-
-def _dump_manifest(programs: dict) -> bytes:
-    """Encode ``{program_key: entry}`` into a manifest blob."""
-    doc = {"schema_version": SCHEMA_VERSION, "programs": programs}
-    return MANIFEST_MAGIC + json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
-
-
 class ProgramStore:
     """Durable store of compiled-program artifacts, local + remote.
 
@@ -632,36 +607,34 @@ class ProgramStore:
     (``<root>/<store_key[:2]>/<store_key>.pkl``) under store keys
     derived from the program key, so the cache peer, the tiers, and
     ``repro cache push/pull`` federate them without knowing what they
-    are.  A manifest blob under :attr:`MANIFEST_KEY` maps program keys
-    to store keys; ``push``/``pull`` sync it alongside the blobs.
+    are.  The blobs are the only record of what is stored:
+    :meth:`artifacts` lists them from their own headers.
 
     Args:
         root: blob directory (default: the result cache's
             :func:`~repro.runtime.cache.default_cache_dir` resolution,
             so one ``--cache-dir`` serves both results and programs).
-        remote: a :class:`~repro.runtime.tiers.CacheTier`, or a cache
-            peer URL (constructs an :class:`HTTPPeerTier` with the
-            breaker disabled — bulk sync wants honest per-key failures).
+        remote: a :class:`~repro.runtime.tiers.CacheTier` (a server
+            passes its own peer client), or a cache peer URL, which
+            constructs a serving-tuned :class:`HTTPPeerTier`: after 3
+            consecutive failures its breaker opens and loads skip the
+            peer instead of each waiting out ``remote_timeout``.
         fingerprint: engine fingerprint override (tests).
         remote_timeout: per-operation timeout when ``remote`` is a URL.
     """
 
-    #: Store key of the manifest blob (one well-known 64-hex name).
-    MANIFEST_KEY = hashlib.sha256(b"repro-program-manifest:v1").hexdigest()
-
     def __init__(self, root: str | Path | None = None,
                  remote: CacheTier | str | None = None,
                  fingerprint: str | None = None,
-                 remote_timeout: float = 10.0):
+                 remote_timeout: float = 2.0):
         """Open the local blob root and, when one is given, the remote tier."""
         self.cache = ResultCache(root=root)
         self.remote: CacheTier | None = (
-            HTTPPeerTier.for_bulk(remote, timeout=remote_timeout)
+            HTTPPeerTier(remote, timeout=remote_timeout)
             if isinstance(remote, str) else remote)
         self.fingerprint = fingerprint
-        self._lock = threading.Lock()
         self._counters = Counters("saves", "save_rejected", "loads", "load_failures",
-                                  "remote_loads", "stale_rejected")
+                                  "remote_loads")
 
     @staticmethod
     def store_key(key: str) -> str:
@@ -671,10 +644,8 @@ class ProgramStore:
     def _fp(self) -> str:
         return self.fingerprint if self.fingerprint is not None else engine_fingerprint()
 
-    # -- single-program surface ----------------------------------------
-
     def save(self, key: str, program: object) -> bool:
-        """Serialize and store one program locally; update the manifest.
+        """Serialize and store one program locally.
 
         Returns ``False`` (never raises) when the program cannot be
         serialized — e.g. a network with a live-object fallback step —
@@ -685,20 +656,16 @@ class ProgramStore:
         except ArtifactError:
             self._counters.inc("save_rejected")
             return False
-        kind = inspect_artifact(blob)["kind"]
         self.cache.put_blob(self.store_key(key), blob)
-        self._manifest_update({key: {"kind": kind, "bytes": len(blob),
-                                     "engine": self._fp()}})
         self._counters.inc("saves")
         return True
 
     def load(self, key: str) -> object | None:
         """Load one program: local blob first, then the remote tier.
 
-        A remote hit is validated, written back locally (blob +
-        manifest entry), and returned.  Every failure mode — absent,
-        corrupt, stale, peer down — returns ``None``; the caller
-        recompiles.
+        A remote hit is validated, written back locally, and returned.
+        Every failure mode — absent, corrupt, stale, peer down — returns
+        ``None``; the caller recompiles.
         """
         self._counters.inc("loads")
         store_key = self.store_key(key)
@@ -720,7 +687,6 @@ class ProgramStore:
         if blob is None:
             return None
         try:
-            header = inspect_artifact(blob)
             program = deserialize_program(blob, expected_key=key,
                                           fingerprint=self._fp())
         except ArtifactError:
@@ -728,8 +694,6 @@ class ProgramStore:
             return None
         with contextlib.suppress(OSError):
             self.cache.put_blob(store_key, blob)
-            self._manifest_update({key: {"kind": header["kind"], "bytes": len(blob),
-                                         "engine": header["engine"]}})
         self._counters.inc("remote_loads")
         return program
 
@@ -741,156 +705,40 @@ class ProgramStore:
                 saved += 1
         return saved
 
-    # -- manifest ------------------------------------------------------
+    def artifacts(self) -> dict:
+        """The local artifacts, read from the blobs: ``{program_key: {kind, bytes, engine}}``.
 
-    def manifest(self) -> dict:
-        """The local manifest: ``{program_key: {kind, bytes, engine}}``."""
-        return _parse_manifest(self.cache.get_blob(self.MANIFEST_KEY, touch=False))
-
-    def remote_manifest(self) -> dict:
-        """The remote tier's manifest (empty when absent or unreadable).
-
-        Raises:
-            Exception: whatever the tier raises when unreachable —
-            bulk callers want a hard error, not a silent empty sync.
+        A blob whose first 8 bytes are not :data:`MAGIC` is a result
+        entry and is skipped after that read; an artifact blob that
+        fails :func:`inspect_artifact` (torn, corrupt, another schema)
+        is skipped too.  Stale artifacts are listed, with an ``engine``
+        that differs from the live fingerprint.  Reading leaves LRU
+        recency untouched.
         """
-        if self.remote is None:
-            return {}
-        return _parse_manifest(self.remote.get_blob(self.MANIFEST_KEY))
-
-    def _manifest_update(self, entries: dict) -> None:
-        """Read-merge-write ``entries`` into the local manifest."""
-        with self._lock:
-            programs = self.manifest()
-            programs.update(entries)
-            self.cache.put_blob(self.MANIFEST_KEY, _dump_manifest(programs))
-
-    # -- bulk sync -----------------------------------------------------
-
-    def push(self) -> SyncReport:
-        """Seed the remote tier with every local artifact it lacks.
-
-        Blobs the remote manifest already names are skipped; the merged
-        manifest (remote ∪ local) is written back last, so a concurrent
-        pusher's entries survive (last-writer-wins only on the merge
-        window, and each writer merges first).
-
-        Raises:
-            RuntimeError: when no remote tier is configured.
-        """
-        if self.remote is None:
-            raise RuntimeError("program push needs a remote tier (peer URL)")
-        local = self.manifest()
-        known = self.remote_manifest()
-        copied = skipped = failed = 0
-        for key in sorted(local):
-            if key in known:
-                skipped += 1
-                continue
-            blob = self.cache.get_blob(self.store_key(key), touch=False)
-            if blob is None or not self.remote.put_blob(self.store_key(key), blob):
-                failed += 1
-                continue
-            copied += 1
-        merged = {**known, **local}
-        if merged and not self.remote.put_blob(self.MANIFEST_KEY, _dump_manifest(merged)):
-            failed += 1
-        return SyncReport(copied=copied, skipped=skipped, failed=failed)
-
-    def pull(self) -> SyncReport:
-        """Copy every remote artifact this store lacks into the local root.
-
-        Each pulled blob is structurally validated and checked against
-        the *current* engine fingerprint before it is written — a stale
-        fleet artifact counts as failed, it never lands on disk.
-
-        Raises:
-            RuntimeError: when no remote tier is configured.
-        """
-        if self.remote is None:
-            raise RuntimeError("program pull needs a remote tier (peer URL)")
-        known = self.remote_manifest()
-        local = self.manifest()
-        fp = self._fp()
-        copied = skipped = failed = 0
-        fresh: dict = {}
-        for key in sorted(known):
-            if key in local and self.cache.contains(self.store_key(key)):
-                skipped += 1
-                continue
+        found = {}
+        for store_key in self.cache.iter_keys():
             try:
-                blob = self.remote.get_blob(self.store_key(key))
-            except Exception:
-                blob = None
-            if blob is None:
-                failed += 1
-                continue
-            try:
+                with self.cache.path_for(store_key).open("rb") as fh:
+                    if fh.read(len(MAGIC)) != MAGIC:
+                        continue
+                    blob = MAGIC + fh.read()
                 header = inspect_artifact(blob)
-                if header["key"] != key:
-                    raise ArtifactError("manifest/envelope key mismatch")
-                if header["engine"] != fp:
-                    self._counters.inc("stale_rejected")
-                    raise ArtifactError("stale engine fingerprint")
-            except ArtifactError:
-                failed += 1
-                continue
-            try:
-                self.cache.put_blob(self.store_key(key), blob)
-            except OSError:
-                failed += 1
-                continue
-            fresh[key] = {"kind": header["kind"], "bytes": len(blob),
-                          "engine": header["engine"]}
-            copied += 1
-        if fresh:
-            self._manifest_update(fresh)
-        return SyncReport(copied=copied, skipped=skipped, failed=failed)
-
-    # -- warm start ----------------------------------------------------
-
-    def prewarm(self) -> dict:
-        """Pull (best-effort) and install every artifact into the process cache.
-
-        The serve/worker warm-start step: after this, every program the
-        fleet has compiled is a plain cache *hit* — zero compilations,
-        zero misses.  A down peer, a stale artifact, or a corrupt blob
-        never raises; it just shrinks the installed count.
-
-        Returns:
-            dict with ``installed``/``skipped``/``failed`` counts and
-            the ``pulled`` sync summary (``None`` without a remote).
-        """
-        pulled = None
-        if self.remote is not None:
-            try:
-                pulled = self.pull().summary()
-            except Exception:
-                pulled = "peer unreachable"
-        installed = skipped = failed = 0
-        for key in sorted(self.manifest()):
-            program = self.load(key)
-            if program is None:
-                failed += 1
-            elif seed_program_cache(key, program):
-                installed += 1
-            else:
-                skipped += 1
-        return {"installed": installed, "skipped": skipped, "failed": failed,
-                "pulled": pulled}
-
-    # -- introspection -------------------------------------------------
+            except (OSError, ArtifactError):
+                continue  # evicted mid-walk, or not a valid artifact
+            found[header["key"]] = {"kind": header["kind"], "bytes": len(blob),
+                                    "engine": header["engine"]}
+        return found
 
     def stats(self) -> dict:
-        """Store counters plus manifest totals (for ``repro programs info``)."""
-        manifest = self.manifest()
+        """Store counters plus artifact totals (for ``repro programs info``)."""
+        artifacts = self.artifacts().values()
+        fp = self._fp()
         out = self._counters.snapshot()
         out["root"] = str(self.cache.root)
-        out["programs"] = len(manifest)
-        out["bytes"] = sum(int(e.get("bytes", 0)) for e in manifest.values())
-        out["engine_fingerprint"] = self._fp()
-        out["stale"] = sum(1 for e in manifest.values()
-                           if e.get("engine") != self._fp())
+        out["programs"] = len(artifacts)
+        out["bytes"] = sum(entry["bytes"] for entry in artifacts)
+        out["engine_fingerprint"] = fp
+        out["stale"] = sum(1 for entry in artifacts if entry["engine"] != fp)
         return out
 
 
@@ -899,25 +747,23 @@ class ProgramArtifactTier:
 
     Installed via :func:`repro.engine.program.set_artifact_tier`: on a
     program-cache miss the single-flight owner calls :meth:`fetch`
-    first (a hit skips the compile entirely and counts as an
-    ``artifact_hit``, not a miss), and after a genuine compile it calls
-    :meth:`offer`, which serializes and stores the fresh program on a
-    background thread — and pushes it to the store's remote tier when
-    one is configured — so the compile path never blocks on disk or
-    HTTP.
+    first, which loads the program from the store's local blobs, then
+    from its remote tier; a hit skips the compile entirely and counts
+    as an ``artifact_hit``, not a miss.  After a genuine compile it
+    calls :meth:`offer`, which serializes and stores the fresh program
+    on a background thread — and pushes its blob to the store's remote
+    tier when one is configured — so the compile path never blocks on
+    disk or HTTP.
 
     Neither method ever raises: artifact trouble degrades to a compile.
 
     Args:
         store: the :class:`ProgramStore` to read and write.
-        push_remote: also push each offered program (blob + manifest
-            entry) to the store's remote tier.
     """
 
-    def __init__(self, store: ProgramStore, push_remote: bool = True):
+    def __init__(self, store: ProgramStore):
         """Wrap ``store`` and start the one background write-back thread."""
         self.store = store
-        self.push_remote = push_remote and store.remote is not None
         self._counters = Counters("fetch_hits", "fetch_misses", "offers", "stored",
                                   "store_failures")
         self._writeback = ThreadPoolExecutor(
@@ -941,29 +787,18 @@ class ProgramArtifactTier:
             pass  # closed: write-back is best-effort
 
     def _store_one(self, key: str, program: object) -> None:
+        """Save one program, then push its blob to the remote (best-effort)."""
         try:
             ok = self.store.save(key, program)
-            if ok and self.push_remote:
-                self._push_one(key)
+            remote = self.store.remote
+            if ok and remote is not None:
+                store_key = self.store.store_key(key)
+                blob = self.store.cache.get_blob(store_key, touch=False)
+                if blob is not None:
+                    remote.put_blob(store_key, blob)
         except Exception:
             ok = False
         self._counters.inc("stored" if ok else "store_failures")
-
-    def _push_one(self, key: str) -> None:
-        """Push one saved artifact (blob + manifest entry) to the remote."""
-        remote = self.store.remote
-        if remote is None:
-            return
-        store_key = self.store.store_key(key)
-        blob = self.store.cache.get_blob(store_key, touch=False)
-        if blob is None or not remote.put_blob(store_key, blob):
-            return
-        with contextlib.suppress(Exception):
-            entry = self.store.manifest().get(key)
-            if entry is not None:
-                merged = self.store.remote_manifest()
-                merged[key] = entry
-                remote.put_blob(self.store.MANIFEST_KEY, _dump_manifest(merged))
 
     def drain(self, timeout: float = 30.0) -> None:
         """Block until every queued offer has been persisted."""

@@ -466,21 +466,6 @@ def get_artifact_tier() -> object | None:
     return _ARTIFACT_TIER
 
 
-def seed_program_cache(key: str, program: object) -> bool:
-    """Install a deserialized program under ``key`` without counters.
-
-    The warm-start path (:meth:`ProgramStore.prewarm`) uses this to
-    preload the cache before traffic; subsequent lookups are plain
-    hits.  Returns ``False`` when the key is already cached (the
-    existing object wins, preserving identity for live callers).
-    """
-    with _CACHE_LOCK:
-        if key in _CACHE:
-            return False
-        _insert_locked(key, program)
-        return True
-
-
 def cached_programs() -> dict[str, object]:
     """Snapshot of the process program cache (``key -> program``)."""
     with _CACHE_LOCK:

@@ -16,8 +16,9 @@ On top of them, :func:`run_drill` scripts the failure story the
 replication layer exists for, and **measures** it instead of assuming
 it:
 
-1. warm the fleet (every worker pulls the compiled programs and the
-   replica cache entries it stands behind);
+1. warm the fleet (every worker promotes the replica cache entries it
+   stands behind; a program it misses loads from the peer, not a
+   compile);
 2. drive steady closed-loop load and SIGKILL a worker mid-pass;
 3. assert **zero lost acked reads** (every request answered ok by a
    survivor) and **zero failover recompiles** (no survivor's
@@ -64,7 +65,7 @@ class ChaosWorker:
     Built by :class:`ChaosCluster`; the same ``worker_id`` and cache
     directory survive a :meth:`restart`, so a restarted worker models a
     rebooted node with its disk intact (it re-claims its ring range and
-    warm-starts from its local artifact store).
+    loads the programs it misses from its local artifact store).
     """
 
     def __init__(self, index: int, worker_id: str, spawn, log_path: Path):
@@ -500,8 +501,8 @@ def run_drill(workers: int = 3, replication: int = 2,
                            secret=secret, tls=tls, base_dir=base_dir)
     with cluster:
         # Phase 1: warm the fleet.  The pass compiles each program shape
-        # once somewhere; the artifact tier pushes it to the peer, and
-        # every worker's replica pre-warm pulls it back down.
+        # once somewhere and the artifact tier pushes it to the peer,
+        # where any other worker that misses it loads it from.
         warmup = run_load("127.0.0.1", cluster.port, _drill_mix(requests),
                           concurrency=4, secret=secret, tls=tls)
         report.phases["warmup"] = _load_summary(warmup)
@@ -540,11 +541,11 @@ def run_drill(workers: int = 3, replication: int = 2,
             if delta:
                 report.violations.append(
                     f"failover: survivor {worker_id} recompiled {delta} "
-                    "program(s) — replica pre-warm failed its one job")
+                    "program(s) instead of loading them from artifacts")
         report.phases["survivors"] = {"compiles": dict(survivors)}
 
-        # Phase 4: restart the victim; it must rejoin and warm-start
-        # (its artifacts are on disk and the peer has the rest).
+        # Phase 4: restart the victim; it must rejoin and load what it
+        # misses (its artifacts are on disk and the peer has the rest).
         victim.restart()
         cluster.wait_for_fleet(workers)
         cluster.wait_for_warmth(only={victim.worker_id})
@@ -558,7 +559,7 @@ def run_drill(workers: int = 3, replication: int = 2,
         if restarted:
             report.violations.append(
                 f"restart: {victim.worker_id} recompiled {restarted} "
-                "program(s) instead of warm-starting from artifacts")
+                "program(s) instead of loading them from artifacts")
         ring = sorted(m["worker_id"] for m in cluster.live_workers())
         expected_ring = sorted(w.worker_id for w in cluster.workers)
         if ring != expected_ring:

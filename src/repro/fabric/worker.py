@@ -15,21 +15,20 @@ bound *before* the join (the front-end may route the moment a worker
 appears on the ring), and ``_leave`` is sent *before* the socket closes
 (so a graceful shutdown moves the ring range with zero failed
 forwards).  With ``prewarm_programs`` in the config, the wrapped
-server pulls the fleet's compiled-program artifacts *before* its
-socket binds — so by the time this node joins the ring and the
-front-end routes to it, every program another node has compiled is
-already a warm cache hit here (compile once, execute everywhere).
+server loads a program it misses from its local artifacts or the cache
+peer before compiling, and pushes every program it compiles — so a
+program any node has compiled is a load, not a compile, here (compile
+once, execute everywhere).
 
 Under R-way replication the agent also keeps this node warm for every
 key range it *backs up*, not just the ranges it owns: whenever the
 heartbeat reply reports a membership-version change (someone joined or
 died, so replica placement moved), and on a slow periodic cadence
-regardless, it re-pulls the fleet's program artifacts and walks the
-front-end's ``_assignments`` catalog, promoting the cache entries of
-its replica keys into the local tier.  That steady background warmth
-is what makes failover free: when a primary is SIGKILLed, the next
-replica already holds the programs and results, so rerouted traffic
-costs zero recompiles.
+regardless, it walks the front-end's ``_assignments`` catalog,
+promoting the cache entries of its replica keys into the local tier.
+That steady background warmth is what makes failover free: when a
+primary is SIGKILLed, the next replica already holds the results, so
+rerouted traffic costs zero recompiles.
 
 Heartbeat intervals carry ±20% jitter: after a mass restart (deploy,
 power event) hundreds of workers would otherwise heartbeat in phase
@@ -42,6 +41,7 @@ import random
 import threading
 import time
 
+from repro.obs import Counters
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, ServerHandle
 
@@ -103,9 +103,7 @@ class WorkerNode:
         self._stop = threading.Event()
         self._client: ServeClient | None = None
         self._client_lock = threading.Lock()
-        self.heartbeats_sent = 0
-        self.rejoins = 0
-        self.prewarms = 0
+        self.counters = Counters("heartbeats_sent", "rejoins", "prewarms")
         self.replica_warmth: dict | None = None
         self._seen_version: int | None = None
         self._last_prewarm = 0.0
@@ -169,7 +167,7 @@ class WorkerNode:
         """The membership agent's gauges (merged into ``_stats``)."""
         return {
             "replica_prewarm": {
-                "runs": self.prewarms,
+                "runs": self.counters.snapshot()["prewarms"],
                 "interval_s": self.prewarm_interval,
                 "last": self.replica_warmth,
             },
@@ -177,8 +175,8 @@ class WorkerNode:
 
     def stats(self) -> dict:
         """The wrapped server's ``_stats`` reply: its counters (including
-        the ``programs`` sub-dict with the pre-warm report when one ran)
-        and this agent's replica-warmth report under ``replica_prewarm``."""
+        the ``programs`` sub-dict) and this agent's replica-warmth report
+        under ``replica_prewarm``."""
         return self.handle.stats()
 
     def __enter__(self) -> WorkerNode:
@@ -233,13 +231,13 @@ class WorkerNode:
             try:
                 response = self._connect().send(
                     "_heartbeat", {"worker_id": self.worker_id})
-                self.heartbeats_sent += 1
+                self.counters.inc("heartbeats_sent")
                 value = response.value or {}
                 if response.ok and not value.get("known", True):
                     # Evicted while we were alive (partition healed, or
                     # the front-end restarted): claim our range back.
                     reply = self._join()
-                    self.rejoins += 1
+                    self.counters.inc("rejoins")
                     value = {"version": reply.get("version", value.get("version"))}
                 if response.ok:
                     self._maybe_prewarm(value.get("version"))
@@ -251,7 +249,7 @@ class WorkerNode:
                     return
                 try:
                     self._join()
-                    self.rejoins += 1
+                    self.counters.inc("rejoins")
                 except Exception:
                     pass  # still down; next tick tries again
 
@@ -281,21 +279,15 @@ class WorkerNode:
             self._prewarm_thread.start()
 
     def _replica_prewarm(self, reason: str) -> None:
-        """Pull programs + promote replica cache entries; never raises.
+        """Promote replica cache entries; never raises.
 
-        Two halves, both best-effort:
-
-        1. **programs** — re-run the artifact-store pre-warm through the
-           server's installed tier, so programs compiled elsewhere in
-           the fleet since the last refresh become local cache hits;
-        2. **results** — re-push every result whose write-back push to
-           the peer failed (so replicas can find it), then ask the
-           front-end which cataloged requests this worker stands behind
-           (``_assignments``) and read each one's cache key through the
-           tiered path, promoting remote entries into the local tier.
-
-        Either half failing (front-end briefly down, peer unreachable)
-        leaves a partial report; the next refresh tries again.
+        Best-effort: re-push every result whose write-back push to the
+        peer failed (so replicas can find it), then ask the front-end
+        which cataloged requests this worker stands behind
+        (``_assignments``) and read each one's cache key through the
+        tiered path, promoting remote entries into the local tier.  A
+        failure (front-end briefly down, peer unreachable) leaves an
+        ``error`` in the report; the next refresh tries again.
         """
         from repro.runtime.cache import MISS
         from repro.runtime.tiers import TieredCache
@@ -303,9 +295,6 @@ class WorkerNode:
 
         report: dict = {"reason": reason}
         try:
-            tier = getattr(self.handle.server, "_program_tier", None)
-            if tier is not None:
-                report["programs"] = tier.store.prewarm()
             cache = self.handle.server.cache
             if isinstance(cache, TieredCache):
                 cache.retry_pushes()
@@ -337,4 +326,4 @@ class WorkerNode:
         except Exception as exc:
             report["error"] = f"{type(exc).__name__}: {exc}"
         self.replica_warmth = report
-        self.prewarms += 1
+        self.counters.inc("prewarms")

@@ -424,22 +424,20 @@ class ResultCache:
         producing function's ``module.qualname``.
 
         Entries written before metadata existed (or unreadable ones)
-        group under ``"(unknown)"``.  Compiled-program artifact and
-        manifest blobs (``repro.engine.artifacts`` — recognized by
-        magic prefix, never unpickled) group under
-        ``"(program-artifact)"`` / ``"(program-manifest)"``.  Rows come
-        back sorted by bytes, largest first — the order ``repro cache
-        info`` prints.
+        group under ``"(unknown)"``.  Compiled-program artifact blobs
+        (``repro.engine.artifacts`` — recognized by magic prefix, never
+        unpickled) group under ``"(program-artifact)"``.  Rows come back
+        sorted by bytes, largest first — the order ``repro cache info``
+        prints.
 
         This unpickles every result entry to read its metadata, so it
         costs a full cache read — fine for CLI inspection, not for hot
         paths (use :meth:`stats` for the cheap stat-only totals).
         """
-        # Same literals as repro.engine.artifacts.MAGIC/MANIFEST_MAGIC;
-        # duplicated here so the storage layer never imports the engine
-        # (a test pins the two in sync).
-        blob_families = ((b"RPROGART", "(program-artifact)"),
-                         (b"RPROGMAN", "(program-manifest)"))
+        # Same literal as repro.engine.artifacts.MAGIC; duplicated here
+        # so the storage layer never imports the engine (a test pins the
+        # two in sync).
+        artifact_magic = b"RPROGART"
         groups: dict[str, list[int]] = {}
         if self.root.is_dir():
             for path in self.root.rglob("*.pkl"):
@@ -447,23 +445,18 @@ class ResultCache:
                     size = path.stat().st_size
                 except OSError:
                     continue  # concurrently evicted
+                fn = "(unknown)"
                 try:
                     with path.open("rb") as fh:
-                        head = fh.read(8)
-                        family = next(
-                            (name for magic, name in blob_families
-                             if head.startswith(magic)), None)
-                        if family is None:
+                        if fh.read(len(artifact_magic)) == artifact_magic:
+                            fn = "(program-artifact)"
+                        else:
                             fh.seek(0)
                             loaded = pickle.load(fh)
-                        else:
-                            loaded = None
+                            if isinstance(loaded, CacheEntry) and loaded.fn:
+                                fn = loaded.fn
                 except Exception:
-                    loaded, family = None, None  # unreadable: bytes still count
-                if family is not None:
-                    fn = family
-                else:
-                    fn = loaded.fn if isinstance(loaded, CacheEntry) and loaded.fn else "(unknown)"
+                    pass  # unreadable: its bytes still count
                 bucket = groups.setdefault(fn, [0, 0])
                 bucket[0] += 1
                 bucket[1] += size

@@ -41,11 +41,12 @@ This is how a fabric worker's cache reaches the front-end's: worker →
 its local peer → the front-end's peer, each hop authenticated with the
 same fleet secret.
 
-Compiled-program artifacts ride this exact surface: ``repro programs
-push|pull`` and serve-node pre-warm move :mod:`repro.engine.artifacts`
-envelopes (plus one manifest blob) through the same ``/cache/<key>``
-routes under the same auth — to the peer they are just more opaque
-bytes.  One node compiles, pushes here, and the fleet warm-starts.
+Compiled-program artifacts ride this exact surface: a serve node's
+artifact tier and ``repro cache push|pull`` move
+:mod:`repro.engine.artifacts` envelopes through the same
+``/cache/<key>`` routes under the same auth — to the peer they are just
+more opaque bytes.  One node compiles and pushes here; every other node
+that misses the program loads it from here instead of compiling.
 """
 
 from __future__ import annotations

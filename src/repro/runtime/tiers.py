@@ -220,7 +220,7 @@ class HTTPPeerTier:
     def for_bulk(cls, url: str, timeout: float = 10.0,
                  secret: str | None = None,
                  tls: TLSConfig | None = None) -> HTTPPeerTier:
-        """A tier tuned for one-shot bulk sync (push/pull/prewarm).
+        """A tier tuned for one-shot bulk sync (``repro cache push/pull``).
 
         The serving defaults are wrong for bulk transfers: a 2 s
         timeout truncates big blobs and a 3-failure breaker silently

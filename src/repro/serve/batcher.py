@@ -17,6 +17,8 @@ from __future__ import annotations
 import asyncio
 from collections.abc import Awaitable, Callable
 
+from repro.obs import Counters
+
 
 class MicroBatcher:
     """Coalesces submitted items into bounded batches.
@@ -29,9 +31,10 @@ class MicroBatcher:
             even if the batch is not full.
 
     Attributes:
-        flushed_on_size: number of batches flushed by the size trigger.
-        flushed_on_timeout: number flushed by the time trigger (or an
-            explicit :meth:`flush_now`).
+        stats: a :class:`~repro.obs.Counters` of ``flushed_on_size``
+            (batches flushed by the size trigger) and
+            ``flushed_on_timeout`` (by the time trigger, or an explicit
+            :meth:`flush_now`).
     """
 
     def __init__(
@@ -47,8 +50,7 @@ class MicroBatcher:
         self._flush = flush
         self.max_batch = max_batch
         self.max_delay = max_delay
-        self.flushed_on_size = 0
-        self.flushed_on_timeout = 0
+        self.stats = Counters("flushed_on_size", "flushed_on_timeout")
         self._pending: list = []
         self._timer: asyncio.Task | None = None
 
@@ -60,7 +62,7 @@ class MicroBatcher:
         """Queue one item; may flush inline when the batch fills."""
         self._pending.append(item)
         if len(self._pending) >= self.max_batch:
-            self.flushed_on_size += 1
+            self.stats.inc("flushed_on_size")
             await self._drain()
         elif self._timer is None:
             self._timer = asyncio.ensure_future(self._delayed_flush())
@@ -68,7 +70,7 @@ class MicroBatcher:
     async def flush_now(self) -> None:
         """Flush whatever is pending without waiting for a trigger."""
         if self._pending:
-            self.flushed_on_timeout += 1
+            self.stats.inc("flushed_on_timeout")
             await self._drain()
 
     async def aclose(self) -> None:
@@ -87,7 +89,7 @@ class MicroBatcher:
         # queue; _drain() clears the timer handle either way.
         self._timer = None
         if self._pending:
-            self.flushed_on_timeout += 1
+            self.stats.inc("flushed_on_timeout")
             await self._drain()
 
     async def _drain(self) -> None:

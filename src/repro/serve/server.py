@@ -73,17 +73,16 @@ class ServeConfig:
             When set, every request must carry a valid HMAC ``auth``
             field — checked before the endpoint is even resolved.
             ``None`` keeps the server open (the pre-fabric behaviour).
-        prewarm_programs: before binding the socket, pull the fleet's
-            compiled-program artifacts (from ``remote_cache`` when set,
-            else the local artifact dir) and seed the engine program
-            cache, then leave the artifact tier installed so later
-            compiles are shared back.  A cold node that prewarms serves
-            its first ``network_forward`` with zero compilations.  The
-            warm cache lives in the serving process: ``"thread"`` shard
-            workers share it directly; ``"process"`` shards keep
-            per-process program caches (they inherit the warm cache on
-            fork-start platforms, and the pulled artifact files are on
-            disk either way).
+        prewarm_programs: share compiled programs through the artifact
+            store: install :class:`~repro.engine.artifacts.ProgramArtifactTier`
+            over a store on ``cache_dir``.  A program-cache miss then
+            loads the program from this node's artifacts, then from the
+            ``remote_cache`` peer (through the tiered result cache's own
+            client, so its timeout and breaker apply), before compiling,
+            and every fresh compile is written back and pushed.  Nothing
+            loads before traffic.  The program cache lives in the
+            serving process: ``"thread"`` shard workers share it
+            directly; ``"process"`` shards keep per-process caches.
         tls: TLS identity (:class:`repro.fabric.tls.TLSConfig`) for the
             listening socket *and* the remote-cache client; ``None``
             falls back to the ``REPRO_FABRIC_TLS_*`` environment, and
@@ -310,7 +309,6 @@ class Server(LineServer):
             max_batch=self.config.max_batch,
             max_delay=self.config.max_delay_ms / 1000.0,
         )
-        self.programs_prewarmed: dict | None = None
         # Optional callable merged into stats_snapshot(): a wrapper
         # (e.g. a fabric WorkerNode) exposes its own gauges over the
         # wire ``_stats`` endpoint without the server knowing about it.
@@ -334,10 +332,7 @@ class Server(LineServer):
         if isinstance(self.cache, TieredCache):
             snapshot["tier"] = self.cache.tier_stats()
         from repro.engine.program import program_cache_info
-        programs = program_cache_info()
-        if self.programs_prewarmed is not None:
-            programs["prewarm"] = self.programs_prewarmed
-        snapshot["programs"] = programs
+        snapshot["programs"] = program_cache_info()
         if self.extra_stats is not None:
             try:
                 snapshot.update(self.extra_stats())
@@ -345,40 +340,19 @@ class Server(LineServer):
                 pass  # a broken gauge must not break _stats
         return snapshot
 
-    def _prewarm_programs(self) -> dict:
-        """Pull fleet program artifacts and install the artifact tier.
-
-        Runs in an executor before the socket binds (so traffic never
-        races the warm-up).  Best-effort end to end: a down peer or a
-        stale artifact shrinks the installed count, never blocks
-        serving.
-        """
-        from repro.engine.artifacts import ProgramArtifactTier, ProgramStore
-        from repro.engine.program import set_artifact_tier
-        from repro.runtime.tiers import HTTPPeerTier
-        remote = self.config.remote_cache
-        if isinstance(remote, str) and remote:
-            remote = HTTPPeerTier.for_bulk(
-                remote, timeout=max(self.config.remote_timeout, 10.0),
-                tls=self.config.tls)
-        store = ProgramStore(root=self.config.cache_dir, remote=remote)
-        report = store.prewarm()
-        self._program_tier = ProgramArtifactTier(store)
-        set_artifact_tier(self._program_tier)
-        return report
-
     async def start(self) -> None:
         """Bind the listening socket; fills in :attr:`port`.
 
-        When :attr:`ServeConfig.prewarm_programs` is set, the program
-        pre-warm (pull artifacts, seed the engine cache, install the
-        write-back tier) completes *before* the bind — a client that
-        can connect is a client that gets warm programs.
+        With :attr:`ServeConfig.prewarm_programs` set, first installs the
+        program artifact tier (see there); it loads nothing eagerly.
         """
         if self.config.prewarm_programs:
-            loop = asyncio.get_running_loop()
-            self.programs_prewarmed = await loop.run_in_executor(
-                None, self._prewarm_programs)
+            from repro.engine.artifacts import ProgramArtifactTier, ProgramStore
+            from repro.engine.program import set_artifact_tier
+            remote = self.cache.remote if isinstance(self.cache, TieredCache) else None
+            self._program_tier = ProgramArtifactTier(
+                ProgramStore(root=self.config.cache_dir, remote=remote))
+            set_artifact_tier(self._program_tier)
         await super().start()
 
     async def aclose(self) -> None:

@@ -36,11 +36,6 @@ class TestFilterGroupTablesValidation:
         with pytest.raises(ValueError, match=r"expected \(G, L\) = \(1, 4\)"):
             dataclasses.replace(good, transitions=np.vstack([good.transitions] * 2))
 
-    def test_skip_needs_shape_mismatch_rejected(self):
-        good = self.good()
-        with pytest.raises(ValueError, match="skip_needs has shape"):
-            dataclasses.replace(good, skip_needs=good.skip_needs[:, :-1])
-
     def test_group_sizes_recovered(self):
         good = self.good()
         rebuilt = FilterGroupTables(**{f.name: getattr(good, f.name)
@@ -51,8 +46,7 @@ class TestFilterGroupTablesValidation:
     def test_empty_tables_valid(self):
         empty = FilterGroupTables(
             filters=np.zeros((1, 4), dtype=np.int64), canonical=np.zeros(1, dtype=np.int64),
-            iit=np.zeros(0, dtype=np.int64), transitions=np.zeros((1, 0), dtype=bool),
-            skip_needs=np.zeros((1, 0), dtype=np.int64))
+            iit=np.zeros(0, dtype=np.int64), transitions=np.zeros((1, 0), dtype=bool))
         assert empty.num_entries == 0
         assert empty.stats().multiplies == 0
         assert list(empty.execute(np.arange(4))) == [0]

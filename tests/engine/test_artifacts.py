@@ -8,8 +8,12 @@ truncation, version bump, or stale-fingerprint path must be a clean
 import copy
 import dataclasses
 import json
+import os
+import socket
 import struct
 import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -31,10 +35,26 @@ from repro.engine.program import KERNEL_ARRAYS, cached_programs, set_artifact_ti
 _RNG = np.random.default_rng(20260807)
 
 
+def _weights(seed=0, k=6, n=18):
+    return np.random.default_rng(seed).integers(-4, 5, size=(k, n))
+
+
 def _layer(seed=0, k=6, n=18):
-    rng = np.random.default_rng(seed)
     clear_program_cache()
-    return compiled_layer_for(rng.integers(-4, 5, size=(k, n)), group_size=2)
+    return compiled_layer_for(_weights(seed, k, n), group_size=2)
+
+
+def _with_tier(store, run):
+    """``run()`` with a tier over ``store`` installed; the tier is drained and closed."""
+    tier = A.ProgramArtifactTier(store)
+    previous = set_artifact_tier(tier)
+    try:
+        result = run()
+        tier.drain()
+        return result
+    finally:
+        set_artifact_tier(previous)
+        tier.close()
 
 
 def _network():
@@ -403,8 +423,7 @@ class TestProgramStore:
         windows = rng.integers(-9, 10, size=(10, layer.program.filter_size))
         assert np.array_equal(execute_program(layer.program, windows),
                               execute_program(again.program, windows))
-        manifest = store.manifest()
-        assert manifest[layer.key]["kind"] == A.KIND_LAYER
+        assert store.artifacts()[layer.key]["kind"] == A.KIND_LAYER
 
     def test_load_absent_returns_none(self, tmp_path):
         assert A.ProgramStore(root=tmp_path).load("layer:g1:m16:c1:" + "0" * 64) is None
@@ -426,22 +445,56 @@ class TestProgramStore:
         from repro.runtime.tiers import KEY_RE
 
         assert KEY_RE.fullmatch(A.ProgramStore.store_key("layer:g2:m16:c1:abc"))
-        assert KEY_RE.fullmatch(A.ProgramStore.MANIFEST_KEY)
 
     def test_magic_literals_pinned_to_cache_breakdown(self, tmp_path):
-        """cache.py duplicates the magic prefixes; keep them in sync."""
-        assert A.MAGIC == b"RPROGART" and A.MANIFEST_MAGIC == b"RPROGMAN"
+        """cache.py duplicates the magic prefix; keep them in sync."""
+        assert A.MAGIC == b"RPROGART"
         layer = _layer(seed=8)
         store = A.ProgramStore(root=tmp_path)
         store.save(layer.key, layer)
-        groups = {g.fn for g in store.cache.breakdown()}
-        assert "(program-artifact)" in groups
-        assert "(program-manifest)" in groups
+        assert {g.fn for g in store.cache.breakdown()} == {"(program-artifact)"}
+
+    def test_artifacts_read_only_valid_artifact_blobs(self, tmp_path):
+        """Result entries and torn artifacts are skipped; headers supply every field."""
+        store = A.ProgramStore(root=tmp_path)
+        layers = [_layer(seed=s) for s in (9, 10)]
+        for layer in layers:
+            assert store.save(layer.key, layer)
+        store.cache.put("ab" * 32, {"a": "result"})
+        torn = store.store_key(layers[1].key)
+        store.cache.put_blob(torn, store.cache.get_blob(torn)[:-1])
+        (entry,) = store.artifacts().items()
+        assert entry == (layers[0].key, {
+            "kind": A.KIND_LAYER, "engine": A.engine_fingerprint(),
+            "bytes": len(store.cache.get_blob(store.store_key(layers[0].key)))})
+
+    def test_artifacts_after_eviction_lists_the_blobs_left(self, tmp_path):
+        """Eviction drops blobs; the listing is read from what is left on disk."""
+        store = A.ProgramStore(root=tmp_path)
+        layers = [_layer(seed=20 + i) for i in range(5)]
+        paths = [store.cache.path_for(store.store_key(layer.key)) for layer in layers]
+        for age, (layer, path) in enumerate(zip(layers, paths)):
+            assert store.save(layer.key, layer)
+            os.utime(path, (1_000_000 + age, 1_000_000 + age))  # oldest first
+        total = sum(path.stat().st_size for path in paths)
+        assert store.cache.evict(total - 1) == 1  # only the oldest goes
+        listed = store.artifacts()
+        assert set(listed) == {layer.key for layer in layers[1:]}
+        assert {store.store_key(key) for key in listed} == set(store.cache.iter_keys())
+        assert store.stats()["programs"] == 4
+
+
+def _hung_peer():
+    """A listening socket that accepts connections and never answers."""
+    hung = socket.socket()
+    hung.bind(("127.0.0.1", 0))
+    hung.listen(16)
+    return hung, f"http://127.0.0.1:{hung.getsockname()[1]}"
 
 
 class TestFleetSync:
-    def test_push_pull_prewarm_zero_misses(self, rng):
-        """Node A compiles+pushes; node B pulls and serves with 0 compiles."""
+    def test_read_through_from_peer_zero_misses(self):
+        """Node A compiles and pushes; node B loads the net: program from the peer."""
         from repro.runtime.peer import CachePeer
         from repro.serve.endpoints import network_forward
 
@@ -449,31 +502,20 @@ class TestFleetSync:
              tempfile.TemporaryDirectory() as a_root, \
              tempfile.TemporaryDirectory() as b_root, \
              CachePeer(root=peer_root, port=0) as peer:
-            url = f"http://127.0.0.1:{peer.port}"
-            store_a = A.ProgramStore(root=a_root, remote=url)
-            tier_a = A.ProgramArtifactTier(store_a)
-            previous = set_artifact_tier(tier_a)
-            try:
-                clear_program_cache()
-                ref = network_forward(seed=13, batch=2)
-                tier_a.drain()
-            finally:
-                set_artifact_tier(previous)
-                tier_a.close()
-            assert ref["parity"]
-            assert len(store_a.manifest()) >= 2  # net: + layer: programs
-
             clear_program_cache()
-            store_b = A.ProgramStore(root=b_root, remote=url)
-            report = store_b.prewarm()
-            assert report["installed"] >= 2 and report["failed"] == 0
-            res = network_forward(seed=13, batch=2)
+            ref = _with_tier(A.ProgramStore(root=a_root, remote=peer.url),
+                             lambda: network_forward(seed=13, batch=2))
+            assert ref["parity"]
+            clear_program_cache()
+            res = _with_tier(A.ProgramStore(root=b_root, remote=peer.url),
+                             lambda: network_forward(seed=13, batch=2))
             info = program_cache_info()
-            assert info["misses"] == 0, f"warm node compiled: {info}"
-            assert res["out_checksum"] == ref["out_checksum"]
-            assert res["program_key"] == ref["program_key"]
+        assert info["misses"] == 0, f"warm node compiled: {info}"
+        assert info["artifact_hits"] == 1  # the net: program carries its layers
+        assert res["out_checksum"] == ref["out_checksum"]
+        assert res["program_key"] == ref["program_key"]
 
-    def test_pull_rejects_stale_fleet_artifacts(self):
+    def test_stale_fleet_artifact_is_a_load_miss(self):
         from repro.runtime.peer import CachePeer
 
         layer = _layer(seed=14)
@@ -481,33 +523,83 @@ class TestFleetSync:
              tempfile.TemporaryDirectory() as a_root, \
              tempfile.TemporaryDirectory() as b_root, \
              CachePeer(root=peer_root, port=0) as peer:
-            url = f"http://127.0.0.1:{peer.port}"
-            old = A.ProgramStore(root=a_root, remote=url,
+            old = A.ProgramStore(root=a_root, remote=peer.url,
                                  fingerprint="00000000deadbeef")
-            assert old.save(layer.key, layer)
-            assert old.push().copied == 1
-            new = A.ProgramStore(root=b_root, remote=url)
-            report = new.pull()
-            assert report.copied == 0 and report.failed == 1
-            assert new.load(layer.key) is None  # never landed locally
+            tier = A.ProgramArtifactTier(old)
+            tier.offer(layer.key, layer)
+            tier.close()
+            assert peer.stats_payload()["entries"] == 1
+            new = A.ProgramStore(root=b_root, remote=peer.url)
+            assert new.load(layer.key) is None
+            assert new.stats()["load_failures"] == 1
+            assert new.artifacts() == {}  # never landed locally
+            clear_program_cache()
+            _with_tier(new, lambda: compiled_layer_for(_weights(14), group_size=2))
+            info = program_cache_info()
+        assert info["misses"] == 1 and info["artifact_hits"] == 0
 
-    def test_prewarm_without_remote_uses_local_dir(self, tmp_path):
+    def test_read_through_without_remote_uses_local_dir(self, tmp_path):
         layer = _layer(seed=15)
-        store = A.ProgramStore(root=tmp_path)
-        store.save(layer.key, layer)
+        A.ProgramStore(root=tmp_path).save(layer.key, layer)
         clear_program_cache()
-        report = A.ProgramStore(root=tmp_path).prewarm()
-        assert report == {"installed": 1, "skipped": 0, "failed": 0, "pulled": None}
+        _with_tier(A.ProgramStore(root=tmp_path),
+                   lambda: compiled_layer_for(_weights(15), group_size=2))
         info = program_cache_info()
-        assert info["entries"] == 1 and info["misses"] == 0
+        assert info["entries"] == 1 and info["misses"] == 0 and info["artifact_hits"] == 1
 
-    def test_prewarm_survives_dead_peer(self, tmp_path):
-        clear_program_cache()
+    def test_load_survives_dead_peer(self, tmp_path):
         store = A.ProgramStore(root=tmp_path, remote="http://127.0.0.1:9",
                                remote_timeout=0.2)
-        report = store.prewarm()  # must not raise
-        assert report["installed"] == 0
-        assert report["pulled"] in (None, "peer unreachable")
+        assert store.load("layer:g1:m16:c1:" + "0" * 64) is None  # must not raise
+
+    def test_concurrent_write_back_loses_nothing(self, tmp_path):
+        """Two nodes push 60 programs through one peer at once; a third compiles none."""
+        from repro.runtime.peer import CachePeer
+
+        weights = [_weights(100 + i, k=4, n=12) for i in range(60)]
+        with CachePeer(root=tmp_path / "peer", port=0) as peer:
+            clear_program_cache()
+            layers = [compiled_layer_for(w, group_size=2) for w in weights]
+            tiers = [A.ProgramArtifactTier(A.ProgramStore(root=tmp_path / name,
+                                                          remote=peer.url))
+                     for name in ("a", "b")]
+
+            def write_back(tier, share):
+                for layer in share:
+                    tier.offer(layer.key, layer)
+                tier.drain()
+
+            threads = [threading.Thread(target=write_back, args=(tier, layers[i::2]))
+                       for i, tier in enumerate(tiers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            for tier in tiers:
+                assert tier.stats()["stored"] == 30
+                tier.close()
+            clear_program_cache()
+            _with_tier(A.ProgramStore(root=tmp_path / "c", remote=peer.url),
+                       lambda: [compiled_layer_for(w, group_size=2) for w in weights])
+            info = program_cache_info()
+        assert info["misses"] == 0 and info["artifact_hits"] == 60
+
+    def test_hung_peer_opens_the_breaker(self, tmp_path):
+        """Read-through misses stop waiting on a peer that never answers."""
+        hung, url = _hung_peer()
+        tier = A.ProgramArtifactTier(
+            A.ProgramStore(root=tmp_path, remote=url, remote_timeout=0.2))
+        waits = []
+        with hung:
+            for i in range(6):
+                started = time.monotonic()
+                assert tier.fetch(f"layer:g1:m16:c1:{i:064x}") is None
+                waits.append(time.monotonic() - started)
+        tier.close()
+        remote = tier.store.remote.stats()
+        assert remote["errors"] == 3 and remote["skipped"] == 3 and remote["breaker_open"]
+        assert max(waits[3:]) < 0.15 <= min(waits[:3])
 
 
 class TestArtifactTier:

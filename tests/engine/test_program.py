@@ -375,14 +375,3 @@ class TestArtifactTierHook:
         assert tier.fetches == ["test:cold"]
         assert tier.offers == [("test:cold", built)]
         assert program_cache_info()["misses"] == 1
-
-    def test_seed_program_cache(self):
-        from repro.engine.program import _cached, seed_program_cache
-
-        clear_program_cache()
-        seeded = object()
-        assert seed_program_cache("test:seeded", seeded)
-        assert not seed_program_cache("test:seeded", object())  # existing wins
-        assert _cached("test:seeded", lambda: pytest.fail("compiled")) is seeded
-        info = program_cache_info()
-        assert info["hits"] == 1 and info["misses"] == 0

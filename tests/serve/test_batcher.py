@@ -30,7 +30,7 @@ class TestSizeTrigger:
         full_batches, leftover, batcher = run(scenario())
         assert full_batches == [[0, 1, 2], [3, 4, 5]]
         assert leftover == 1
-        assert batcher.flushed_on_size == 2
+        assert batcher.stats.snapshot()["flushed_on_size"] == 2
 
     def test_max_batch_one_flushes_immediately(self):
         async def scenario():
@@ -67,8 +67,8 @@ class TestTimeTrigger:
         before_delay, batches, batcher = run(scenario())
         assert before_delay == []
         assert batches == [["a", "b"]]
-        assert batcher.flushed_on_timeout == 1
-        assert batcher.flushed_on_size == 0
+        assert batcher.stats.snapshot()["flushed_on_timeout"] == 1
+        assert batcher.stats.snapshot()["flushed_on_size"] == 0
 
     def test_size_trigger_cancels_pending_timer(self):
         async def scenario():
@@ -86,8 +86,8 @@ class TestTimeTrigger:
 
         batches, batcher = run(scenario())
         assert batches == [[1, 2]]
-        assert batcher.flushed_on_size == 1
-        assert batcher.flushed_on_timeout == 0
+        assert batcher.stats.snapshot()["flushed_on_size"] == 1
+        assert batcher.stats.snapshot()["flushed_on_timeout"] == 0
 
 
 class TestExplicitFlush:

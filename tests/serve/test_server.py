@@ -353,7 +353,7 @@ class TestStats:
 
 class TestProgramPrewarm:
     def test_prewarmed_server_serves_with_zero_compiles(self, tmp_path):
-        """Warm-start proof at the serve layer: pull artifacts, 0 misses."""
+        """Warm-start proof at the serve layer: read artifacts through, 0 misses."""
         from repro.engine import clear_program_cache
         from repro.engine.artifacts import ProgramArtifactTier, ProgramStore
         from repro.engine.program import set_artifact_tier
@@ -381,8 +381,49 @@ class TestProgramPrewarm:
         assert response.ok, response.error
         assert response.value["out_checksum"] == ref["out_checksum"]
         programs = stats["programs"]
-        assert programs["prewarm"]["installed"] >= 2
+        assert programs["artifact_hits"] >= 1
         assert programs["misses"] == 0, f"prewarmed server compiled: {programs}"
+
+    def test_nothing_loads_before_traffic(self, tmp_path):
+        """More stored artifacts than the program cache holds: none load eagerly."""
+        import numpy as np
+
+        from repro.engine import clear_program_cache, compiled_layer_for, program_cache_info
+        from repro.engine.artifacts import ProgramStore
+
+        store = ProgramStore(root=tmp_path / "cache")
+        rng = np.random.default_rng(5)
+        for _ in range(program_cache_info()["max"] + 2):
+            layer = compiled_layer_for(rng.integers(-3, 4, size=(2, 4)), group_size=2)
+            assert store.save(layer.key, layer)
+        clear_program_cache()
+        with ServerHandle(make_config(tmp_path, workers=1, prewarm_programs=True)) as handle:
+            programs = handle.stats()["programs"]
+        assert programs["entries"] == 0 and programs["artifact_hits"] == 0
+
+    def test_hung_peer_opens_the_breaker(self, tmp_path):
+        """Program loads share the server's peer client: once its breaker opens they skip."""
+        import socket
+
+        from repro.engine.program import get_artifact_tier
+
+        with socket.socket() as hung:
+            hung.bind(("127.0.0.1", 0))
+            hung.listen(16)
+            config = make_config(
+                tmp_path, workers=1, prewarm_programs=True, remote_timeout=0.2,
+                remote_cache=f"http://127.0.0.1:{hung.getsockname()[1]}")
+            with ServerHandle(config) as handle:
+                tier = get_artifact_tier()
+                assert tier.store.remote is handle.server.cache.remote
+                waits = []
+                for i in range(6):
+                    started = time.monotonic()
+                    assert tier.fetch(f"layer:g1:m16:c1:{i:064x}") is None
+                    waits.append(time.monotonic() - started)
+                remote = handle.stats()["tier"]["remote"]
+        assert remote["errors"] == 3 and remote["skipped"] == 3 and remote["breaker_open"]
+        assert max(waits[3:]) < 0.15 <= min(waits[:3])
 
     def test_stats_always_carry_programs_block(self, server):
         stats = server.stats()

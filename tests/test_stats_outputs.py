@@ -5,13 +5,13 @@ of every output it reads, nested dicts included, and the exact counts
 the sequence leaves behind:
 
 * the ``_stats`` reply of a thread-mode server over a tiered cache (its
-  ``tier``, ``tier.remote`` and ``programs.prewarm`` sub-dicts) and the
-  cache peer's ``/stats`` behind it;
+  ``tier``, ``tier.remote`` and ``programs`` sub-dicts) and the cache
+  peer's ``/stats`` behind it;
 * the ``_stats`` replies of a front-end and of its one joined worker
   (``routing``, ``admission``, ``membership``, ``replica_prewarm``);
 * ``ProgramStore.stats()``, ``ProgramArtifactTier.stats()`` and
   ``program_cache_info()`` across a compile with write-back, a
-  read-through on a second node and a stale pull on a third;
+  read-through on a second node and a stale load on a third;
 * ``Membership.snapshot()`` and ``AdmissionController.snapshot()``,
   driven in process on injected clocks.
 """
@@ -51,7 +51,6 @@ PEER_TIER_KEYS = {"gets", "hits", "misses", "puts", "put_failures", "errors", "s
 PEER_KEYS = {"gets", "hits", "misses", "puts", "auth_rejected", "upstream_hits",
              "upstream_misses", "upstream_errors", "entries", "bytes", "root", "max_bytes"}
 PROGRAM_CACHE_KEYS = {"entries", "hits", "misses", "artifact_hits", "inflight", "max"}
-PREWARM_KEYS = {"installed", "skipped", "failed", "pulled"}
 FRONTEND_KEYS = {"requests", "forwarded", "forward_errors", "retries", "spills",
                  "not_replayed", "no_workers", "auth_rejected", "errors", "routing",
                  "admission", "membership"}
@@ -63,7 +62,7 @@ MEMBERSHIP_KEYS = {"workers", "ring_nodes", "replicas", "version", "heartbeat_ti
 WORKER_INFO_KEYS = {"worker_id", "host", "port", "age_s", "heartbeat_age_s", "forwards",
                     "inflight", "spills"}
 STORE_KEYS = {"saves", "save_rejected", "loads", "load_failures", "remote_loads",
-              "stale_rejected", "root", "programs", "bytes", "engine_fingerprint", "stale"}
+              "root", "programs", "bytes", "engine_fingerprint", "stale"}
 ARTIFACT_TIER_KEYS = {"fetch_hits", "fetch_misses", "offers", "stored", "store_failures",
                       "store"}
 REPLICA_PREWARM_KEYS = {"runs", "interval_s", "last"}
@@ -134,8 +133,7 @@ def test_server_stats_over_a_tiered_cache(tmp_path):
     assert set(wire) == SERVER_KEYS | {"tier"}
     assert set(wire["tier"]) == TIER_KEYS
     assert set(wire["tier"]["remote"]) == PEER_TIER_KEYS
-    assert set(wire["programs"]) == PROGRAM_CACHE_KEYS | {"prewarm"}
-    assert set(wire["programs"]["prewarm"]) == PREWARM_KEYS
+    assert set(wire["programs"]) == PROGRAM_CACHE_KEYS
     assert wire == {
         # two points, the unsigned ping, the bad line, and _stats itself
         "requests": 5, "hits": 1, "misses": 1, "coalesced": 0, "errors": 1,
@@ -152,8 +150,6 @@ def test_server_stats_over_a_tiered_cache(tmp_path):
         "programs": {
             "entries": 0, "hits": 0, "misses": 0, "artifact_hits": 0, "inflight": 0,
             "max": 128,
-            "prewarm": {"installed": 0, "skipped": 0, "failed": 0,
-                        "pulled": "0 copied, 0 already present, 0 failed"},
         },
     }
     assert local["per_shard"] == {0: 1}
@@ -162,9 +158,8 @@ def test_server_stats_over_a_tiered_cache(tmp_path):
     assert set(peer_stats) == PEER_KEYS
     sized = split(peer_stats, "bytes", "root")
     assert sized["bytes"] > 0 and sized["root"] == str(tmp_path / "peer")
-    # The prewarm's manifest probe and the point's remote lookup both
-    # missed; the point's push is the one stored entry.
-    assert peer_stats == {"gets": 2, "hits": 0, "misses": 2, "puts": 1, "auth_rejected": 0,
+    # The point's remote lookup missed; its push is the one stored entry.
+    assert peer_stats == {"gets": 1, "hits": 0, "misses": 1, "puts": 1, "auth_rejected": 0,
                           "upstream_hits": 0, "upstream_misses": 0, "upstream_errors": 0,
                           "entries": 1, "max_bytes": None}
 
@@ -179,9 +174,9 @@ def test_frontend_and_worker_stats(tmp_path):
             WorkerNode(worker_config, "127.0.0.1", fe.port, worker_id="w0",
                        heartbeat_interval=60.0, prewarm_interval=60.0) as node:
         deadline = time.monotonic() + 10
-        while node.prewarms < 1 and time.monotonic() < deadline:
+        while node.counters.snapshot()["prewarms"] < 1 and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert node.prewarms == 1
+        assert node.counters.snapshot() == {"heartbeats_sent": 0, "rejoins": 0, "prewarms": 1}
         twin = {"seconds": 0.5, "tag": 1}
         replies = exchange(fe.port, line(1, "stats_pin_sleep", twin),
                            line(2, "stats_pin_sleep", twin))
@@ -272,7 +267,6 @@ def test_program_store_and_artifact_tier_stats(tmp_path):
         # Node C runs another engine build: the fleet's artifact is stale to it.
         store_c = ProgramStore(root=tmp_path / "c", remote=peer.url,
                                fingerprint="0" * 16)
-        assert store_c.pull().failed == 1
         assert store_c.load(key) is None
         stats_c = store_c.stats()
         peer_stats = peer.stats_payload()
@@ -292,28 +286,27 @@ def test_program_store_and_artifact_tier_stats(tmp_path):
     assert stats_a == {
         "fetch_hits": 0, "fetch_misses": 1, "offers": 1, "stored": 1, "store_failures": 0,
         "store": {"saves": 1, "save_rejected": 1, "loads": 1, "load_failures": 0,
-                  "remote_loads": 0, "stale_rejected": 0, "root": str(tmp_path / "a"),
+                  "remote_loads": 0, "root": str(tmp_path / "a"),
                   "programs": 1, "engine_fingerprint": fingerprint, "stale": 0},
     }
     assert stats_b == {
         "fetch_hits": 1, "fetch_misses": 0, "offers": 0, "stored": 0, "store_failures": 0,
         "store": {"saves": 0, "save_rejected": 0, "loads": 1, "load_failures": 0,
-                  "remote_loads": 1, "stale_rejected": 0, "root": str(tmp_path / "b"),
+                  "remote_loads": 1, "root": str(tmp_path / "b"),
                   "programs": 1, "engine_fingerprint": fingerprint, "stale": 0},
     }
     assert stats_c == {
         "saves": 0, "save_rejected": 0, "loads": 1, "load_failures": 1, "remote_loads": 0,
-        "stale_rejected": 1, "root": str(tmp_path / "c"), "programs": 0, "bytes": 0,
+        "root": str(tmp_path / "c"), "programs": 0, "bytes": 0,
         "engine_fingerprint": "0" * 16, "stale": 0,
     }
 
     assert set(peer_stats) == PEER_KEYS
     split(peer_stats, "bytes", "root")
-    # A: blob get, manifest get (both missing), blob + manifest put;
-    # B: blob get; C: manifest and blob gets for the pull, blob get for the load.
-    assert peer_stats == {"gets": 6, "hits": 4, "misses": 2, "puts": 2, "auth_rejected": 0,
+    # A: the blob get (missing) and the blob put; B and C: one blob get each.
+    assert peer_stats == {"gets": 3, "hits": 2, "misses": 1, "puts": 1, "auth_rejected": 0,
                           "upstream_hits": 0, "upstream_misses": 0, "upstream_errors": 0,
-                          "entries": 2, "max_bytes": None}
+                          "entries": 1, "max_bytes": None}
 
 
 def test_membership_snapshot():
