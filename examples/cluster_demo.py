@@ -29,7 +29,7 @@ base = Path(tempfile.mkdtemp(prefix="repro-cluster-demo-"))
 
 
 def worker_config(name: str) -> ServeConfig:
-    return ServeConfig(port=0, workers=2, mode="thread", max_delay_ms=1.0,
+    return ServeConfig(port=0, workers=2, mode="thread",
                        cache_dir=str(base / name / "cache"), auth_secret=SECRET)
 
 

@@ -1,7 +1,7 @@
 """Serving demo: an in-process `repro serve` instance under live load.
 
-Starts the async batched server on an ephemeral port (thread-mode
-shards, fresh cache directory), fires two closed-loop passes of mixed
+Starts the async server on an ephemeral port (thread-mode shards,
+fresh cache directory), fires two closed-loop passes of mixed
 design-point requests at it, and prints what the serving layer is for:
 
 1. the cold pass pays for every distinct point once (misses fan out
@@ -30,8 +30,6 @@ config = ServeConfig(
     port=0,                      # ephemeral: the OS picks a free port
     workers=2,                   # two shard workers
     mode="thread",               # in-process shards (demo-friendly)
-    max_batch=8,                 # micro-batcher size trigger
-    max_delay_ms=2.0,            # ... and time trigger
     cache_dir=tempfile.mkdtemp(prefix="repro-serving-demo-"),
 )
 
@@ -62,6 +60,5 @@ with ServerHandle(config) as handle:
 
     stats = handle.stats()
     print(f"\nserver totals: {stats['requests']} served — {stats['hits']} cache hits, "
-          f"{stats['misses']} computed ({stats['batches']} batches), "
-          f"{stats['coalesced']} coalesced")
+          f"{stats['misses']} computed, {stats['coalesced']} coalesced")
     print(f"per-shard computed counts: {stats['per_shard']}")

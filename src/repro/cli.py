@@ -19,7 +19,7 @@ Commands:
   the results beside them);
 * ``cache-peer`` — run an HTTP cache peer other machines point
   ``--remote-cache`` at (LRU byte budget via ``--max-bytes``);
-* ``serve`` — run the async batched serving layer (``repro.serve``)
+* ``serve`` — run the async serving layer (``repro.serve``)
   until interrupted; also accepts ``--remote-cache URL``, ``--secret``
   (HMAC-authenticated requests only), and ``--prewarm-programs``
   (load a missing compiled program from this node's artifacts or the
@@ -456,7 +456,6 @@ def _serve_config_from(args: argparse.Namespace) -> "object":
         raise SystemExit("--remote-cache rides the local cache; drop --no-cache")
     return ServeConfig(
         host=args.host, port=args.port, workers=args.workers, mode=args.mode,
-        max_batch=args.max_batch, max_delay_ms=args.max_delay_ms,
         cache_dir=args.cache_dir, cache_enabled=not args.no_cache,
         cache_max_bytes=(int(args.cache_budget_mb * 1024 * 1024)
                          if args.cache_budget_mb is not None else None),
@@ -492,7 +491,7 @@ def _served_summary(stats: dict) -> str:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the async batched serving layer until interrupted."""
+    """Run the async serving layer until interrupted."""
     from repro.serve import ServerHandle
 
     config = _serve_config_from(args)
@@ -677,8 +676,7 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
         cache_dir = args.cache_dir or stack.enter_context(
             tempfile.TemporaryDirectory(prefix="repro-bench-serve-"))
         config = ServeConfig(
-            port=0, workers=args.workers, mode=args.mode, max_batch=args.max_batch,
-            max_delay_ms=args.max_delay_ms, cache_dir=cache_dir)
+            port=0, workers=args.workers, mode=args.mode, cache_dir=cache_dir)
         with ServerHandle(config) as handle:
             cold = run_load("127.0.0.1", handle.port, mix, concurrency=args.concurrency)
             warm = run_load("127.0.0.1", handle.port, mix, concurrency=args.concurrency)
@@ -728,8 +726,7 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
     ]
     print(format_table(headers, rows))
     print(f"\nwarm/cold throughput: {speedup:.1f}x  "
-          f"(workers={args.workers} mode={args.mode} batch<={args.max_batch} "
-          f"delay<={args.max_delay_ms}ms concurrency={args.concurrency})")
+          f"(workers={args.workers} mode={args.mode} concurrency={args.concurrency})")
     if args.verify:
         print(f"parity: {parity['checked']} response(s) checked, "
               f"{parity['mismatches']} mismatch(es)")
@@ -945,10 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker shards (one process/thread each)")
         p.add_argument("--mode", default="process", choices=("process", "thread"),
                        help="shard worker kind")
-        p.add_argument("--max-batch", type=int, default=8,
-                       help="micro-batcher size trigger")
-        p.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="micro-batcher time trigger (ms)")
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-cache", action="store_true",
                        help="compute every request, never consult the cache")
@@ -966,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: $REPRO_FABRIC_SECRET)")
         _tls_flags(p)
 
-    serve = sub.add_parser("serve", help="run the async batched serving layer")
+    serve = sub.add_parser("serve", help="run the async serving layer")
     _serve_flags(serve, default_port=8537)
     serve.set_defaults(func=cmd_serve)
 
@@ -1032,8 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-loop client workers")
     bench.add_argument("--workers", type=int, default=2, help="server worker shards")
     bench.add_argument("--mode", default="process", choices=("process", "thread"))
-    bench.add_argument("--max-batch", type=int, default=8)
-    bench.add_argument("--max-delay-ms", type=float, default=2.0)
     bench.add_argument("--scale", default="full", choices=("smoke", "full"),
                        help="request-mix weight (smoke = lenet-only, CI-cheap)")
     bench.add_argument("--duration", type=float, default=None, metavar="SECONDS",

@@ -1,12 +1,10 @@
 """Fault injection for the fabric, and the scripted drill CI gates on.
 
-Three primitives over a real multi-process cluster:
+Two primitives over a real multi-process cluster:
 
 * :class:`ChaosWorker` — one subprocess worker (``python -m repro.cli
-  worker``) that can be SIGKILLed, paused (SIGSTOP), resumed, and
-  restarted under the same ring identity;
-* :class:`SlowLink` — a threaded TCP proxy that injects per-chunk
-  delay or a full partition between two fabric endpoints;
+  worker``) that can be SIGKILLed and restarted under the same ring
+  identity;
 * :class:`ChaosCluster` — the assembled fleet: an in-process
   front-end (R-way replication), a TLS-capable cache peer federating
   results *and* compiled-program artifacts, and N subprocess workers
@@ -39,9 +37,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import select
-import signal
-import socket
 import subprocess
 import sys
 import tempfile
@@ -60,7 +55,7 @@ WAIT_TIMEOUT = 60.0
 
 
 class ChaosWorker:
-    """One subprocess fabric worker with kill/pause/restart controls.
+    """One subprocess fabric worker with kill/restart controls.
 
     Built by :class:`ChaosCluster`; the same ``worker_id`` and cache
     directory survive a :meth:`restart`, so a restarted worker models a
@@ -91,126 +86,11 @@ class ChaosWorker:
             self.proc.kill()
             self.proc.wait()
 
-    def pause(self) -> None:
-        """SIGSTOP — alive but unresponsive (grey failure)."""
-        if self.alive:
-            self.proc.send_signal(signal.SIGSTOP)
-
-    def resume(self) -> None:
-        """SIGCONT — undo :meth:`pause`."""
-        if self.alive:
-            self.proc.send_signal(signal.SIGCONT)
-
     def restart(self) -> None:
         """Kill (if needed) and respawn under the same identity."""
         self.kill()
         self.restarts += 1
         self.proc = self._spawn(self)
-
-
-class SlowLink:
-    """A TCP proxy that injects latency or a partition on one link.
-
-    Point a client at :attr:`port` instead of the real ``target`` and
-    every byte flows through this proxy: :meth:`set_delay` adds a
-    per-chunk pause in each direction (slow network), and
-    :meth:`partition` drops every open connection and refuses new ones
-    until :meth:`heal`.  TLS traffic passes through untouched — the
-    proxy never reads into the stream, so it composes with encrypted
-    links.
-    """
-
-    def __init__(self, target: tuple[str, int], host: str = "127.0.0.1"):
-        self.target = target
-        self._delay = 0.0
-        self._partitioned = False
-        self._lock = threading.Lock()
-        self._conns: set[socket.socket] = set()
-        self._listener = socket.create_server((host, 0))
-        self._listener.settimeout(0.2)
-        self.host = host
-        self.port = self._listener.getsockname()[1]
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._accept_loop, name=f"repro-slowlink-{self.port}", daemon=True)
-        self._thread.start()
-
-    def set_delay(self, seconds: float) -> None:
-        """Per-chunk forwarding delay, both directions."""
-        with self._lock:
-            self._delay = max(0.0, seconds)
-
-    def partition(self) -> None:
-        """Cut the link: close open connections, refuse new ones."""
-        with self._lock:
-            self._partitioned = True
-            conns, self._conns = self._conns, set()
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def heal(self) -> None:
-        """Restore the link after :meth:`partition`."""
-        with self._lock:
-            self._partitioned = False
-
-    def close(self) -> None:
-        self._stop.set()
-        self.partition()
-        self._thread.join()
-        self._listener.close()
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                client, _ = self._listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                return
-            with self._lock:
-                if self._partitioned:
-                    client.close()
-                    continue
-            try:
-                upstream = socket.create_connection(self.target, timeout=5.0)
-            except OSError:
-                client.close()
-                continue
-            with self._lock:
-                self._conns.update((client, upstream))
-            for src, dst in ((client, upstream), (upstream, client)):
-                threading.Thread(
-                    target=self._pump, args=(src, dst), daemon=True).start()
-
-    def _pump(self, src: socket.socket, dst: socket.socket) -> None:
-        try:
-            while True:
-                try:
-                    select.select([src], [], [], 1.0)
-                    chunk = src.recv(65536)
-                except OSError:
-                    break
-                if not chunk:
-                    break
-                with self._lock:
-                    delay = self._delay
-                if delay:
-                    time.sleep(delay)
-                try:
-                    dst.sendall(chunk)
-                except OSError:
-                    break
-        finally:
-            for sock in (src, dst):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-            with self._lock:
-                self._conns.difference_update((src, dst))
 
 
 # -- the cluster -------------------------------------------------------
@@ -275,10 +155,6 @@ class ChaosCluster:
 
     def stop(self) -> None:
         for worker in self.workers:
-            try:
-                worker.resume()  # a paused child cannot die
-            except Exception:
-                pass
             worker.kill()
         self.frontend.stop()
         self.peer.stop()
@@ -307,7 +183,7 @@ class ChaosCluster:
         cmd = [
             sys.executable, "-m", "repro.cli", "worker",
             "--join", f"127.0.0.1:{self.frontend.port}", "--port", "0",
-            "--workers", "2", "--mode", "thread", "--max-delay-ms", "1.0",
+            "--workers", "2", "--mode", "thread",
             "--worker-id", worker.worker_id,
             "--cache-dir", str(self.base / worker.worker_id / "cache"),
             "--remote-cache", self.peer.url,

@@ -1,14 +1,14 @@
 """A fabric worker: a serve process that joins a front-end's fleet.
 
 :class:`WorkerNode` wraps the existing :class:`repro.serve.ServerHandle`
-— endpoints, micro-batching, shard pool, and tiered cache all reused
-verbatim — and adds the *membership agent*: a daemon thread that joins
-the front-end on start, heartbeats on a fraction of the front-end's
-eviction timeout, re-joins when a heartbeat answer says the front-end
-no longer knows it (evicted during a partition, or the front-end
-restarted), and retries with a small backoff when the front-end itself
-is unreachable.  The worker keeps serving its socket throughout — fleet
-trouble never takes down local traffic.
+— endpoints, shard pool, and tiered cache all reused verbatim — and
+adds the *membership agent*: a daemon thread that joins the front-end
+on start, heartbeats on a fraction of the front-end's eviction timeout,
+re-joins when a heartbeat answer says the front-end no longer knows it
+(evicted during a partition, or the front-end restarted), and retries
+with a small backoff when the front-end itself is unreachable.  The
+worker keeps serving its socket throughout — fleet trouble never takes
+down local traffic.
 
 Sequencing matters on the way up and the way down: the serve socket is
 bound *before* the join (the front-end may route the moment a worker

@@ -58,6 +58,7 @@ class ServeClient:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8537, timeout: float = 60.0,
                  secret: str | None = None, tls: TLSConfig | None = None):
+        """Connect (and handshake, with TLS) before returning."""
         self._sock = socket.create_connection((host, port), timeout=timeout)
         resolved = default_tls(tls)
         if resolved is not None:
@@ -120,9 +121,11 @@ class ServeClient:
             self._sock.close()
 
     def __enter__(self) -> ServeClient:
+        """The connected client itself."""
         return self
 
     def __exit__(self, *exc_info) -> None:
+        """Close the connection."""
         self.close()
 
 
@@ -136,6 +139,7 @@ class AsyncServeClient:
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
                  secret: str | None = None):
+        """Wrap an open stream pair and start the reply reader task."""
         self._reader = reader
         self._writer = writer
         self._secret = secret if secret is not None else default_secret()

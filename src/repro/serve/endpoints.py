@@ -84,9 +84,8 @@ def ping(payload: object = None) -> dict:
 
     The server answers ``ping`` inline on the event loop (like
     ``_stats``), so it reflects loop health alone — it never consults
-    the cache, queues in the batcher, or dispatches to a shard.  This
-    registry entry exists so ``_endpoints`` lists it and direct callers
-    can invoke it.
+    the cache or dispatches to a shard.  This registry entry exists so
+    ``_endpoints`` lists it and direct callers can invoke it.
     """
     return {"pong": payload}
 

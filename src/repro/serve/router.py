@@ -35,6 +35,11 @@ class ShardRouter:
     """
 
     def __init__(self, num_shards: int, replicas: int = 64):
+        """Build the ring of ``num_shards * replicas`` points.
+
+        Raises:
+            ValueError: on ``num_shards < 1``.
+        """
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self.num_shards = num_shards

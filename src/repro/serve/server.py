@@ -5,8 +5,8 @@ Request lifecycle (see ``docs/architecture.md`` for the full diagram)::
     client line -> decode -> resolve endpoint -> cache key
         cache hit  -> respond immediately (no worker touched)
         in flight  -> await the existing computation (single-flight)
-        cache miss -> micro-batcher -> consistent-hash shard -> worker
-                      -> cache.put -> respond
+        cache miss -> consistent-hash shard -> worker -> cache.put
+                      -> respond
 
 Every connection is handled concurrently, and each request line spawns
 its own task, so one slow design point never blocks cache hits queued
@@ -34,7 +34,6 @@ from repro.obs import Counters
 from repro.runtime.cache import MISS, ResultCache, fn_identity
 from repro.runtime.tiers import TieredCache
 from repro.serve import endpoints as endpoints_mod
-from repro.serve.batcher import MicroBatcher
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -56,8 +55,6 @@ class ServeConfig:
             port is on ``Server.port`` / ``ServerHandle.port``).
         workers: shard count — one single-worker executor per shard.
         mode: ``"process"`` or ``"thread"`` shard workers.
-        max_batch: micro-batcher size trigger.
-        max_delay_ms: micro-batcher time trigger, in milliseconds.
         cache_dir: result-cache directory (``None`` = the default cache
             resolution of :func:`repro.runtime.cache.default_cache_dir`).
         cache_enabled: disable to force every request through a worker.
@@ -93,8 +90,6 @@ class ServeConfig:
     port: int = 8537
     workers: int = 2
     mode: str = "process"
-    max_batch: int = 8
-    max_delay_ms: float = 2.0
     cache_dir: str | None = None
     cache_enabled: bool = True
     cache_max_bytes: int | None = None
@@ -105,22 +100,11 @@ class ServeConfig:
     tls: TLSConfig | None = None
 
     def __post_init__(self):
+        """Reject a shard count below 1 or an unknown shard mode."""
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-
-@dataclass
-class _Pending:
-    """One cache miss queued for a shard: key, call, and its waiter."""
-
-    key: str
-    fn: object
-    kwargs: dict
-    fn_name: str
-    future: asyncio.Future
-    shard: int = 0
 
 
 class LineServer:
@@ -144,6 +128,7 @@ class LineServer:
     def __init__(self, host: str, port: int, auth_secret: str | None = None,
                  tls: TLSConfig | None = None, counters: tuple[str, ...] = (),
                  keyed: dict | None = None):
+        """Record the bind address and build the counters; binds nothing."""
         self._address = (host, port)
         self._auth_secret = auth_secret
         self._tls = tls
@@ -283,6 +268,7 @@ class Server(LineServer):
     """
 
     def __init__(self, config: ServeConfig | None = None, cache: ResultCache | None = None):
+        """Build the cache, router and shard pool; binds nothing until :meth:`start`."""
         self.config = config or ServeConfig()
         super().__init__(self.config.host, self.config.port,
                          self.config.auth_secret, self.config.tls,
@@ -304,11 +290,6 @@ class Server(LineServer):
                 root=self.config.cache_dir, max_bytes=self.config.cache_max_bytes)
         self.router = ShardRouter(self.config.workers)
         self.pool = ShardPool(self.config.workers, mode=self.config.mode)
-        self.batcher = MicroBatcher(
-            self._flush_batch,
-            max_batch=self.config.max_batch,
-            max_delay=self.config.max_delay_ms / 1000.0,
-        )
         # Optional callable merged into stats_snapshot(): a wrapper
         # (e.g. a fabric WorkerNode) exposes its own gauges over the
         # wire ``_stats`` endpoint without the server knowing about it.
@@ -316,8 +297,8 @@ class Server(LineServer):
         self._program_tier = None
         self._inflight: dict[str, asyncio.Future] = {}
         # Strong references: the loop only weakly references tasks, so
-        # an un-retained shard task could be garbage-collected mid-batch
-        # and leave every future in that batch unresolved.
+        # an un-retained shard task could be garbage-collected mid-call
+        # and leave its requester and every coalesced twin waiting.
         self._shard_tasks: set[asyncio.Task] = set()
 
     def stats_snapshot(self) -> dict:
@@ -356,9 +337,8 @@ class Server(LineServer):
         await super().start()
 
     async def aclose(self) -> None:
-        """Stop accepting, drop open connections, flush, stop the pool."""
+        """Stop accepting, drop open connections, finish shard calls, stop the pool."""
         await super().aclose()
-        await self.batcher.aclose()
         if self._shard_tasks:
             await asyncio.gather(*self._shard_tasks, return_exceptions=True)
         self.pool.shutdown()
@@ -417,82 +397,49 @@ class Server(LineServer):
                 value = await asyncio.shield(existing)
                 self.stats.inc("coalesced")
                 return self._ok(rid, to_jsonable(value), started, coalesced=True)
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        if key is not None:
-            self._inflight[key] = future
-            # The entry lives until the computation resolves — NOT until
-            # this requester stops waiting: if the requester disconnects
-            # mid-compute, later identical requests must still coalesce
-            # onto the running computation instead of launching a twin.
-            future.add_done_callback(self._inflight_cleanup(key))
-        pending = _Pending(
-            key=key or "", fn=fn, kwargs=kwargs,
-            fn_name=fn_identity(fn), future=future)
         shard = self.router.route(key or repr((name, sorted(kwargs.items()))))
         self.stats.inc("misses")
         self.stats.inc("per_shard", shard)
-        pending.shard = shard
-        await self.batcher.submit(pending)
-        # Shielded: if this requester disconnects mid-compute, its task
-        # cancellation must not cancel the shared future that coalesced
-        # requests are awaiting (and that _run_shard will resolve).
-        value = await asyncio.shield(future)
+        self.stats.inc("batches")
+        # The call runs in its own retained task, which is also the
+        # in-flight future twins coalesce onto.  Both live until the
+        # computation resolves — NOT until this requester stops waiting:
+        # one that disconnects mid-compute (hence the shield) cancels
+        # nothing its twins await, and later identical requests still
+        # coalesce onto the running computation instead of launching a twin.
+        task = asyncio.ensure_future(self._run_on_shard(shard, fn, kwargs, key))
+        self._shard_tasks.add(task)
+        if key is not None:
+            self._inflight[key] = task
+        task.add_done_callback(partial(self._shard_task_done, key))
+        value = await asyncio.shield(task)
         return self._ok(rid, to_jsonable(value), started, shard=shard)
 
-    def _inflight_cleanup(self, key: str):
-        """Done-callback dropping ``key``'s in-flight entry (same future only)."""
-        def _cleanup(future: asyncio.Future) -> None:
-            if self._inflight.get(key) is future:
-                del self._inflight[key]
-            if not future.cancelled():
-                # Mark a failure retrieved even when every requester has
-                # hung up (waiters read their own shield-copies), so the
-                # loop doesn't log "exception was never retrieved".
-                future.exception()
-        return _cleanup
+    def _shard_task_done(self, key: str | None, task: asyncio.Task) -> None:
+        """Forget a finished shard task and its in-flight entry."""
+        self._shard_tasks.discard(task)
+        if key is not None and self._inflight.get(key) is task:
+            del self._inflight[key]
+        if not task.cancelled():
+            # Retrieve a failure even when every requester has hung up
+            # (waiters read their own shield-copies), so the loop doesn't
+            # log "exception was never retrieved".
+            task.exception()
 
-    async def _flush_batch(self, batch: list) -> None:
-        self.stats.inc("batches")
-        by_shard: dict[int, list[_Pending]] = {}
-        for pending in batch:
-            by_shard.setdefault(pending.shard, []).append(pending)
-        for shard, group in by_shard.items():
-            task = asyncio.ensure_future(self._run_shard(shard, group))
-            self._shard_tasks.add(task)
-            task.add_done_callback(self._shard_tasks.discard)
-
-    async def _run_shard(self, shard: int, group: list) -> None:
-        loop = asyncio.get_running_loop()
-        calls = [(p.fn, p.kwargs) for p in group]
-        try:
-            outcomes = await self.pool.run_on_shard(shard, calls)
-        except Exception as exc:  # pool-level failure (broken worker)
-            for pending in group:
-                if not pending.future.done():
-                    pending.future.set_exception(exc)
-            return
-        if self.cache is not None:
-            # Write-backs run concurrently off the loop (disk I/O, and
-            # possibly an LRU eviction sweep), *before* the futures
-            # resolve so an immediate repeat request is a guaranteed
-            # hit.  Failures are tolerated — the cache is a memo, not
-            # the source of truth — and must never leave a future
-            # unresolved.
-            writes = [
-                loop.run_in_executor(
-                    None, partial(self.cache.put, p.key, v, fn=p.fn_name))
-                for p, (ok, v) in zip(group, outcomes) if ok and p.key
-            ]
-            if writes:
-                await asyncio.gather(*writes, return_exceptions=True)
-        for pending, (ok, value) in zip(group, outcomes):
-            if pending.future.done():
-                continue
-            if ok:
-                pending.future.set_result(value)
-            else:
-                pending.future.set_exception(value)
+    async def _run_on_shard(self, shard: int, fn, kwargs: dict, key: str | None):
+        """Run one miss on its shard, write the result to the cache, return it."""
+        [(ok, value)] = await self.pool.run_on_shard(shard, [(fn, kwargs)])
+        if not ok:
+            raise value
+        if key is not None:
+            # The write-back runs off the loop (disk I/O, and possibly an
+            # LRU eviction sweep) *before* the result is returned, so an
+            # immediate repeat request is a guaranteed hit.  A failure is
+            # tolerated: the cache is a memo, not the source of truth.
+            with contextlib.suppress(Exception):
+                await asyncio.get_running_loop().run_in_executor(
+                    None, partial(self.cache.put, key, value, fn=fn_identity(fn)))
+        return value
 
     def _ok(self, rid: int, value, started: float, cached: bool = False,
             coalesced: bool = False, shard: int | None = None) -> dict:
@@ -513,6 +460,7 @@ class LoopThread:
     """
 
     def __init__(self, server: LineServer, name: str):
+        """Wrap ``server``; ``name`` names the loop thread.  Starts nothing."""
         self.server = server
         self.port: int | None = None
         self._name = name
@@ -556,9 +504,11 @@ class LoopThread:
         return self.server.stats_snapshot()
 
     def __enter__(self) -> LoopThread:
+        """:meth:`start`, returning the started handle."""
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
+        """:meth:`stop`."""
         self.stop()
 
     def _run(self) -> None:
@@ -596,5 +546,6 @@ class ServerHandle(LoopThread):
     """
 
     def __init__(self, config: ServeConfig | None = None, cache: ResultCache | None = None):
+        """Build the :class:`Server` (see there for the arguments); starts nothing."""
         self.config = config or ServeConfig()
         super().__init__(Server(self.config, cache=cache), "repro-serve")

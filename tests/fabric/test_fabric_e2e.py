@@ -30,7 +30,7 @@ def fabric_sleep(seconds: float = 0.1, tag: int = 0) -> int:
 
 
 def worker_config(tmp_path, name: str, **overrides) -> ServeConfig:
-    defaults = dict(port=0, workers=2, mode="thread", max_delay_ms=1.0,
+    defaults = dict(port=0, workers=2, mode="thread",
                     cache_dir=str(tmp_path / name / "cache"), auth_secret=SECRET)
     defaults.update(overrides)
     return ServeConfig(**defaults)

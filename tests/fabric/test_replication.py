@@ -68,7 +68,7 @@ def make_cluster(tmp_path, **frontend_overrides):
     workers = []
     for i in range(2):
         config = ServeConfig(
-            port=0, workers=2, mode="thread", max_delay_ms=1.0,
+            port=0, workers=2, mode="thread",
             cache_dir=str(tmp_path / f"w{i}" / "cache"), auth_secret=SECRET)
         workers.append(WorkerNode(config, "127.0.0.1", fe.port,
                                   worker_id=f"w{i}").start())

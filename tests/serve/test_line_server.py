@@ -25,7 +25,7 @@ POINT = dict(network="lenet", layer_index=0, group_size=2, density=0.5)
 def make_handle(kind: str, tmp_path, port: int = 0, secret: str | None = None):
     if kind == "server":
         return ServerHandle(ServeConfig(
-            port=port, workers=1, mode="thread", max_delay_ms=1.0,
+            port=port, workers=1, mode="thread",
             cache_dir=str(tmp_path / "cache"), auth_secret=secret))
     return FrontendHandle(FrontendConfig(port=port, auth_secret=secret))
 

@@ -19,8 +19,7 @@ from repro.serve.server import Server
 def make_config(tmp_path, node: str, peer_url: str, **overrides) -> ServeConfig:
     defaults = dict(port=0, workers=2, mode="thread",
                     cache_dir=str(tmp_path / f"cache-{node}"),
-                    remote_cache=peer_url, remote_timeout=0.3,
-                    max_delay_ms=1.0)
+                    remote_cache=peer_url, remote_timeout=0.3)
     defaults.update(overrides)
     return ServeConfig(**defaults)
 

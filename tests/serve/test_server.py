@@ -1,11 +1,13 @@
 """End-to-end serving tests: parity, caching, coalescing, robustness.
 
-These run a real TCP server (thread-mode shards, ephemeral port) and
-talk to it with the real clients, so they cover the wire protocol, the
-batcher, the router, and the cache fast path together.
+These run a real TCP server (thread-mode shards unless a test says
+otherwise, ephemeral port) and talk to it with the real clients, so they
+cover the wire protocol, the router, the shard pool, and the cache fast
+path together.
 """
 
 import json
+import os
 import time
 
 import pytest
@@ -36,9 +38,15 @@ def bad_payload() -> bytes:
     return b"\x00raw bytes"
 
 
+@register("exit_worker")
+def exit_worker() -> None:
+    """Test endpoint that kills the process running it."""
+    os._exit(1)
+
+
 def make_config(tmp_path, **overrides) -> ServeConfig:
     defaults = dict(port=0, workers=2, mode="thread",
-                    cache_dir=str(tmp_path / "cache"), max_delay_ms=1.0)
+                    cache_dir=str(tmp_path / "cache"))
     defaults.update(overrides)
     return ServeConfig(**defaults)
 
@@ -200,12 +208,12 @@ class TestCacheBehaviour:
         assert first.value == second.value
 
     def test_batched_error_does_not_poison_neighbors(self, tmp_path):
-        """One failing request must not fail others in the same batch."""
+        """One failing request must not fail another in flight on its shard."""
         import asyncio
 
         from repro.serve import AsyncServeClient
 
-        config = make_config(tmp_path, workers=1, max_batch=2, max_delay_ms=200.0)
+        config = make_config(tmp_path, workers=1)
 
         async def scenario(port):
             good_client = await AsyncServeClient.connect(port=port)
@@ -233,7 +241,7 @@ class TestCacheBehaviour:
 
         from repro.serve import AsyncServeClient
 
-        config = make_config(tmp_path, workers=1, max_batch=1)
+        config = make_config(tmp_path, workers=1)
 
         async def scenario(port):
             owner = await AsyncServeClient.connect(port=port)
@@ -257,7 +265,7 @@ class TestCacheBehaviour:
 
     def test_single_flight_coalesces_identical_misses(self, tmp_path):
         """Concurrent identical cold requests compute once, not N times."""
-        config = make_config(tmp_path, workers=1, max_batch=1)
+        config = make_config(tmp_path, workers=1)
         mix = [("slow_echo", {"value": 7.0, "seconds": 0.2})] * 6
         with ServerHandle(config) as handle:
             result = run_load("127.0.0.1", handle.port, mix, concurrency=6)
@@ -268,6 +276,87 @@ class TestCacheBehaviour:
         # the cache after it landed — never a second worker execution.
         assert stats["misses"] == 1
         assert stats["coalesced"] + stats["hits"] == 5
+
+
+class TestMissPath:
+    def test_each_miss_replies_when_its_own_call_ends(self, tmp_path):
+        """A fast miss does not wait for a slow one queued behind it on its shard."""
+        import asyncio
+
+        from repro.serve import AsyncServeClient
+
+        async def scenario(port):
+            client = await AsyncServeClient.connect(port=port)
+            try:
+                # Pipelined on one connection, fast first: both misses
+                # land on the one shard, the slow call behind the fast one.
+                fast = asyncio.ensure_future(
+                    client.request("slow_echo", value=1.0, seconds=0.0))
+                slow = asyncio.ensure_future(
+                    client.request("slow_echo", value=2.0, seconds=0.5))
+                fast_reply = await asyncio.wait_for(fast, timeout=10.0)
+                fast_at = time.perf_counter()
+                slow_reply = await asyncio.wait_for(slow, timeout=10.0)
+                return fast_reply, slow_reply, time.perf_counter() - fast_at
+            finally:
+                await client.aclose()
+
+        with ServerHandle(make_config(tmp_path, workers=1)) as handle:
+            fast, slow, gap = asyncio.run(scenario(handle.port))
+        assert (fast.value, slow.value) == (1.0, 2.0)
+        assert fast.shard == slow.shard == 0
+        assert gap > 0.25, f"fast reply arrived only {gap * 1000:.0f} ms before the slow one"
+
+    def test_dead_shard_process_is_replaced(self, tmp_path):
+        """A request that kills its shard process fails; the next one runs on a fresh process."""
+        kwargs = {"network": "lenet", "group_size": 2, "density": 0.45}
+        with ServerHandle(make_config(tmp_path, workers=1, mode="process")) as handle:
+            with ServeClient(port=handle.port, timeout=30.0) as client:
+                with pytest.raises(ServeError, match="BrokenProcessPool"):
+                    client.request("exit_worker")
+                response = client.request("runtime_point", **kwargs)
+        assert response.ok and not response.cached
+        assert response.value == direct_value("runtime_point", kwargs)
+
+    def test_stop_finishes_an_in_flight_miss(self, tmp_path):
+        """Stopping drops the requester but lets its running miss land in the cache."""
+        import asyncio
+
+        from repro.runtime import ResultCache
+        from repro.serve import AsyncServeClient
+
+        kwargs = {"value": 5.0, "seconds": 0.5}
+        handle = ServerHandle(make_config(tmp_path, workers=1)).start()
+
+        async def dispatched():
+            while handle.stats()["misses"] < 1:
+                await asyncio.sleep(0.01)
+
+        async def scenario():
+            client = await AsyncServeClient.connect(port=handle.port)
+            try:
+                request = asyncio.ensure_future(client.request("slow_echo", **kwargs))
+                await asyncio.wait_for(dispatched(), timeout=10.0)
+                await asyncio.to_thread(handle.stop)  # drops open connections
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(request, timeout=10.0)
+            finally:
+                await client.aclose()
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            handle.stop()
+        cache = ResultCache(root=tmp_path / "cache")
+        assert cache.get(cache.key_for(resolve("slow_echo"), kwargs)) == 5.0
+
+
+class TestConfig:
+    def test_rejects_bad_bounds(self):
+        with pytest.raises(ValueError, match="workers"):
+            ServeConfig(workers=0)
+        with pytest.raises(ValueError, match="mode"):
+            ServeConfig(mode="fork")
 
 
 class TestAsyncClient:

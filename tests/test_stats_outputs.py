@@ -116,7 +116,7 @@ def test_server_stats_over_a_tiered_cache(tmp_path):
     clear_program_cache()
     with CachePeer(root=tmp_path / "peer", port=0) as peer, \
             ServerHandle(ServeConfig(
-                port=0, workers=1, mode="thread", max_delay_ms=1.0,
+                port=0, workers=1, mode="thread",
                 cache_dir=str(tmp_path / "cache"), remote_cache=peer.url,
                 auth_secret=SECRET, prewarm_programs=True)) as handle:
         with ServeClient(port=handle.port, secret=SECRET) as client:
@@ -168,7 +168,7 @@ def test_frontend_and_worker_stats(tmp_path):
     clear_program_cache()
     fe_config = FrontendConfig(port=0, auth_secret=SECRET, heartbeat_timeout=60.0,
                                rates={"low": 0.001})
-    worker_config = ServeConfig(port=0, workers=1, mode="thread", max_delay_ms=1.0,
+    worker_config = ServeConfig(port=0, workers=1, mode="thread",
                                 cache_dir=str(tmp_path / "w0"), auth_secret=SECRET)
     with FrontendHandle(fe_config) as fe, \
             WorkerNode(worker_config, "127.0.0.1", fe.port, worker_id="w0",
