@@ -25,6 +25,25 @@ from __future__ import annotations
 import numpy as np
 
 
+#: Widest value span (``max - min``) ranked through a lookup table, unless
+#: the tensor has more elements than that; wider spans sort.
+_LOOKUP_SPAN = 2**16
+
+
+def _lookup_bounds(flat: np.ndarray) -> tuple[int, int] | None:
+    """``(min, max)`` of ``flat`` when a lookup table over them is small enough.
+
+    Weights are small integers (U <= 256 fixed-point values in the paper),
+    so a table with one slot per value in ``[min, max]`` replaces hashing
+    and binary search.  Returns ``None`` for empty input or a span wider
+    than ``max(_LOOKUP_SPAN, flat.size)``.
+    """
+    if flat.size == 0:
+        return None
+    lo, hi = int(flat.min()), int(flat.max())
+    return (lo, hi) if hi - lo <= max(_LOOKUP_SPAN, flat.size) else None
+
+
 def canonical_weight_order(values: np.ndarray) -> np.ndarray:
     """Canonical ordering of unique weight values.
 
@@ -37,7 +56,12 @@ def canonical_weight_order(values: np.ndarray) -> np.ndarray:
     Returns:
         1-D int64 array of the distinct values in canonical order.
     """
-    unique = np.unique(np.asarray(values, dtype=np.int64))
+    flat = np.asarray(values, dtype=np.int64).reshape(-1)
+    bounds = _lookup_bounds(flat)
+    if bounds is None:
+        unique = np.unique(flat)
+    else:
+        unique = np.flatnonzero(np.bincount(flat - bounds[0])) + bounds[0]
     nonzero = unique[unique != 0]
     # Sort by (-|v|, -v): magnitude descending, then positive before negative.
     order = np.lexsort((-nonzero, -np.abs(nonzero)))
@@ -62,10 +86,23 @@ def rank_by_canonical(values: np.ndarray, canonical: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.int64)
     canonical = np.asarray(canonical, dtype=np.int64)
-    sorter = np.argsort(canonical, kind="stable")
-    sorted_canonical = canonical[sorter]
-    pos = np.searchsorted(sorted_canonical, values)
-    pos = np.clip(pos, 0, canonical.size - 1)
-    if not np.all(sorted_canonical[pos] == values):
+    bounds = _lookup_bounds(values.reshape(-1))
+    if bounds is None:  # empty input or a wide span: binary search
+        sorter = np.argsort(canonical, kind="stable")
+        sorted_canonical = canonical[sorter]
+        pos = np.searchsorted(sorted_canonical, values)
+        pos = np.clip(pos, 0, canonical.size - 1)
+        found = np.all(sorted_canonical[pos] == values)
+        ranks = sorter[pos].reshape(values.shape)
+    else:
+        lo, hi = bounds
+        # One slot per value in [lo, hi]: its rank, or -1 if not in canonical.
+        # Written in reverse so a repeated value keeps its first rank.
+        table = np.full(hi - lo + 1, -1, dtype=np.int64)
+        idx = np.flatnonzero((canonical >= lo) & (canonical <= hi))[::-1]
+        table[canonical[idx] - lo] = idx
+        ranks = table[values - lo]
+        found = ranks.min() >= 0
+    if not found:
         raise ValueError("values contain entries not present in the canonical order")
-    return sorter[pos].reshape(values.shape)
+    return ranks

@@ -85,7 +85,7 @@ def uniform_unique_weights(
     values = rng.choice(palette, size=shape)
     if density < 1.0:
         values = random_prune(values, density, rng)
-    return QuantizedWeights(values.astype(np.int64), 1.0, f"uniform-U{num_unique}")
+    return QuantizedWeights(values, 1.0, f"uniform-U{num_unique}")
 
 
 def inq_like_weights(

@@ -81,4 +81,4 @@ def quantize_inq(weights: np.ndarray, num_levels: int = INQ_DEFAULT_LEVELS) -> Q
     # Below half the smallest level -> zero (INQ prunes these to 0).
     quantized[mags < 0.5] = 0
     # Above the top level saturate to the top level (already handled by idx).
-    return QuantizedWeights(quantized.astype(np.int64), scale, "inq")
+    return QuantizedWeights(quantized, scale, "inq")

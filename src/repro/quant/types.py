@@ -9,7 +9,8 @@ integer equality rather than a float comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,14 +29,18 @@ class QuantizedWeights:
     values: np.ndarray
     scale: float
     scheme: str
-    unique: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values)
         if values.dtype.kind != "i":
             raise TypeError(f"quantized weights must be integers, got {values.dtype}")
+        # A copy, so the caller's array never aliases these weights.
         object.__setattr__(self, "values", values.astype(np.int64))
-        object.__setattr__(self, "unique", np.unique(self.values))
+
+    @cached_property
+    def unique(self) -> np.ndarray:
+        """Sorted distinct weight values, computed on first read."""
+        return np.unique(self.values)
 
     @property
     def num_unique(self) -> int:

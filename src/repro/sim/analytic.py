@@ -125,21 +125,20 @@ def _last_filter_bubbles(present: np.ndarray, zero_rank: int) -> int:
     """Skip-entry bubbles for the G-th filter (inline capacity 3).
 
     ``present``: (..., B, U) presence of the G-th filter's child ranks
-    within each (G-1)-prefix block.  Walks ranks in canonical order
-    maintaining the absent-run length; each present non-zero rank with a
-    gap over :data:`INLINE_SKIP_CAPACITY` needs
-    ``ceil((gap - cap) / cap)`` extra entries.
+    within each (G-1)-prefix block; the zero rank is the last one.  Each
+    present non-zero rank whose gap to the previous present rank in its
+    block (ranks absent between them, or before it if it is the first)
+    exceeds :data:`INLINE_SKIP_CAPACITY` needs ``ceil((gap - cap) / cap)``
+    extra entries.
     """
-    lead_shape = present.shape[:-1]
-    run = np.zeros(lead_shape, dtype=np.int64)
-    total = 0
-    for r in range(present.shape[-1]):
-        col = present[..., r]
-        if r != zero_rank:
-            over = np.maximum(0, run[col] - INLINE_SKIP_CAPACITY)
-            total += int(np.sum(_ceil_div(over, INLINE_SKIP_CAPACITY)))
-        run = np.where(col, 0, run + 1)
-    return total
+    if zero_rank == 0:
+        return 0  # all-zero alphabet: no non-zero rank to charge
+    block, rank = np.nonzero(present[..., :zero_rank].reshape(-1, zero_rank))
+    previous = np.empty_like(rank)
+    previous[:1] = -1
+    previous[1:] = np.where(block[1:] == block[:-1], rank[:-1], -1)
+    over = np.maximum(0, rank - previous - 1 - INLINE_SKIP_CAPACITY)
+    return int(np.sum(_ceil_div(over, INLINE_SKIP_CAPACITY)))
 
 
 def _batch_table_counts(
@@ -238,13 +237,13 @@ def ucnn_layer_aggregate(
     ct, tiles = plan.channel_tile, plan.num_tiles
     g_size = config.group_size
 
-    ranks_full = rank_by_canonical(weights, canonical)  # (K, C, R, S)
-    padded_c = tiles * ct
-    ranks_pad = np.full((k, padded_c, r, s), zero_rank, dtype=np.int64)
-    ranks_pad[:, :c] = ranks_full
+    ranks = rank_by_canonical(weights, canonical)  # (K, C, R, S)
+    if tiles * ct != c:  # pad the last channel tile with zero ranks
+        pad = np.full((k, tiles * ct - c, r, s), zero_rank, dtype=np.int64)
+        ranks = np.concatenate([ranks, pad], axis=1)
     # Tile over channels: (K, T, Ct*R*S) — intra-tile order is irrelevant
     # to the histogram statistics.
-    ranks_tiled = ranks_pad.reshape(k, tiles, ct * r * s)
+    ranks_tiled = ranks.reshape(k, tiles, ct * r * s)
 
     # A trailing partial group (K not divisible by G) is processed at its
     # true size so the deepest filter keeps the inline skip field, exactly

@@ -1,5 +1,8 @@
 """Tests for the INQ / TTQ / uniform quantizers."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,30 @@ class TestQuantizedWeights:
     def test_quantization_error(self):
         q = QuantizedWeights(np.array([1, 1]), 1.0, "x")
         assert q.quantization_error(np.array([1.0, 1.0])) == 0.0
+
+    def test_unique_is_derived_not_a_field(self):
+        values = np.array([[3, -1, 0], [3, 3, -7]], dtype=np.int32)
+        q = QuantizedWeights(values, 1.0, "x")
+        assert "unique" not in {f.name for f in dataclasses.fields(QuantizedWeights)}
+        assert np.array_equal(q.unique, np.unique(values))
+        assert q.unique is q.unique  # computed once
+
+    def test_values_are_a_private_int64_copy(self):
+        values = np.array([1, 2], dtype=np.int64)
+        q = QuantizedWeights(values, 1.0, "x")
+        values[0] = 9
+        assert q.values.dtype == np.int64
+        assert list(q.values) == [1, 2]
+
+    @pytest.mark.parametrize("read_unique_first", [False, True])
+    def test_pickle_round_trip(self, read_unique_first):
+        q = QuantizedWeights(np.array([0, 4, 4, -2]), 0.5, "x")
+        if read_unique_first:
+            assert q.num_unique == 3
+        back = pickle.loads(pickle.dumps(q))
+        assert np.array_equal(back.values, q.values)
+        assert (back.scale, back.scheme) == (0.5, "x")
+        assert np.array_equal(back.unique, [-2, 0, 4])
 
 
 class TestInq:

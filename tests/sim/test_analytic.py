@@ -11,10 +11,11 @@ import pytest
 from repro.arch.buffers import tile_plan
 from repro.arch.config import dcnn_config, dcnn_sp_config, ucnn_config
 from repro.core.activation_groups import canonical_weight_order
-from repro.core.hierarchical import build_filter_group_tables
+from repro.core.hierarchical import INLINE_SKIP_CAPACITY, build_filter_group_tables
 from repro.nn.tensor import ConvShape
 from repro.quant.distributions import uniform_unique_weights
 from repro.sim.analytic import (
+    _last_filter_bubbles,
     dense_layer_events,
     simulate_layer,
     ucnn_layer_aggregate,
@@ -111,6 +112,27 @@ class TestAggregateProperties:
         shape = ConvShape(name="x", w=4, h=4, c=2, k=2, r=3, s=3, padding=1)
         with pytest.raises(ValueError, match="UCNN config"):
             ucnn_layer_aggregate(np.zeros(shape.weight_shape, dtype=np.int64), shape, dcnn_config())
+
+
+def loop_last_filter_bubbles(present, zero_rank):
+    """Rank-by-rank walk keeping each block's absent-run length."""
+    run = np.zeros(present.shape[:-1], dtype=np.int64)
+    total = 0
+    for r in range(present.shape[-1]):
+        col = present[..., r]
+        if r != zero_rank:
+            over = np.maximum(0, run[col] - INLINE_SKIP_CAPACITY)
+            total += int(np.sum(-(-over // INLINE_SKIP_CAPACITY)))
+        run = np.where(col, 0, run + 1)
+    return total
+
+
+@pytest.mark.parametrize("num_ranks", [1, 2, 5, 17, 257])
+def test_last_filter_bubbles_matches_the_rank_walk(num_ranks, rng):
+    for density in (0.0, 0.05, 0.3, 0.9, 1.0):
+        present = rng.random((3, 2, 4, num_ranks)) < density
+        expected = loop_last_filter_bubbles(present, num_ranks - 1)
+        assert _last_filter_bubbles(present, num_ranks - 1) == expected
 
 
 class TestDenseEvents:
