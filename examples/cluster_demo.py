@@ -22,7 +22,7 @@ import tempfile
 from pathlib import Path
 
 from repro.fabric import FrontendConfig, FrontendHandle, WorkerNode
-from repro.serve import ServeConfig, ServeClient, run_load
+from repro.serve import ServeConfig, ServeClient, bind, run_load
 
 SECRET = "cluster-demo-secret"
 base = Path(tempfile.mkdtemp(prefix="repro-cluster-demo-"))
@@ -68,8 +68,8 @@ with frontend:
         sticky = True
         for record, (name, kwargs, _priority) in zip(result.records, mix):
             if record.ok and record.worker:
-                key = name + str(sorted(kwargs.items()))
-                sticky = sticky and owner.setdefault(key, record.worker) == record.worker
+                identity = bind(name, kwargs).identity
+                sticky = sticky and owner.setdefault(identity, record.worker) == record.worker
         s = result.stats
         print(f"routing: {s.requests} requests in {s.seconds:.2f}s "
               f"({s.throughput_rps:.0f} req/s)")

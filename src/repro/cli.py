@@ -597,8 +597,8 @@ def cmd_frontend_status(args: argparse.Namespace) -> int:
 
     Four sections: the live member table (per-worker address, in-flight
     forwards, lifetime forwards/spills, heartbeat age), the replica
-    assignment summary from the routed-key catalog (how many cataloged
-    keys each worker is primary/replica for), the routing counters
+    assignment summary from the answered-request catalog (how many
+    cataloged requests each worker is primary/replica for), the routing counters
     (spills, retries, refused non-idempotent replays), and the
     admission shed counters.
     """

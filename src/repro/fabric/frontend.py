@@ -8,16 +8,22 @@ instead of computing, it:
 
 1. **authenticates** (when a shared secret is configured, every line —
    control or data — must carry a valid HMAC before anything happens);
-2. **admits** data requests through :class:`~repro.fabric.admission.AdmissionController`
+2. **binds** a data request to its endpoint's signature
+   (:func:`repro.serve.endpoints.bind`): an unknown endpoint or
+   parameter name is an error reply here, and the defaults are filled
+   in, giving the request the same identity the workers' shard router,
+   single-flight and cache key use;
+3. **admits** it through :class:`~repro.fabric.admission.AdmissionController`
    (overload answers with a ``shed`` response instead of queueing);
-3. **routes** by consistent hash over the live worker set — under
-   R-way replication (``replication`` > 1) a key's first R entries in
-   :meth:`~repro.fabric.ring.HashRing.preference` order are its replica
-   set: the owner serves by default, load *spills* to the next replica
-   when the owner is saturated (per-worker in-flight threshold) or
-   sheds, and transport failures retry down the same order;
-4. **forwards** over a pooled pipelined connection and relays the
-   worker's response verbatim (plus the worker id).
+4. **routes** its identity by consistent hash over the live worker
+   set — under R-way replication (``replication`` > 1) an identity's
+   first R entries in :meth:`~repro.fabric.ring.HashRing.preference`
+   order are its replica set: the owner serves by default, load
+   *spills* to the next replica when the owner is saturated (per-worker
+   in-flight threshold) or sheds, and transport failures retry down the
+   same order;
+5. **forwards** the bound kwargs over a pooled pipelined connection and
+   relays the worker's response verbatim (plus the worker id).
 
 Failure model: a forward that dies with a transport error *eagerly*
 evicts the worker and moves down the key's preference list.  Whether
@@ -31,10 +37,11 @@ actually answered.  A connect failure (nothing was ever sent) is
 always safe to retry.  A worker that dies silently between requests is
 caught by the reaper sweeping heartbeats.
 
-The front-end also keeps a bounded catalog of recently routed request
-keys; the ``_assignments`` control endpoint replays it per worker so
-replicas can pre-warm the cache entries of every key range they stand
-behind (see :class:`repro.fabric.worker.WorkerNode`).
+The front-end also keeps a bounded catalog of the requests a worker
+recently answered ``ok``, by identity; the ``_assignments`` control
+endpoint replays it per worker so replicas can pre-warm the cache
+entries of every key range they stand behind (see
+:class:`repro.fabric.worker.WorkerNode`).
 
 Control endpoints (worker-facing): ``_join``, ``_heartbeat``,
 ``_leave``, ``_assignments``; introspection: ``_members``, ``_stats``,
@@ -47,7 +54,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import threading
 import time
 from collections import OrderedDict
@@ -57,7 +63,7 @@ from repro.fabric.admission import AdmissionController
 from repro.fabric.membership import Membership, WorkerInfo
 from repro.fabric.tls import TLSConfig
 from repro.serve.client import AsyncServeClient
-from repro.serve.endpoints import is_idempotent
+from repro.serve.endpoints import BoundRequest, bind, is_idempotent
 from repro.serve.protocol import ProtocolError
 from repro.serve.server import LineServer, LoopThread
 
@@ -91,7 +97,7 @@ class FrontendConfig:
             the pre-replication fabric.
         worker_inflight_limit: per-worker outstanding-forward threshold
             past which load spills to the key's next replica.
-        catalog_size: bound on the routed-key catalog backing the
+        catalog_size: bound on the answered-request catalog backing the
             ``_assignments`` pre-warm endpoint.
         tls: TLS identity for the listening socket *and* the pooled
             worker connections; ``None`` falls back to the
@@ -149,7 +155,8 @@ class Frontend(LineServer):
         self._clients: dict[str, AsyncServeClient] = {}
         self._client_locks: dict[str, asyncio.Lock] = {}
         self._reaper_task: asyncio.Task | None = None
-        # Routed-key catalog: key -> (endpoint, kwargs), LRU-bounded.
+        # Answered-request catalog: identity -> (endpoint, bound kwargs),
+        # LRU-bounded.
         # Guarded by a plain lock: the event loop writes, stats readers
         # and the _assignments walk may come from other threads.
         self._catalog: OrderedDict[str, tuple[str, dict]] = OrderedDict()
@@ -190,7 +197,7 @@ class Frontend(LineServer):
         return snapshot
 
     def assignments(self, worker_id: str | None = None) -> dict:
-        """Replica assignments derived from the routed-key catalog.
+        """Replica assignments derived from the answered-request catalog.
 
         With ``worker_id``: every cataloged request whose top-R
         preference includes that worker, annotated with its replica
@@ -203,8 +210,8 @@ class Frontend(LineServer):
         want = max(1, self.config.replication)
         if worker_id is not None:
             entries = []
-            for key, (endpoint, kwargs) in catalog:
-                prefs = [w.worker_id for w in self.membership.preference(key, want)]
+            for identity, (endpoint, kwargs) in catalog:
+                prefs = [w.worker_id for w in self.membership.preference(identity, want)]
                 if worker_id in prefs:
                     entries.append({"endpoint": endpoint, "kwargs": kwargs,
                                     "rank": prefs.index(worker_id)})
@@ -212,8 +219,8 @@ class Frontend(LineServer):
                     "replication": want, "entries": entries}
         summary: dict[str, dict] = {
             w.worker_id: {"primary": 0, "replica": 0} for w in self.membership.workers()}
-        for key, _ in catalog:
-            for rank, info in enumerate(self.membership.preference(key, want)):
+        for identity, _ in catalog:
+            for rank, info in enumerate(self.membership.preference(identity, want)):
                 slot = summary.get(info.worker_id)
                 if slot is not None:
                     slot["primary" if rank == 0 else "replica"] += 1
@@ -229,7 +236,10 @@ class Frontend(LineServer):
             return self._control(rid, name, kwargs, started)
         if name.startswith("_"):
             raise ProtocolError(f"unknown control endpoint {name!r}")
-        return await self._forward(rid, name, kwargs, message.get("priority"), started)
+        # Before admission: a request no worker could run is refused
+        # here, and never takes an admission slot or a forward.
+        request = bind(name, kwargs)
+        return await self._forward(rid, name, request, message.get("priority"), started)
 
     def _control(self, rid: int, name: str, kwargs: dict, started: float) -> dict:
         if name == "_join":
@@ -263,7 +273,7 @@ class Frontend(LineServer):
         # ping: inline, reflects front-end loop health alone.
         return self._ok(rid, {"pong": kwargs.get("payload")}, started)
 
-    async def _forward(self, rid: int, name: str, kwargs: dict,
+    async def _forward(self, rid: int, name: str, request: BoundRequest,
                        priority: str | None, started: float) -> dict:
         decision = self.admission.admit(priority)  # ValueError -> error reply
         if not decision.admitted:
@@ -273,13 +283,11 @@ class Frontend(LineServer):
                 "elapsed_ms": (time.perf_counter() - started) * 1000.0,
             }
         try:
-            key = name + ":" + json.dumps(kwargs, sort_keys=True, separators=(",", ":"))
-            self._remember(key, name, kwargs)
             idempotent = is_idempotent(name)
             attempted: set[str] = set()
             shed_response = None
             for attempt in range(self.config.forward_retries):
-                info, spilled = self._select(key, attempted)
+                info, spilled = self._select(request.identity, attempted)
                 if info is None:
                     if not attempted:
                         self.stats.inc("no_workers")
@@ -301,7 +309,7 @@ class Frontend(LineServer):
                         continue
                     try:
                         response = await asyncio.wait_for(
-                            client.send(name, kwargs, priority=priority),
+                            client.send(name, request.kwargs, priority=priority),
                             timeout=self.config.forward_timeout)
                     except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
                         # The request may have reached the worker before
@@ -327,6 +335,8 @@ class Frontend(LineServer):
                     shed_response = (response, info.worker_id)
                     self.stats.inc("spills")
                     continue
+                if response.ok:
+                    self._remember(request.identity, name, request.kwargs)
                 return self._relay(rid, response, info.worker_id, started)
             if shed_response is not None:
                 response, worker_id = shed_response
@@ -336,17 +346,18 @@ class Frontend(LineServer):
         finally:
             self.admission.release()
 
-    def _select(self, key: str, attempted: set[str]) -> tuple[WorkerInfo | None, bool]:
-        """Choose the forwarding replica for ``key``.
+    def _select(self, identity: str,
+                attempted: set[str]) -> tuple[WorkerInfo | None, bool]:
+        """Choose the forwarding replica for a request ``identity``.
 
-        Walks ``preference(key, R)`` minus already-attempted workers:
+        Walks ``preference(identity, R)`` minus already-attempted workers:
         the first replica under the in-flight threshold wins; if every
         candidate is saturated the least-loaded one takes the request
         (admission control, not routing, bounds total load).  Returns
         ``(worker, spilled)`` where ``spilled`` means a live earlier
         replica was skipped because of load.
         """
-        prefs = self.membership.preference(key, max(1, self.config.replication))
+        prefs = self.membership.preference(identity, max(1, self.config.replication))
         candidates = [w for w in prefs if w.worker_id not in attempted]
         if not candidates:
             return None, False
@@ -356,11 +367,11 @@ class Frontend(LineServer):
                 return info, index > 0
         return min(candidates, key=lambda w: w.inflight), False
 
-    def _remember(self, key: str, name: str, kwargs: dict) -> None:
-        """LRU-note one routed request for the ``_assignments`` catalog."""
+    def _remember(self, identity: str, name: str, kwargs: dict) -> None:
+        """LRU-note one answered request for the ``_assignments`` catalog."""
         with self._catalog_lock:
-            self._catalog[key] = (name, dict(kwargs))
-            self._catalog.move_to_end(key)
+            self._catalog[identity] = (name, kwargs)
+            self._catalog.move_to_end(identity)
             while len(self._catalog) > self.config.catalog_size:
                 self._catalog.popitem(last=False)
 

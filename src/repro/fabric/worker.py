@@ -284,14 +284,14 @@ class WorkerNode:
         Best-effort: re-push every result whose write-back push to the
         peer failed (so replicas can find it), then ask the front-end
         which cataloged requests this worker stands behind
-        (``_assignments``) and read each one's cache key through the
-        tiered path, promoting remote entries into the local tier.  A
+        (``_assignments``), bind each one and read its cache key through
+        the tiered path, promoting remote entries into the local tier.  A
         failure (front-end briefly down, peer unreachable) leaves an
         ``error`` in the report; the next refresh tries again.
         """
         from repro.runtime.cache import MISS
         from repro.runtime.tiers import TieredCache
-        from repro.serve.endpoints import resolve
+        from repro.serve.endpoints import bind
 
         report: dict = {"reason": reason}
         try:
@@ -311,10 +311,10 @@ class WorkerNode:
                 hot = promoted = absent = 0
                 for entry in entries:
                     try:
-                        fn = resolve(str(entry["endpoint"]))
-                        key = cache.key_for(fn, dict(entry["kwargs"]))
+                        request = bind(str(entry["endpoint"]), dict(entry["kwargs"]))
                     except Exception:
                         continue  # unknown endpoint / malformed kwargs
+                    key = cache.key_for_identity(request.identity)
                     if cache.get_local(key) is not MISS:
                         hot += 1
                     elif cache.get_remote(key) is not MISS:

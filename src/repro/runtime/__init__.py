@@ -31,6 +31,7 @@ from repro.runtime.cache import (
     canonicalize,
     code_fingerprint,
     fn_identity,
+    request_identity,
 )
 from repro.runtime.peer import CachePeer
 from repro.runtime.scheduler import (
@@ -78,6 +79,7 @@ __all__ = [
     "get_runtime",
     "pull_all",
     "push_all",
+    "request_identity",
     "set_runtime",
     "using_runtime",
 ]

@@ -3,20 +3,27 @@
 Cache key schema
 ----------------
 
-A design point is addressed by the SHA-256 of the canonical JSON of::
+A design point's *identity* (:func:`request_identity`) is the SHA-256
+of the canonical JSON of::
 
-    [code_fingerprint, "module.qualname", canonicalize(kwargs)]
+    ["module.qualname", canonicalize(kwargs with the function's defaults)]
 
-* ``code_fingerprint`` hashes every ``*.py`` and ``*.c`` file of the
-  installed ``repro`` package (the C file being the engine's scan
-  kernel), so any source change invalidates the whole cache
-  (conservative but always sound);
-* the function identity pins which computation produced the value;
+and its key (:func:`cache_key`) is ``sha256(code_fingerprint + ":" +
+identity)``:
+
+* the function identity pins which computation produced the value, and
+  filling in its defaults lets a call that spells them out share the
+  identity of one that does not;
 * :func:`canonicalize` maps kwargs to a deterministic JSON-able
   structure — dataclasses keep their class name and field values, numpy
   arrays contribute shape/dtype plus a digest of their bytes, enums
   their class and value.  Unknown object kinds raise ``TypeError``
-  rather than silently aliasing distinct points.
+  rather than silently aliasing distinct points;
+* ``code_fingerprint`` hashes every ``*.py`` and ``*.c`` file of the
+  installed ``repro`` package (the C file being the engine's scan
+  kernel), so any source change invalidates the whole cache
+  (conservative but always sound), while the identity — what the serve
+  layer routes and coalesces on — stays put.
 
 Values are stored pickled, sharded by key prefix
 (``<root>/<key[:2]>/<key>.pkl``) and written atomically, so concurrent
@@ -45,6 +52,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -141,15 +149,43 @@ def canonicalize(obj: object) -> object:
     raise TypeError(f"cannot canonicalize {type(obj).__name__} for a cache key")
 
 
-def cache_key(fn: Callable, kwargs: Mapping, fingerprint: str | None = None) -> str:
-    """Content-addressed key of one design point."""
-    payload = [
-        fingerprint if fingerprint is not None else code_fingerprint(),
-        _type_name(fn),
-        canonicalize(dict(kwargs)),
-    ]
+@lru_cache(maxsize=None)
+def keyword_signature(fn: Callable) -> tuple[dict, frozenset]:
+    """``fn``'s keyword parameters, read once per function.
+
+    Returns ``(defaults, required)``: each parameter that has a default,
+    mapped to it, and the names of those that have none.
+    """
+    params = [p for p in inspect.signature(fn).parameters.values()
+              if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
+    return ({p.name: p.default for p in params if p.default is not p.empty},
+            frozenset(p.name for p in params if p.default is p.empty))
+
+
+def request_identity(fn: Callable, kwargs: Mapping) -> str:
+    """What one call computes, whatever the code version.
+
+    The SHA-256 of ``[fn_identity(fn), canonicalize(kwargs)]`` with the
+    defaults of ``fn`` filled in, so a call that spells a default out
+    and one that leaves it out share an identity: what the serve layer
+    routes, catalogs and coalesces on, and what :func:`cache_key` keys.
+    """
+    defaults, _ = keyword_signature(fn)
+    bound = {**defaults, **kwargs}
+    payload = [_type_name(fn), canonicalize(bound)]
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def identity_key(identity: str, fingerprint: str | None = None) -> str:
+    """The cache key of a :func:`request_identity` under a code version."""
+    version = fingerprint if fingerprint is not None else code_fingerprint()
+    return hashlib.sha256(f"{version}:{identity}".encode()).hexdigest()
+
+
+def cache_key(fn: Callable, kwargs: Mapping, fingerprint: str | None = None) -> str:
+    """Content-addressed key of one design point."""
+    return identity_key(request_identity(fn, kwargs), fingerprint)
 
 
 def _type_name(obj: object) -> str:
@@ -238,6 +274,10 @@ class ResultCache:
     def key_for(self, fn: Callable, kwargs: Mapping) -> str:
         """Key of one design point under this cache's code version."""
         return cache_key(fn, kwargs, fingerprint=self.fingerprint)
+
+    def key_for_identity(self, identity: str) -> str:
+        """Key of a :func:`request_identity` under this cache's code version."""
+        return identity_key(identity, fingerprint=self.fingerprint)
 
     def path_for(self, key: str) -> Path:
         """On-disk location of a key's entry."""

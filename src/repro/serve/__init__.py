@@ -4,15 +4,16 @@
 an asyncio JSON-over-TCP server accepts named design-point requests,
 answers repeats straight from the content-addressed result cache of
 :mod:`repro.runtime`, and sends each miss to one of a pool of worker
-shards chosen by consistent-hashing its cache key — so a given key
-always lands on the same worker and that worker's in-process memos stay
-warm.
+shards chosen by consistent-hashing its request identity
+(:func:`~repro.serve.endpoints.bind`) — so a given request always lands
+on the same worker and that worker's in-process memos stay warm.
 
 The pieces (each its own module):
 
 * :mod:`repro.serve.protocol` — the newline-delimited JSON wire format;
-* :mod:`repro.serve.endpoints` — named, JSON-friendly point functions;
-* :mod:`repro.serve.router` — consistent-hash key -> shard routing;
+* :mod:`repro.serve.endpoints` — named, JSON-friendly point functions
+  and :func:`~repro.serve.endpoints.bind`, the one request identity;
+* :mod:`repro.serve.router` — consistent-hash identity -> shard routing;
 * :mod:`repro.serve.shards` — per-shard single-worker executors;
 * :mod:`repro.serve.server` — the event loop tying it all together;
 * :mod:`repro.serve.client` — sync and pipelining asyncio clients;
@@ -24,7 +25,7 @@ bench-serve``; see ``docs/api.md`` for the public API and
 """
 
 from repro.serve.client import AsyncServeClient, ServeClient, ServeError
-from repro.serve.endpoints import endpoint_names, register, resolve
+from repro.serve.endpoints import bind, endpoint_names, register, resolve
 from repro.serve.loadgen import (
     LoadResult,
     LoadStats,
@@ -52,6 +53,7 @@ __all__ = [
     "ServerHandle",
     "ShardPool",
     "ShardRouter",
+    "bind",
     "default_mix",
     "endpoint_names",
     "register",

@@ -3,9 +3,10 @@
 An endpoint is a module-level function whose kwargs are plain JSON
 types (numbers, strings, booleans) and whose return value maps onto
 JSON via :func:`repro.serve.protocol.to_jsonable`.  Both constraints
-matter operationally: plain kwargs canonicalize into the same cache key
-whether the call arrives over the wire or in process, and module-level
-functions pickle into the shard pool's worker processes.
+matter operationally: plain kwargs canonicalize into the same request
+identity (:func:`bind`) whether the call arrives over the wire or in
+process, and module-level functions pickle into the shard pool's worker
+processes.
 
 The built-in endpoints cover the paper's request shapes — a UCNN
 runtime design point, a full-network simulation, and a layer
@@ -16,11 +17,30 @@ custom endpoints with :func:`register`.
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import NamedTuple
 
-_REGISTRY: dict[str, Callable] = {}
+from repro.runtime.cache import keyword_signature, request_identity
 
-#: Endpoint name -> safe-to-replay flag (see :func:`is_idempotent`).
-_IDEMPOTENT: dict[str, bool] = {}
+
+class Endpoint(NamedTuple):
+    """One registry record, read once by :func:`register`: the function,
+    its replay flag, its parameters' defaults and its required names."""
+
+    fn: Callable
+    idempotent: bool
+    defaults: dict
+    required: frozenset
+
+
+class BoundRequest(NamedTuple):
+    """A request bound to its endpoint's signature (see :func:`bind`)."""
+
+    fn: Callable
+    kwargs: dict
+    identity: str
+
+
+_REGISTRY: dict[str, Endpoint] = {}
 
 
 def register(name: str, fn: Callable | None = None, idempotent: bool = True):
@@ -41,13 +61,19 @@ def register(name: str, fn: Callable | None = None, idempotent: bool = True):
     """
     def _add(func: Callable) -> Callable:
         existing = _REGISTRY.get(name)
-        if existing is not None and existing is not func:
+        if existing is not None and existing.fn is not func:
             raise ValueError(f"endpoint {name!r} already registered")
-        _REGISTRY[name] = func
-        _IDEMPOTENT[name] = bool(idempotent)
+        _REGISTRY[name] = Endpoint(func, bool(idempotent), *keyword_signature(func))
         return func
 
     return _add if fn is None else _add(fn)
+
+
+def _lookup(name: str) -> Endpoint:
+    endpoint = _REGISTRY.get(name)
+    if endpoint is None:
+        raise KeyError(f"unknown endpoint {name!r}; known: {sorted(_REGISTRY)}")
+    return endpoint
 
 
 def is_idempotent(name: str) -> bool:
@@ -57,7 +83,8 @@ def is_idempotent(name: str) -> bool:
     must decide whether a possibly-delivered request can go to the next
     replica.
     """
-    return _IDEMPOTENT.get(name, False)
+    endpoint = _REGISTRY.get(name)
+    return endpoint is not None and endpoint.idempotent
 
 
 def resolve(name: str) -> Callable:
@@ -67,10 +94,32 @@ def resolve(name: str) -> Callable:
         KeyError: for unknown names (the server maps this to an error
             response rather than dropping the connection).
     """
-    fn = _REGISTRY.get(name)
-    if fn is None:
-        raise KeyError(f"unknown endpoint {name!r}; known: {sorted(_REGISTRY)}")
-    return fn
+    return _lookup(name).fn
+
+
+def bind(name: str, kwargs: dict) -> BoundRequest:
+    """Bind a request to its endpoint's signature: the one request identity.
+
+    Resolves ``name``, rejects a kwarg the function does not take or a
+    required one left out, and fills in every default, so a call with
+    its defaults spelled out and one without bind to the same kwargs.
+    Their :func:`~repro.runtime.cache.request_identity` is what the
+    front-end routes and catalogs on, and what the server routes to a
+    shard, coalesces and keys the cache on.
+
+    Raises:
+        KeyError: for an unknown endpoint name.
+        TypeError: for an unknown or a missing parameter name.
+    """
+    fn, _, defaults, required = _lookup(name)
+    unknown = kwargs.keys() - defaults.keys() - required
+    if unknown:
+        raise TypeError(f"{name}() got unexpected keyword argument(s) {sorted(unknown)}")
+    missing = required - kwargs.keys()
+    if missing:
+        raise TypeError(f"{name}() missing required argument(s) {sorted(missing)}")
+    bound = {**defaults, **kwargs}
+    return BoundRequest(fn, bound, request_identity(fn, bound))
 
 
 def endpoint_names() -> tuple[str, ...]:

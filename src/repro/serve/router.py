@@ -1,13 +1,15 @@
-"""Consistent-hash routing of cache keys onto worker shards.
+"""Consistent-hash routing of request identities onto worker shards.
 
-Each shard contributes ``replicas`` virtual points to a hash ring;
-a key routes to the first point clockwise of its own hash.  Two
-properties make this the right router for a serving cache:
+Each shard contributes ``replicas`` virtual points to a hash ring; a
+request identity (:func:`repro.serve.endpoints.bind`) routes to the
+first point clockwise of its own hash.  Two properties make this the
+right router for a serving cache:
 
-* **warmth** — the same key always lands on the same shard, so a
+* **warmth** — the same request always lands on the same shard, so a
   shard's in-process memos (e.g. the per-(provider, layer) weight
   tensors of :func:`repro.experiments.common.layer_weights`) stay hot
-  for the keys it owns;
+  for the requests it owns, across code edits too (the identity holds
+  no code version);
 * **resize stability** — growing the pool from N to N+1 shards remaps
   only ~1/(N+1) of the key space, instead of reshuffling everything the
   way ``hash(key) % N`` would.
@@ -26,7 +28,7 @@ from repro.fabric.ring import HashRing
 
 
 class ShardRouter:
-    """Maps cache keys to shard indices via a consistent-hash ring.
+    """Maps request identities to shard indices via a consistent-hash ring.
 
     Args:
         num_shards: number of shards (>= 1).

@@ -2,11 +2,15 @@
 
 Request lifecycle (see ``docs/architecture.md`` for the full diagram)::
 
-    client line -> decode -> resolve endpoint -> cache key
+    client line -> decode -> bind (endpoint, defaults, identity)
         cache hit  -> respond immediately (no worker touched)
         in flight  -> await the existing computation (single-flight)
         cache miss -> consistent-hash shard -> worker -> cache.put
                       -> respond
+
+The bound request's identity (:func:`repro.serve.endpoints.bind`) picks
+the shard and keys single-flight, with or without a cache; the cache key
+is that identity under the code fingerprint.
 
 Every connection is handled concurrently, and each request line spawns
 its own task, so one slow design point never blocks cache hits queued
@@ -33,7 +37,7 @@ from repro.fabric.tls import TLSConfig, default_tls
 from repro.obs import Counters
 from repro.runtime.cache import MISS, ResultCache, fn_identity
 from repro.runtime.tiers import TieredCache
-from repro.serve import endpoints as endpoints_mod
+from repro.serve.endpoints import BoundRequest, bind, endpoint_names
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -57,7 +61,8 @@ class ServeConfig:
         mode: ``"process"`` or ``"thread"`` shard workers.
         cache_dir: result-cache directory (``None`` = the default cache
             resolution of :func:`repro.runtime.cache.default_cache_dir`).
-        cache_enabled: disable to force every request through a worker.
+        cache_enabled: disable to send every request through a worker
+            (identical requests in flight together still share one call).
         cache_max_bytes: LRU byte budget for the cache (``None`` =
             unbounded).
         remote_cache: cache-peer URL to tier behind the local cache
@@ -359,24 +364,24 @@ class Server(LineServer):
 
     async def dispatch(self, rid: int, name: str, kwargs: dict, message: dict,
                        started: float) -> dict:
-        """Meta endpoints inline; everything else through the cache."""
+        """Meta endpoints inline; everything else bound, then through the cache."""
         if name == "_stats":
             return self._ok(rid, self.stats_snapshot(), started)
         if name == "_endpoints":
-            return self._ok(rid, list(endpoints_mod.endpoint_names()), started)
+            return self._ok(rid, list(endpoint_names()), started)
         if name == "ping":
             # Liveness probe: answered inline so it reflects event-loop
             # health alone, never blocks on (or writes junk into) the
             # cache or a wedged shard pool.
             return self._ok(rid, {"pong": kwargs.get("payload")}, started)
-        fn = endpoints_mod.resolve(name)
-        return await self._serve_point(rid, name, fn, kwargs, started)
+        return await self._serve_point(rid, bind(name, kwargs), started)
 
-    async def _serve_point(self, rid: int, name: str, fn, kwargs: dict,
+    async def _serve_point(self, rid: int, request: BoundRequest,
                            started: float) -> dict:
+        fn, kwargs, identity = request
         key = None
         if self.cache is not None:
-            key = self.cache.key_for(fn, kwargs)
+            key = self.cache.key_for_identity(identity)
             if isinstance(self.cache, TieredCache):
                 # Local probe on-loop (one small pickle beats a thread
                 # handoff — the warm steady state must stay cheap); only
@@ -392,12 +397,12 @@ class Server(LineServer):
             if value is not MISS:
                 self.stats.inc("hits")
                 return self._ok(rid, to_jsonable(value), started, cached=True)
-            existing = self._inflight.get(key)
-            if existing is not None:
-                value = await asyncio.shield(existing)
-                self.stats.inc("coalesced")
-                return self._ok(rid, to_jsonable(value), started, coalesced=True)
-        shard = self.router.route(key or repr((name, sorted(kwargs.items()))))
+        existing = self._inflight.get(identity)
+        if existing is not None:
+            value = await asyncio.shield(existing)
+            self.stats.inc("coalesced")
+            return self._ok(rid, to_jsonable(value), started, coalesced=True)
+        shard = self.router.route(identity)
         self.stats.inc("misses")
         self.stats.inc("per_shard", shard)
         self.stats.inc("batches")
@@ -409,17 +414,16 @@ class Server(LineServer):
         # coalesce onto the running computation instead of launching a twin.
         task = asyncio.ensure_future(self._run_on_shard(shard, fn, kwargs, key))
         self._shard_tasks.add(task)
-        if key is not None:
-            self._inflight[key] = task
-        task.add_done_callback(partial(self._shard_task_done, key))
+        self._inflight[identity] = task
+        task.add_done_callback(partial(self._shard_task_done, identity))
         value = await asyncio.shield(task)
         return self._ok(rid, to_jsonable(value), started, shard=shard)
 
-    def _shard_task_done(self, key: str | None, task: asyncio.Task) -> None:
+    def _shard_task_done(self, identity: str, task: asyncio.Task) -> None:
         """Forget a finished shard task and its in-flight entry."""
         self._shard_tasks.discard(task)
-        if key is not None and self._inflight.get(key) is task:
-            del self._inflight[key]
+        if self._inflight.get(identity) is task:
+            del self._inflight[identity]
         if not task.cancelled():
             # Retrieve a failure even when every requester has hung up
             # (waiters read their own shield-copies), so the loop doesn't

@@ -14,14 +14,13 @@ the forward path:
   giving every replica its pre-warm work list.
 """
 
-import json
 import threading
 import time
 
 import pytest
 
 from repro.fabric import FrontendConfig, FrontendHandle, WorkerNode
-from repro.serve import ServeClient, ServeConfig, register
+from repro.serve import ServeClient, ServeConfig, bind, register
 
 SECRET = "replication-test-secret"
 
@@ -52,11 +51,6 @@ def repl_slow_once(seconds: float = 1.0, tag: int = 0) -> int:
     if len(_SLOW_ONCE_CALLS) == 1:
         time.sleep(seconds)
     return tag
-
-
-def routing_key(endpoint: str, kwargs: dict) -> str:
-    """The exact key string Frontend._forward hashes for routing."""
-    return endpoint + ":" + json.dumps(kwargs, sort_keys=True, separators=(",", ":"))
 
 
 def make_cluster(tmp_path, **frontend_overrides):
@@ -94,7 +88,7 @@ def cluster(tmp_path):
 
 
 def owner_of(fe, endpoint: str, kwargs: dict) -> str:
-    prefs = fe.frontend.membership.preference(routing_key(endpoint, kwargs), 2)
+    prefs = fe.frontend.membership.preference(bind(endpoint, kwargs).identity, 2)
     return prefs[0].worker_id
 
 
