@@ -136,9 +136,14 @@ def canonicalize(obj: object) -> object:
         return out
     if isinstance(obj, Mapping):
         # Keys canonicalize like values (type included), so e.g. {1: v}
-        # and {"1": v} cannot alias; pairs are sorted for determinism.
+        # and {"1": v} cannot alias; pairs are sorted by the keys' JSON
+        # text for determinism.  ASCII identifiers need no escaping and
+        # all sort above '"', so for them the key itself is that order.
         pairs = [[canonicalize(k), canonicalize(v)] for k, v in obj.items()]
-        pairs.sort(key=lambda kv: json.dumps(kv[0], sort_keys=True))
+        if all(type(k) is str and k.isascii() and k.isidentifier() for k, _ in pairs):
+            pairs.sort(key=lambda kv: kv[0])
+        else:
+            pairs.sort(key=lambda kv: json.dumps(kv[0], sort_keys=True))
         return {"__mapping__": pairs}
     if isinstance(obj, (list, tuple)):
         return [canonicalize(v) for v in obj]

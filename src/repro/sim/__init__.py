@@ -5,7 +5,7 @@
   (DCNN and UCNN) that walk tables entry by entry; slow but independent
   ground truth for cycles and events;
 * :mod:`repro.sim.analytic` — vectorized whole-layer/whole-network
-  model (histogram-based UCNN table statistics), cross-validated against
+  model (UCNN table statistics from sorted keys), cross-validated against
   the functional simulator and used by all experiments;
 * :mod:`repro.sim.runner` — network-level composition and result records.
 """

@@ -1,14 +1,16 @@
 """Vectorized whole-layer cycle/event model.
 
-UCNN table statistics are computed from *joint rank histograms* instead
-of materializing tables: for each group of G filters and each channel
-tile, every stored position is summarized by the tuple of its G canonical
-ranks, and all counts the cycle/energy models need (entries, boundaries,
-multiplies, chunk early-MACs, skip bubbles, multiplier stalls) are
-derivable from the histogram of those tuples.  This matches
+UCNN table statistics are counted from each table's *sorted present
+keys* instead of materializing tables: for each group of G filters and
+each channel tile, every stored position is summarized by the tuple of
+its G canonical ranks, read as one key.  A table walks its distinct keys
+in sorted order, so all counts the cycle/energy models need (entries,
+boundaries, multiplies, chunk early-MACs, skip bubbles, multiplier
+stalls) follow from the sorted distinct keys and how many positions hold
+each.  A table has at most one key per stored position, so memory stays
+linear in the layer's weights for any U and G.  This matches
 :meth:`repro.core.hierarchical.FilterGroupTables.stats` exactly — the
-test suite cross-validates the two on randomized layers — while scaling
-to ResNet-50-sized layers in milliseconds.
+test suite cross-validates the two on randomized layers.
 
 Dense (DCNN / DCNN_sp) layers use closed-form counts.
 """
@@ -28,8 +30,13 @@ from repro.core.model_size import wit_bits_per_entry
 from repro.nn.tensor import ConvShape
 from repro.sim.events import EventCounts
 
-#: Filter chunk processed at once when building histograms (memory cap).
+#: Filters counted per batch (memory cap: a batch's arrays hold a few
+#: int64 values per stored position).
 _FILTER_BATCH = 128
+
+#: Widest key span counted with one ``np.bincount``, unless the batch has
+#: more than a quarter as many positions; wider spans sort.
+_BINCOUNT_SPAN = 2**16
 
 
 @dataclass(frozen=True)
@@ -79,65 +86,79 @@ def _ceil_div(a: np.ndarray | int, b: int):
     return -(-a // b)
 
 
-def _joint_histograms(ranks: np.ndarray, num_ranks: int, group_size: int) -> np.ndarray:
-    """Histogram joint rank keys.
+def _present_keys(
+    ranks: np.ndarray, num_ranks: int, group_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct table keys of a batch, with their position counts.
+
+    A stored position's key is ``table * U**G + r_1 * U**(G-1) + ... + r_G``:
+    its table index followed by its G filters' canonical ranks as base-U
+    digits, so the sorted keys list every table's innermost groups in walk
+    order.  Each table's all-zero key (its largest) is dropped.  Spans up
+    to ``max(_BINCOUNT_SPAN, 4 * positions)`` are counted with one
+    ``np.bincount``; wider ones are sorted.
 
     Args:
         ranks: ``(F, T, n)`` canonical ranks (F divisible by group_size).
-        num_ranks: rank alphabet size (U, with the virtual zero slot).
+        num_ranks: rank alphabet size U (with the virtual zero slot).
         group_size: G.
 
     Returns:
-        ``(F/G, T, num_ranks**G)`` int64 histogram.
+        ``(keys, counts)``: sorted int64 keys and their counts.
+
+    Raises:
+        ValueError: if the span ``tables * U**G`` overflows int64.
     """
     f, t, n = ranks.shape
     groups = f // group_size
-    keys = np.zeros((groups, t, n), dtype=np.int64)
-    grouped = ranks.reshape(groups, group_size, t, n)
-    for g in range(group_size):
-        keys = keys * num_ranks + grouped[:, g]
     bins = num_ranks**group_size
-    offsets = (np.arange(groups * t, dtype=np.int64) * bins).reshape(groups, t, 1)
-    flat = (keys + offsets).reshape(-1)
-    hist = np.bincount(flat, minlength=groups * t * bins)
-    return hist.reshape(groups, t, bins)
+    span = groups * t * bins
+    if span >= 2**63:
+        raise ValueError(
+            f"UCNN tables at G = {group_size} over U = {num_ranks} ranks need "
+            f"{groups * t} x {num_ranks}**{group_size} keys, past int64")
+    grouped = ranks.reshape(groups, group_size, t, n)
+    tables = np.arange(groups * t, dtype=np.int64).reshape(groups, t, 1)
+    keys = grouped[:, 0] + tables * num_ranks
+    for g in range(1, group_size):
+        keys *= num_ranks
+        keys += grouped[:, g]
+    keys = keys.reshape(-1)
+    if span <= max(_BINCOUNT_SPAN, 4 * keys.size):
+        counts = np.bincount(keys, minlength=span)
+        counts[bins - 1 :: bins] = 0
+        present = np.flatnonzero(counts)
+        return present, counts[present]
+    present, counts = np.unique(keys, return_counts=True)
+    stored = present % bins != bins - 1
+    return present[stored], counts[stored]
 
 
-def _prefix_skips_closed_form(child_present: np.ndarray, zero_rank: int) -> int:
-    """Total pointer skips for one filter level, closed form.
+def _pointer_skips(children: np.ndarray, num_ranks: int) -> np.ndarray:
+    """Weight-pointer skips of one filter level's groups.
 
-    ``child_present``: (..., U) presence of each child rank within each
-    parent block.  Zero (rank U-1) boundaries are exempt, so the skips in
-    a block are ``max_nonzero_present + 1 - count_nonzero_present``.
+    ``children``: the level's sorted distinct groups as keys
+    ``parent * U + rank``.  Within a parent group the pointer visits the
+    present ranks in increasing order, starting before rank 0, so a group
+    of rank ``r`` skips ``r - previous - 1`` weights.  Zero-rank groups
+    skip nothing (the "rest is zero" encoding).
     """
-    if zero_rank == 0:
-        return 0  # all-zero alphabet: nothing to skip
-    nz = child_present[..., :zero_rank]
-    any_nz = nz.any(axis=-1)
-    count = nz.sum(axis=-1)
-    # Highest present non-zero rank per block (argmax over reversed axis).
-    max_rank = zero_rank - 1 - np.argmax(nz[..., ::-1], axis=-1)
-    skips = np.where(any_nz, max_rank + 1 - count, 0)
-    return int(skips.sum())
-
-
-def _last_filter_bubbles(present: np.ndarray, zero_rank: int) -> int:
-    """Skip-entry bubbles for the G-th filter (inline capacity 3).
-
-    ``present``: (..., B, U) presence of the G-th filter's child ranks
-    within each (G-1)-prefix block; the zero rank is the last one.  Each
-    present non-zero rank whose gap to the previous present rank in its
-    block (ranks absent between them, or before it if it is the first)
-    exceeds :data:`INLINE_SKIP_CAPACITY` needs ``ceil((gap - cap) / cap)``
-    extra entries.
-    """
-    if zero_rank == 0:
-        return 0  # all-zero alphabet: no non-zero rank to charge
-    block, rank = np.nonzero(present[..., :zero_rank].reshape(-1, zero_rank))
+    parent, rank = np.divmod(children, num_ranks)
     previous = np.empty_like(rank)
     previous[:1] = -1
-    previous[1:] = np.where(block[1:] == block[:-1], rank[:-1], -1)
-    over = np.maximum(0, rank - previous - 1 - INLINE_SKIP_CAPACITY)
+    previous[1:] = np.where(parent[1:] == parent[:-1], rank[:-1], -1)
+    return np.where(rank != num_ranks - 1, rank - previous - 1, 0)
+
+
+def _last_filter_bubbles(children: np.ndarray, num_ranks: int) -> int:
+    """Skip-entry bubbles for the G-th filter (inline capacity 3).
+
+    ``children``: the G-th filter's sorted distinct groups as keys
+    ``parent * U + rank`` (see :func:`_pointer_skips`).  A skip past
+    :data:`INLINE_SKIP_CAPACITY` needs ``ceil((skip - cap) / cap)`` extra
+    entries.
+    """
+    over = np.maximum(0, _pointer_skips(children, num_ranks) - INLINE_SKIP_CAPACITY)
     return int(np.sum(_ceil_div(over, INLINE_SKIP_CAPACITY)))
 
 
@@ -151,58 +172,35 @@ def _batch_table_counts(
     """(entries, multiplies, inner_completions, bubbles, stalls) for a batch.
 
     ``ranks``: (F, T, n) with the zero/virtual-zero rank at num_ranks-1.
+    Filter g's groups are the runs of sorted keys sharing their table and
+    first g ranks; each group closes (MACs, when its rank is non-zero) at
+    its last key.
     """
+    keys, counts = _present_keys(ranks, num_ranks, group_size)
     zero_rank = num_ranks - 1
-    hist = _joint_histograms(ranks, num_ranks, group_size)  # (grp, T, U^G)
-    bins = num_ranks**group_size
-    all_zero_key = zero_rank * (bins - 1) // (num_ranks - 1) if num_ranks > 1 else 0
-    hist[..., all_zero_key] = 0  # positions dropped from the tables
-    present = hist > 0
+    entries = int(counts.sum())
 
-    entries = int(hist.sum())
-    key_ranks = np.empty((group_size, bins), dtype=np.int64)
-    rem = np.arange(bins, dtype=np.int64)
-    for g in range(group_size - 1, -1, -1):
-        key_ranks[g] = rem % num_ranks
-        rem //= num_ranks
-
-    # Innermost multiplies with chunking: ceil(size/16) per present key
-    # whose G-th rank is non-zero; completions count all present keys.
-    chunks = _ceil_div(hist, max_group_size)
-    innermost_nonzero = key_ranks[group_size - 1] != zero_rank
-    multiplies = int(chunks[..., innermost_nonzero].sum())
+    # Innermost groups: ceil(size / max_group_size) chunks each; every
+    # chunk completes, and MACs when the group's G-th rank is non-zero.
+    chunks = _ceil_div(counts, max_group_size)
     inner_completions = int(chunks.sum())
+    inner_nonzero = keys % num_ranks != zero_rank
+    multiplies = int(chunks[inner_nonzero].sum())
+    macs = inner_nonzero.astype(np.int64)  # boundary MACs at each key
+    bubbles = _last_filter_bubbles(keys, num_ranks)
 
-    # Outer-level multiplies: distinct present g-prefixes with non-zero rank.
-    macs = present.astype(np.int64) * innermost_nonzero  # per-key MACs at its last entry
-    for g in range(group_size - 1):  # levels 1..G-1 (filter index g)
-        suffix = num_ranks ** (group_size - 1 - g)
-        blocks = present.reshape(present.shape[0], present.shape[1], -1, suffix)
-        block_any = blocks.any(axis=-1)
-        prefix_rank_nonzero = key_ranks[g].reshape(-1, suffix)[:, 0] != zero_rank
-        prefix_rank_nonzero = prefix_rank_nonzero.reshape(block_any.shape[-1])
-        multiplies += int((block_any & prefix_rank_nonzero).sum())
-        # Level fires at the last present key of each prefix block.
-        last_idx = suffix - 1 - np.argmax(blocks[..., ::-1], axis=-1)
-        fires = np.zeros_like(blocks)
-        grp_i, t_i, b_i = np.nonzero(block_any)
-        fires[grp_i, t_i, b_i, last_idx[grp_i, t_i, b_i]] = True
-        fires = fires.reshape(present.shape) & present
-        macs += fires * prefix_rank_nonzero.repeat(suffix)
+    for g in range(group_size - 1):  # outer filters 1..G-1
+        prefix = keys // num_ranks ** (group_size - 1 - g)
+        last = np.empty(prefix.size, dtype=bool)
+        last[-1:] = True
+        np.not_equal(prefix[1:], prefix[:-1], out=last[:-1])
+        nonzero = prefix % num_ranks != zero_rank
+        macs += last & nonzero
+        groups = prefix[last]
+        multiplies += int(np.count_nonzero(nonzero[last]))
+        bubbles += int(_pointer_skips(groups, num_ranks).sum())
 
-    stalls = int(np.maximum(0, macs[present] - num_multipliers).sum())
-
-    # Skip accounting per filter level.
-    bubbles = 0
-    for g in range(group_size):
-        suffix = num_ranks ** (group_size - 1 - g)
-        child = present.reshape(present.shape[0], present.shape[1], -1, suffix)
-        child_any = child.any(axis=-1)  # (grp, T, U^g * ... ) hmm: blocks x child
-        child_any = child_any.reshape(present.shape[0], present.shape[1], -1, num_ranks)
-        if g == group_size - 1:
-            bubbles += _last_filter_bubbles(child_any, zero_rank)
-        else:
-            bubbles += _prefix_skips_closed_form(child_any, zero_rank)
+    stalls = int(np.maximum(0, macs - num_multipliers).sum())
     return entries, multiplies, inner_completions, bubbles, stalls
 
 
@@ -242,7 +240,7 @@ def ucnn_layer_aggregate(
         pad = np.full((k, tiles * ct - c, r, s), zero_rank, dtype=np.int64)
         ranks = np.concatenate([ranks, pad], axis=1)
     # Tile over channels: (K, T, Ct*R*S) — intra-tile order is irrelevant
-    # to the histogram statistics.
+    # to the sorted-key statistics.
     ranks_tiled = ranks.reshape(k, tiles, ct * r * s)
 
     # A trailing partial group (K not divisible by G) is processed at its

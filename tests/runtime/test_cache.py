@@ -6,7 +6,7 @@ import pytest
 from repro.arch.config import ucnn_config
 from repro.experiments.common import uniform_weight_provider
 from repro.nn.tensor import ConvShape
-from repro.runtime import ResultCache, cache_key, canonicalize, code_fingerprint
+from repro.runtime import ResultCache, cache_key, canonicalize, code_fingerprint, request_identity
 from repro.runtime.cache import MISS
 
 
@@ -57,6 +57,25 @@ class TestCanonicalize:
 
     def test_mapping_order_is_canonical(self):
         assert canonicalize({"a": 1, "b": 2}) == canonicalize({"b": 2, "a": 1})
+
+    @pytest.mark.parametrize("mapping,pairs,identity,key", [
+        # Not all identifiers: sorted by JSON text, where "\u00e9" < "a " <
+        # "a!" < "a" < 1, unlike the raw order.
+        ({"a": 1, "a ": 2, "a!": 3, "é": 4, 1: 5},
+         [["é", 4], ["a ", 2], ["a!", 3], ["a", 1], [1, 5]],
+         "5867b640c65796abea8ab778cb5ab2911870cb618d84665b2bd192717a1c4719",
+         "60634516c5be58e2665f9217d68eda31c66daaf7d88109183ce948c2391c6673"),
+        # All ASCII identifiers: sorted by the keys themselves, same order.
+        ({"b": 1, "a_": 2, "A": 3, "a": 4, "_z9": 5},
+         [["A", 3], ["_z9", 5], ["a", 4], ["a_", 2], ["b", 1]],
+         "17354524987dea21ca9255dbe90fa00eca1115d5fc75213f21cfa1a7e0078c02",
+         "434545c2442be4d1d28c9cf4ac509ed3757e783f56c8e21aefdb2385e9ba2a8b"),
+    ])
+    def test_mapping_order_and_keys_are_pinned(self, mapping, pairs, identity, key):
+        """Both sort paths give the JSON-text order existing keys were made with."""
+        assert canonicalize(mapping) == {"__mapping__": pairs}
+        assert request_identity(code_fingerprint, mapping) == identity
+        assert cache_key(code_fingerprint, mapping, fingerprint="v1") == key
 
 
 class TestCacheKey:

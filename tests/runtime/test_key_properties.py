@@ -99,6 +99,14 @@ class TestCanonicalizeProperties:
         assert cache_key(_fn, {"m": mapping}, fingerprint="t") != \
             cache_key(_fn, {"m": stringly}, fingerprint="t")
 
+    @given(st.dictionaries(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True),
+                           _scalars, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_identifier_keys_sort_in_json_order(self, mapping):
+        """Identifier keys sort directly, in the order of their JSON text."""
+        keys = [k for k, _ in canonicalize(mapping)["__mapping__"]]
+        assert keys == sorted(mapping, key=json.dumps)
+
     @given(st.sets(st.integers(min_value=-999, max_value=999), max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_set_iteration_order_is_irrelevant(self, values):

@@ -2,9 +2,10 @@
 
 The parametrized cross-check in test_analytic.py covers the paper's
 design points; this file lets hypothesis roam the (K, C, R, U, density,
-G) space freely, asserting the analytic histogram statistics equal the
-per-table functional construction *everywhere* — the single most
-load-bearing invariant of the reproduction.
+G) space of the Table II rows, asserting the analytic sorted-key
+statistics equal the per-table functional construction *everywhere* —
+the single most load-bearing invariant of the reproduction.
+(test_analytic.py's property test also unpairs G from U.)
 """
 
 import numpy as np
